@@ -111,7 +111,7 @@ def cmd_homset(args) -> tuple[dict, dict]:
         "src": args.src,
         "tgt": args.tgt,
         "partial": entry.partial,
-        "classes": [{"rep": [str(g) for g in c.rep], "size": len(c.words)} for c in entry.classes],
+        "classes": [{"rep": [str(g) for g in c.rep], "size": c.size} for c in entry.classes],
     }
     return {"homset": payload}, ({"partial": entry.partial}, {"classes": len(entry.classes)})
 

@@ -156,7 +156,7 @@ def presentation_to_json(P: PresentedCategory, table: HomSetTable | None = None)
                 "tgt": str(y),
                 "partial": entry.partial,
                 "classes": [
-                    {"rep": [str(g) for g in c.rep], "size": len(c.words)}
+                    {"rep": [str(g) for g in c.rep], "size": c.size}
                     for c in entry.classes
                 ],
             }

@@ -5,7 +5,10 @@ non-degenerate edges generate (src = d1, tgt = d0), and each non-degenerate
 2-simplex contributes the relation d1 = d0 . d2, with degenerate edges
 compiled away as identities.  Exact hom-sets are computed only when the
 edge graph is acyclic; the word problem is undecidable in general, and
-loop-freeness covers the intended use.  For complexes with loops,
+loop-freeness covers the intended use.  They come from one forward pass
+per source over a topological order, without listing paths: the cost
+grows with classes times generators, not with the number of paths, which
+grows exponentially with depth.  For complexes with loops,
 `bounded_hom_classes` gives a sound partial answer flagged as such.
 """
 
@@ -86,31 +89,28 @@ def path_category(X: SimplicialSet) -> PresentedCategory:
 def is_loop_free(X: SimplicialSet) -> bool:
     """No directed cycle through non-degenerate edges, no self-loop edge."""
     P = path_category(X)
-    return _presentation_loop_free(P)
+    return len(_topological_order(P)) == len(P.objects)
 
 
-def _presentation_loop_free(P: PresentedCategory) -> bool:
-    adj = {x: [] for x in P.objects}
+def _topological_order(P: PresentedCategory) -> list:
+    """Kahn's order of the objects along the generators.
+
+    Objects on or behind a cycle (a self-loop included) never reach in-degree
+    zero, so the order is shorter than `P.objects` exactly when the
+    presentation has a loop.
+    """
+    indegree = {x: 0 for x in P.objects}
+    succ = {x: [] for x in P.objects}
     for g in P.generators:
-        if P.gen_src[g] == P.gen_tgt[g]:
-            return False
-        adj[P.gen_src[g]].append(P.gen_tgt[g])
-    state = {x: 0 for x in P.objects}  # 0 unvisited, 1 on stack, 2 done
-
-    def dfs(x):
-        state[x] = 1
-        for y in adj[x]:
-            if state[y] == 1:
-                return False
-            if state[y] == 0 and not dfs(y):
-                return False
-        state[x] = 2
-        return True
-
-    for x in P.objects:
-        if state[x] == 0 and not dfs(x):
-            return False
-    return True
+        succ[P.gen_src[g]].append(P.gen_tgt[g])
+        indegree[P.gen_tgt[g]] += 1
+    order = [x for x in P.objects if indegree[x] == 0]
+    for x in order:  # grows while it is walked
+        for y in succ[x]:
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                order.append(y)
+    return order
 
 
 # -- hom-set tables -----------------------------------------------------------
@@ -143,7 +143,7 @@ def _word_key(word):
 @dataclass(frozen=True)
 class HomClass:
     rep: tuple
-    words: frozenset
+    size: int  # number of paths (or, for a bounded entry, of bounded words) in the class
 
 
 @dataclass
@@ -152,10 +152,23 @@ class HomEntry:
     tgt: object
     classes: tuple[HomClass, ...]
     partial: bool
+    # word -> rep; an exact entry lists only its reps and reduces a word to
+    # one through `_step`, the transition map shared by its source
     _class_of: dict = field(default_factory=dict, repr=False)
+    _step: dict | None = field(default=None, repr=False)
 
     def class_of(self, word):
-        return self._class_of[tuple(word)]
+        """Rep of the class of `word`; KeyError unless it is a path src -> tgt."""
+        word = tuple(word)
+        if self._step is None:
+            return self._class_of[word]
+        rep = ()
+        try:
+            for g in word:
+                rep = self._step[rep, g]
+            return self._class_of[rep]
+        except KeyError:
+            raise KeyError(word) from None
 
     def __len__(self):
         return len(self.classes)
@@ -196,7 +209,7 @@ def _close_words(P: PresentedCategory, x, words, max_len=None):
     class_of = {}
     for members in groups.values():
         rep = min(members, key=_word_key)
-        classes.append(HomClass(rep, frozenset(members)))
+        classes.append(HomClass(rep, len(members)))
         for w in members:
             class_of[w] = rep
     classes.sort(key=lambda c: _word_key(c.rep))
@@ -219,25 +232,66 @@ class HomSetTable:
 def hom_sets(P: PresentedCategory) -> HomSetTable:
     """Exact hom-sets of a loop-free presentation.
 
-    Enumerates every generator path per ordered vertex pair (finite by
-    acyclicity) and closes under the 2-simplex relations; canonical
-    representatives are shortest-then-lexicographic.
+    One forward pass per source x over a topological order.  A path x -> z
+    is a path x -> y followed by a generator g: y -> z, so the candidates for
+    the classes of hom(x, z) are the pairs (class of hom(x, y), g); two paths
+    in one candidate are equal because the prefixes are.  By the time z is
+    reached, every hom(x, y) with y earlier in the order is final, so the
+    relations ending at z only have to union candidates: for each class p of
+    hom(x, src), the two sides p.lhs and p.rhs name their candidates through
+    the prefix classes, read from the transition map (rep, g) -> rep.  No
+    fixpoint is needed.  The cost grows with classes times generators plus
+    classes times relations, never with the number of paths.
+
+    A class's rep, shortest then lexicographic, is the least rep(p) + (g,)
+    over its candidates (p, g); its size, the number of paths in it, is the
+    sum of the sizes of those p.  The identity class of hom(x, x) is ((), 1).
     """
-    if not _presentation_loop_free(P):
+    order = _topological_order(P)
+    if len(order) < len(P.objects):
         raise NotLoopFreeError("exact hom-sets need a loop-free complex; use bounded_hom_classes")
-    paths: dict = {(x, y): [] for x in P.objects for y in P.objects}
-
-    def extend(x, word, at):
-        paths[(x, at)].append(word)
-        for g in P.out_edges(at):
-            extend(x, word + (g,), P.gen_tgt[g])
-
-    for x in P.objects:
-        extend(x, (), x)
+    into = {z: [] for z in P.objects}
+    for g in P.generators:
+        into[P.gen_tgt[g]].append(g)
+    relations_into = {z: [] for z in P.objects}
+    for rel in P.relations:
+        # a side that is the empty word forces src == tgt; without loops the
+        # other side is empty too, and the relation says nothing
+        if rel.lhs and rel.rhs:
+            relations_into[rel.tgt].append(rel)
+    position = {x: i for i, x in enumerate(order)}
     entries = {}
-    for (x, y), words in paths.items():
-        classes, class_of = _close_words(P, x, words)
-        entries[(x, y)] = HomEntry(x, y, classes, False, class_of)
+    for x in P.objects:
+        step: dict = {}  # (rep of a class of hom(x, y), g: y -> z) -> rep of its class in hom(x, z)
+        homs = {x: (HomClass((), 1),)}
+
+        def candidate(rep, word):
+            for g in word[:-1]:
+                rep = step[rep, g]
+            return rep, word[-1]
+
+        for z in order[position[x] + 1 :]:
+            size = {(c.rep, g): c.size for g in into[z] for c in homs.get(P.gen_src[g], ())}
+            if not size:
+                continue
+            uf = _UnionFind(size)
+            for rel in relations_into[z]:
+                for p in homs.get(rel.src, ()):
+                    uf.union(candidate(p.rep, rel.lhs), candidate(p.rep, rel.rhs))
+            groups: dict = {}
+            for key in size:
+                groups.setdefault(uf.find(key), []).append(key)
+            classes = []
+            for keys in groups.values():
+                rep = min((prefix + (g,) for prefix, g in keys), key=_word_key)
+                classes.append(HomClass(rep, sum(size[k] for k in keys)))
+                for k in keys:
+                    step[k] = rep
+            classes.sort(key=lambda c: _word_key(c.rep))
+            homs[z] = tuple(classes)
+        for y in P.objects:
+            classes = homs.get(y, ())
+            entries[(x, y)] = HomEntry(x, y, classes, False, {c.rep: c.rep for c in classes}, step)
     return HomSetTable(P, entries, partial=False)
 
 
@@ -251,38 +305,28 @@ def bounded_hom_classes(P: PresentedCategory, x, y, max_len: int) -> HomEntry:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     words = []
-
-    def walk(word, at):
+    stack = [((), x)]
+    while stack:
+        word, at = stack.pop()
         if at == y:
             words.append(word)
-        if len(word) == max_len:
-            return
-        for g in P.out_edges(at):
-            walk(word + (g,), P.gen_tgt[g])
-
-    walk((), x)
+        if len(word) < max_len:
+            stack.extend((word + (g,), P.gen_tgt[g]) for g in P.out_edges(at))
     classes, class_of = _close_words(P, x, words, max_len=max_len)
-    partial = True
-    if _presentation_loop_free(P):
-        longest = _longest_path_bound(P)
-        partial = max_len < longest
+    order = _topological_order(P)
+    partial = len(order) < len(P.objects) or max_len < _longest_path(P, order)
     return HomEntry(x, y, classes, partial, class_of)
 
 
-def _longest_path_bound(P: PresentedCategory) -> int:
+def _longest_path(P: PresentedCategory, order) -> int:
+    """Length of the longest path, by a DP backwards along a topological order."""
+    out = {x: [] for x in P.objects}
+    for g in P.generators:
+        out[P.gen_src[g]].append(P.gen_tgt[g])
     depth = {}
-
-    def go(v):
-        if v in depth:
-            return depth[v]
-        depth[v] = 0
-        best = 0
-        for g in P.out_edges(v):
-            best = max(best, 1 + go(P.gen_tgt[g]))
-        depth[v] = best
-        return best
-
-    return max((go(v) for v in P.objects), default=0)
+    for x in reversed(order):
+        depth[x] = max((1 + depth[y] for y in out[x]), default=0)
+    return max(depth.values(), default=0)
 
 
 # -- counit P(BC) -> C ---------------------------------------------------------
@@ -356,9 +400,16 @@ def product_comparison(X: SimplicialSet, Y: SimplicialSet, cell_limit: int = 400
     prod = product(X, Y, dim_bound=2)
     if prod.complex.n_cells > cell_limit:
         raise ValueError(f"product too large ({prod.complex.n_cells} cells)")
+    return product_tables_agree(prod, hom_sets(path_category(X)), hom_sets(path_category(Y)))
+
+
+def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
+    """`product_comparison` for a built product and the exact tables of its factors.
+
+    Callers that compare many pairs build each product and each factor's
+    table once and pass them here.
+    """
     PXY = path_category(prod.complex)
-    TX = hom_sets(path_category(X))
-    TY = hom_sets(path_category(Y))
     TXY = hom_sets(PXY)
     vertex_pair = {v: (prod.pairs[v][0].base, prod.pairs[v][1].base) for v in PXY.objects}
 

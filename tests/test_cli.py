@@ -5,7 +5,7 @@ import pytest
 from quasicat.cli import main
 from quasicat.jsonio import dumps, functor_to_json, sset_to_json
 from quasicat.cat import cyclic_group_category, identity_functor, nerve, poset_category
-from quasicat.simplicial import build_standard, standard_simplex
+from quasicat.simplicial import SimplexExpr, SimplicialSet, build_standard, standard_simplex
 
 
 @pytest.fixture
@@ -33,6 +33,16 @@ def test_pathcat_homsets(capsys, delta2):
     assert code == 0
     entry = [e for e in rep["presentation"]["homsets"] if e["src"] == "0" and e["tgt"] == "2"]
     assert len(entry) == 1 and len(entry[0]["classes"]) == 1
+
+
+def test_pathcat_deep_spine(capsys, tmp_path):
+    # edges 0 -> 1 -> ... -> 1200, deeper than the interpreter's recursion limit
+    v = lambda i: SimplexExpr((), i, 0)
+    faces = {1201 + i: (v(i + 1), v(i)) for i in range(1200)}
+    p = tmp_path / "spine.sset.json"
+    p.write_text(dumps(sset_to_json(SimplicialSet(1, [list(range(1201)), sorted(faces)], faces))))
+    code, rep = run(capsys, ["pathcat", str(p)])
+    assert code == 0 and rep["presentation"]["loop_free"] is True
 
 
 def test_homset_bounded(capsys, tmp_path):

@@ -17,7 +17,9 @@ from quasicat.pathcat import (
     product_comparison,
 )
 from quasicat.simplicial import (
+    SimplexExpr,
     SimplicialMap,
+    SimplicialSet,
     build_standard,
     product,
     standard_simplex,
@@ -70,6 +72,24 @@ def test_loop_free_examples():
     assert not is_loop_free(truncate(nerve(cyclic_group_category(2), 2), 2))
 
 
+def spine(n, closed=False):
+    """Edges i -> i+1 on vertices 0..n, plus n -> 0 when closed."""
+    v = lambda i: SimplexExpr((), i, 0)
+    arrows = [(i, i + 1) for i in range(n)] + ([(n, 0)] if closed else [])
+    faces = {n + 1 + k: (v(b), v(a)) for k, (a, b) in enumerate(arrows)}
+    return SimplicialSet(1, [list(range(n + 1)), sorted(faces)], faces)
+
+
+def test_loop_free_deep_spine():
+    # deeper than the interpreter's recursion limit
+    assert is_loop_free(spine(1500))
+    assert not is_loop_free(spine(1500, closed=True))
+    P = path_category(spine(1500))
+    assert bounded_hom_classes(P, 0, 1, 1).partial  # the longest path has 1500 edges
+    entry = bounded_hom_classes(P, 0, 1500, 1500)
+    assert not entry.partial and [c.size for c in entry.classes] == [1]
+
+
 # -- hom sets -------------------------------------------------------------------
 
 
@@ -77,6 +97,7 @@ def test_hom_sets_boundary2():
     B, _ = build_standard("boundary", 2)
     T = hom_sets(path_category(B))
     assert T.class_count(0, 2) == 2  # {02} and {12 . 01} stay distinct
+    assert [c.size for c in T.entry(0, 2).classes] == [1, 1]
     assert T.class_count(0, 1) == 1
     assert T.class_count(0, 0) == 1  # identity only
 
@@ -86,6 +107,18 @@ def test_hom_sets_delta2():
     for x in range(3):
         for y in range(3):
             assert T.class_count(x, y) == (1 if x <= y else 0)
+    assert T.entry(0, 2).classes[0].size == 2  # 02 and 01 . 12
+
+
+def test_class_of_reduces_paths_and_rejects_others():
+    P = path_category(standard_simplex(2))
+    (rel,) = P.relations
+    entry = hom_sets(P).entry(0, 2)
+    assert entry.class_of(rel.lhs) == entry.class_of(rel.rhs) == entry.classes[0].rep
+    with pytest.raises(KeyError):
+        entry.class_of(rel.lhs[:1])  # a path 0 -> 1
+    with pytest.raises(KeyError):
+        entry.class_of(rel.lhs[::-1])  # not composable
 
 
 def test_hom_sets_horn20():
@@ -119,6 +152,7 @@ def test_bounded_z2_classes():
     reps = {c.rep for c in entry.classes}
     assert len(reps) == 2  # identity and g, since g.g ~ identity
     assert () in reps
+    assert [c.size for c in entry.classes] == [2, 2]  # {(), gg} and {g, ggg}
 
 
 def test_bounded_empty_graph():
