@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .simplicial import SimplexExpr, SimplicialSet, degeneracy_expr
+from .simplicial import SimplexExpr, SimplicialSet, UnionFind, degeneracy_expr
 
 
 class CategoryError(ValueError):
@@ -283,24 +283,17 @@ class GroupoidEquivalenceWitness:
 
 
 def _iso_classes(C: FiniteCategory):
-    """Partition of objects by isomorphism, with sorted-stable representatives."""
-    inv = C.invertible_arrows()
-    parent = {x: x for x in C.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in inv:
-        a, b = find(C.src[f]), find(C.tgt[f])
-        if a != b:
-            parent[a] = b
-    classes: dict = {}
-    for x in C.objects:
-        classes.setdefault(find(x), []).append(x)
-    return {min(map(str, v)): sorted(v, key=str) for v in classes.values()}
+    """Partition of objects by isomorphism, with sorted-stable representatives
+    (computed once per category)."""
+    cached = getattr(C, "_iso_class_cache", None)
+    if cached is not None:
+        return cached
+    uf = UnionFind(C.objects)
+    for f in C.invertible_arrows():
+        uf.union(C.src[f], C.tgt[f])
+    classes = {min(map(str, v)): sorted(v, key=str) for v in uf.groups().values()}
+    C._iso_class_cache = classes
+    return classes
 
 
 def is_equivalence_of_groupoids(F: FiniteFunctor) -> tuple[bool, GroupoidEquivalenceWitness]:

@@ -14,7 +14,9 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .acceptance import run_all
 from .anodyne import facet_certificate, shuffles, prism_certificate
+from .corpus import materialize_corpus
 from .equivalence import nerve_equivalence_criterion
 from .jsonio import (
     certificate_from_json,
@@ -33,7 +35,6 @@ from .quasi import (
     certify_quasi_category,
     core,
     ho_category,
-    quasi_iso_edges,
     saturation_step,
     tau0,
 )
@@ -85,7 +86,7 @@ def cmd_pathcat(args) -> tuple[dict, dict]:
     X = _load_sset(args.complex)
     P = path_category(X)
     table = None
-    loop_free = is_loop_free(X)
+    loop_free = is_loop_free(P)
     if args.homsets:
         if not loop_free:
             raise UsageError("--homsets needs a loop-free complex; use homset with --max-len")
@@ -215,9 +216,6 @@ def cmd_nerve_equiv(args) -> tuple[dict, dict]:
 
 
 def cmd_corpus_run(args) -> tuple[dict, dict]:
-    from .acceptance import run_all
-    from .corpus import materialize_corpus
-
     written = []
     if args.out_dir:
         written = materialize_corpus(args.out_dir)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from pathlib import Path
 
 from .cat import (
     FiniteCategory,
@@ -25,7 +26,10 @@ from .cat import (
     preorder_category,
     product_category,
 )
+from .jsonio import cat_to_json, dumps, sset_to_json
+from .pathcat import is_loop_free, path_category
 from .simplicial import (
+    SimplexExpr,
     SimplicialSet,
     build_standard,
     product,
@@ -182,8 +186,6 @@ def walking_homotopy(witnesses: str = "rrll") -> SimplicialSet:
     classes of edges are not singletons.  Any proper subset fails
     certification at a 3-horn: one witness forces the other three.
     """
-    from .simplicial import SimplexExpr
-
     edge = lambda s: SimplexExpr((), s, 1)
     vertex = lambda v: SimplexExpr((), v, 0)
     s0 = lambda v: SimplexExpr((0,), v, 1)
@@ -202,15 +204,13 @@ def walking_homotopy(witnesses: str = "rrll") -> SimplicialSet:
 
 
 def loop_free_corpus_complexes() -> dict[str, SimplicialSet]:
-    from .pathcat import is_loop_free
-
     names = ["delta0", "delta1", "delta2", "delta3", "boundary2", "boundary3",
              "horn_2_0", "horn_2_1", "horn_2_2", "horn_3_1", "square"]
     table = corpus_complexes()
     out = {n: table[n] for n in names}
     for name, C in corpus_categories().items():
         N = nerve(C, 2)
-        if is_loop_free(N):
+        if is_loop_free(path_category(N)):
             out[f"B({name})"] = N
     return out
 
@@ -218,10 +218,6 @@ def loop_free_corpus_complexes() -> dict[str, SimplicialSet]:
 def materialize_corpus(out_dir) -> list[str]:
     """Write every corpus category and complex as JSON files; returns the
     file names, sorted.  Output is deterministic byte for byte."""
-    from pathlib import Path
-
-    from .jsonio import cat_to_json, dumps, sset_to_json
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

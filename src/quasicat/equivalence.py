@@ -197,16 +197,15 @@ def criterion_presentations() -> tuple[tuple[str, PresentedCategory], ...]:
     return tuple(shapes)
 
 
-_groupoid_cache: dict = {}
-
-
 def _cached_iso_groupoid(C: FiniteCategory, shape_name: str, P: PresentedCategory) -> Groupoid:
-    key = (id(C), shape_name)
-    hit = _groupoid_cache.get(key)
-    if hit is None or hit[0] is not C:
-        hit = (C, iso_functor_groupoid(C, P))
-        _groupoid_cache[key] = hit
-    return hit[1]
+    """Iso(C^P), built once per category and shape and kept on C."""
+    cache = getattr(C, "_iso_shape_cache", None)
+    if cache is None:
+        cache = C._iso_shape_cache = {}
+    hit = cache.get(shape_name)
+    if hit is None:
+        hit = cache[shape_name] = iso_functor_groupoid(C, P)
+    return hit
 
 
 def enumerate_functors(C: FiniteCategory, D: FiniteCategory) -> list[FiniteFunctor]:

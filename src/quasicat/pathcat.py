@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cat import FiniteCategory
-from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet
+from .cat import FiniteCategory, nerve
+from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet, UnionFind, product
 
 
 class NotLoopFreeError(ValueError):
@@ -86,9 +86,9 @@ def path_category(X: SimplicialSet) -> PresentedCategory:
     return PresentedCategory(objects, tuple(generators), gen_src, gen_tgt, tuple(relations)).validate()
 
 
-def is_loop_free(X: SimplicialSet) -> bool:
-    """No directed cycle through non-degenerate edges, no self-loop edge."""
-    P = path_category(X)
+def is_loop_free(P: PresentedCategory) -> bool:
+    """No directed cycle through generators (the non-degenerate edges of the
+    complex P presents), no self-loop generator."""
     return len(_topological_order(P)) == len(P.objects)
 
 
@@ -114,23 +114,6 @@ def _topological_order(P: PresentedCategory) -> list:
 
 
 # -- hom-set tables -----------------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {w: w for w in items}
-
-    def find(self, w):
-        p = self.parent
-        while p[w] != w:
-            p[w] = p[p[w]]
-            w = p[w]
-        return w
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def _word_key(word):
@@ -183,7 +166,7 @@ def _close_words(P: PresentedCategory, x, words, max_len=None):
     path set of a DAG, and for the length-bounded walk set).
     """
     universe = set(words)
-    uf = _UnionFind(universe)
+    uf = UnionFind(universe)
     rules = []
     for rel in P.relations:
         rules.append((rel.lhs, rel.rhs, rel.src))
@@ -202,12 +185,9 @@ def _close_words(P: PresentedCategory, x, words, max_len=None):
                 w2 = w[:i] + rhs + w[i + n :]
                 if w2 in universe:
                     uf.union(w, w2)
-    groups = {}
-    for w in universe:
-        groups.setdefault(uf.find(w), set()).add(w)
     classes = []
     class_of = {}
-    for members in groups.values():
+    for members in uf.groups().values():
         rep = min(members, key=_word_key)
         classes.append(HomClass(rep, len(members)))
         for w in members:
@@ -274,15 +254,12 @@ def hom_sets(P: PresentedCategory) -> HomSetTable:
             size = {(c.rep, g): c.size for g in into[z] for c in homs.get(P.gen_src[g], ())}
             if not size:
                 continue
-            uf = _UnionFind(size)
+            uf = UnionFind(size)
             for rel in relations_into[z]:
                 for p in homs.get(rel.src, ()):
                     uf.union(candidate(p.rep, rel.lhs), candidate(p.rep, rel.rhs))
-            groups: dict = {}
-            for key in size:
-                groups.setdefault(uf.find(key), []).append(key)
             classes = []
-            for keys in groups.values():
+            for keys in uf.groups().values():
                 rep = min((prefix + (g,) for prefix, g in keys), key=_word_key)
                 classes.append(HomClass(rep, sum(size[k] for k in keys)))
                 for k in keys:
@@ -349,8 +326,6 @@ def counit_check(C: FiniteCategory, dim_bound: int = 2) -> CounitReport:
     dim_bound < 2 the relations are not all visible and the verdict is
     inconclusive.
     """
-    from .cat import nerve  # local import keeps module dependencies one-way
-
     if dim_bound < 2:
         return CounitReport(False, True, "dim_bound < 2: relations not materialized", {}, {})
     N = nerve(C, 2)
@@ -393,14 +368,13 @@ def counit_check(C: FiniteCategory, dim_bound: int = 2) -> CounitReport:
 
 def product_comparison(X: SimplicialSet, Y: SimplicialSet, cell_limit: int = 400) -> bool:
     """P(X x Y) -> P(X) x P(Y) is bijective on objects and all hom-sets."""
-    from .simplicial import product
-
-    if not is_loop_free(X) or not is_loop_free(Y):
+    PX, PY = path_category(X), path_category(Y)
+    if not is_loop_free(PX) or not is_loop_free(PY):
         raise NotLoopFreeError("product comparison needs loop-free factors")
     prod = product(X, Y, dim_bound=2)
     if prod.complex.n_cells > cell_limit:
         raise ValueError(f"product too large ({prod.complex.n_cells} cells)")
-    return product_tables_agree(prod, hom_sets(path_category(X)), hom_sets(path_category(Y)))
+    return product_tables_agree(prod, hom_sets(PX), hom_sets(PY))
 
 
 def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:

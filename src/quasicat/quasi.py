@@ -20,8 +20,14 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     SizeLimitError,
+    UnionFind,
+    degenerate,
+    identity_map,
     make_subcomplex,
     product,
+    product_map,
+    simplex_map,
+    standard_simplex,
 )
 
 
@@ -144,7 +150,7 @@ def _has_shell_filler(X: SimplicialSet, h: HornMap) -> bool:
         X.face(h.top[m], h.k - 1) if m < h.k else X.face(h.top[m + 1], h.k)
         for m in range(d + 1)
     )
-    return X.filler_lookup(d, None, needed) is not None
+    return bool(X.exprs_with_boundary(d, needed))
 
 
 def certify_quasi_category(X: SimplicialSet) -> CertReport:
@@ -188,18 +194,6 @@ class QuasiIsoWitness:
     sigma_prime: SimplexExpr  # boundary (alpha, s0 y, beta)
 
 
-def _edge_exprs(X: SimplicialSet):
-    return X.all_exprs(1)
-
-
-def _two_simplex_index(X: SimplicialSet):
-    idx = {}
-    for s in X.all_exprs(2):
-        key = (X.face(s, 0), X.face(s, 1), X.face(s, 2))
-        idx.setdefault(key, s)
-    return idx
-
-
 def quasi_iso_edges(X: SimplicialSet, report: CertReport | None = None) -> dict[SimplexExpr, QuasiIsoWitness]:
     """Edges with a two-sided inverse witnessed by a pair of 2-simplices.
 
@@ -210,9 +204,8 @@ def quasi_iso_edges(X: SimplicialSet, report: CertReport | None = None) -> dict[
         report = certify_quasi_category(X)
     if not report.is_quasi:
         raise CertificationError(f"quasi_iso_edges needs a certified quasi-category ({report.verdict})")
-    idx = _two_simplex_index(X)
     out: dict[SimplexExpr, QuasiIsoWitness] = {}
-    edges = _edge_exprs(X)
+    edges = X.all_exprs(1)
     by_endpoints: dict = {}
     for e in edges:
         vs = X.vertex_ids(e)
@@ -222,14 +215,11 @@ def quasi_iso_edges(X: SimplicialSet, report: CertReport | None = None) -> dict[
         sx = SimplexExpr((0,), x, 1)
         sy = SimplexExpr((0,), y, 1)
         for beta in by_endpoints.get((y, x), ()):
-            sigma = idx.get((beta, sx, alpha))
-            if sigma is None:
-                continue
-            sigma_prime = idx.get((alpha, sy, beta))
-            if sigma_prime is None:
-                continue
-            out[alpha] = QuasiIsoWitness(alpha, beta, sigma, sigma_prime)
-            break
+            sigma = X.exprs_with_boundary(2, (beta, sx, alpha))
+            sigma_prime = X.exprs_with_boundary(2, (alpha, sy, beta))
+            if sigma and sigma_prime:
+                out[alpha] = QuasiIsoWitness(alpha, beta, sigma[0], sigma_prime[0])
+                break
     return out
 
 
@@ -277,21 +267,8 @@ def core(X: SimplicialSet, report: CertReport | None = None):
 
 def right_homotopy_classes(X: SimplicialSet):
     """Partition of edge exprs under the symmetrized right-homotopy relation."""
-    idx = _two_simplex_index(X)
-    edges = _edge_exprs(X)
-    parent = {e: e for e in edges}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    edges = X.all_exprs(1)
+    uf = UnionFind(edges)
     by_endpoints: dict = {}
     for e in edges:
         by_endpoints.setdefault(X.vertex_ids(e), []).append(e)
@@ -299,24 +276,21 @@ def right_homotopy_classes(X: SimplicialSet):
         sy = SimplexExpr((0,), y, 1)
         for alpha in group:
             for beta in group:
-                if idx.get((sy, beta, alpha)) is not None:
-                    union(alpha, beta)
-    classes: dict = {}
-    for e in edges:
-        classes.setdefault(find(e), []).append(e)
-    return classes, find
+                if X.exprs_with_boundary(2, (sy, beta, alpha)):
+                    uf.union(alpha, beta)
+    return uf.groups(), uf.find
 
 
 def has_right_homotopy(X, alpha, beta) -> bool:
     """Is there a 2-simplex with boundary (s0 y, beta, alpha)?"""
     y = X.vertex_ids(alpha)[1]
-    return _two_simplex_index(X).get((SimplexExpr((0,), y, 1), beta, alpha)) is not None
+    return bool(X.exprs_with_boundary(2, (SimplexExpr((0,), y, 1), beta, alpha)))
 
 
 def has_left_homotopy(X, alpha, beta) -> bool:
     """Is there a 2-simplex with boundary (alpha, beta, s0 x)?"""
     x = X.vertex_ids(alpha)[0]
-    return _two_simplex_index(X).get((alpha, beta, SimplexExpr((0,), x, 1))) is not None
+    return bool(X.exprs_with_boundary(2, (alpha, beta, SimplexExpr((0,), x, 1))))
 
 
 def _edge_sort_key(e: SimplexExpr):
@@ -388,29 +362,13 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
     results: list[dict] = []
     assignment: dict[int, SimplexExpr] = {}
 
-    def push(expr: SimplexExpr) -> SimplexExpr:
-        from .simplicial import degeneracy_expr
-
-        res = assignment[expr.base]
-        for j in reversed(expr.word):
-            res = degeneracy_expr(res, j)
-        return res
-
     def assign(i: int):
         if i == len(order):
             results.append(dict(assignment))
             return
         s = order[i]
-        d = P.dim_of[s]
-        if d == 0:
-            candidates = [X.expr(v) for v in X.vertices()]
-        else:
-            want = tuple(push(e) for e in P.faces[s])
-            candidates = [
-                e for e in X.all_exprs(d)
-                if tuple(X.face(e, t) for t in range(d + 1)) == want
-            ]
-        for e in candidates:
+        want = tuple(degenerate(assignment[e.base], e.word) for e in P.faces.get(s, ()))
+        for e in X.exprs_with_boundary(P.dim_of[s], want):
             assignment[s] = e
             assign(i + 1)
             del assignment[s]
@@ -421,115 +379,72 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
 
 def function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: int = 24) -> SimplicialSet:
     """hom(K, X) through dimension dim_bound: n-simplices are maps
-    K x Delta^n -> X, with faces and degeneracies by precomposition."""
-    from .simplicial import identity_map, product_map, standard_simplex
-
+    K x Delta^n -> X, with faces and degeneracies by precomposition with
+    1_K x delta, each such map built once."""
     if K.n_cells > limit:
         raise SizeLimitError(f"function complex needs |K| <= {limit}")
     prods = [product(K, standard_simplex(n)) for n in range(dim_bound + 1)]
-    simplex_maps: list[list[dict]] = [_enumerate_maps(p.complex, X) for p in prods]
+    id_K = identity_map(K)
 
-    def precompose(f: dict, n_from: int, delta_map: SimplicialMap) -> dict:
-        # delta_map: Delta^{n_from} -> Delta^{n_to}; pull f along 1 x delta
-        pm = product_map(prods[n_from], prods[delta_map.target.dim], identity_map(K), delta_map)
-        out = {}
-        for s in prods[n_from].complex.cells():
-            img = pm.assignment[s]
-            res = f[img.base]
-            from .simplicial import degeneracy_expr
+    def along(vertex_map, n: int) -> SimplicialMap:
+        # 1_K x delta for delta: Delta^m -> Delta^n given on vertices
+        return product_map(prods[len(vertex_map) - 1], prods[n], id_K, simplex_map(vertex_map, n))
 
-            for j in reversed(img.word):
-                res = degeneracy_expr(res, j)
-            out[s] = res
-        return out
+    # d^i skips vertex i of Delta^n; s^j repeats vertex j of Delta^n
+    face = {
+        (n, i): along([v + (v >= i) for v in range(n)], n)
+        for n in range(1, dim_bound + 1)
+        for i in range(n + 1)
+    }
+    degeneracy = {
+        (n, j): along([v - (v > j) for v in range(n + 2)], n)
+        for n in range(dim_bound)
+        for j in range(n + 1)
+    }
 
-    def delta_face(n: int, i: int) -> SimplicialMap:
-        D_from, D_to = standard_simplex(n - 1), standard_simplex(n)
-        keep = tuple(v for v in range(n + 1) if v != i)
-        ids_to = {D_to.labels[s]: s for s in D_to.cells()}
-        return SimplicialMap(
-            D_from, D_to,
-            {
-                s: D_to.expr(ids_to[tuple(keep[v] for v in D_from.labels[s])])
-                for s in D_from.cells()
-            },
-        )
+    # degeneracy detection: f is s_j(g) iff precomposing with the collapse
+    # reproduces f, where g = f . (1 x d^{j})
+    def im_sj(n: int, f: SimplicialMap, j: int) -> SimplicialMap | None:
+        g = f.compose(face[n, j])
+        return g if g.compose(degeneracy[n - 1, j]).assignment == f.assignment else None
 
-    def delta_degeneracy(n: int, j: int) -> SimplicialMap:
-        # surjection Delta^{n+1} -> Delta^n repeating vertex j
-        from .simplicial import degeneracy_expr
-
-        D_from, D_to = standard_simplex(n + 1), standard_simplex(n)
-        collapse = [v if v <= j else v - 1 for v in range(n + 2)]
-        ids_to = {D_to.labels[s]: s for s in D_to.cells()}
-
-        def image(vs):
-            out = tuple(collapse[v] for v in vs)
-            dedup = tuple(sorted(set(out)))
-            pos_of = {val: i for i, val in enumerate(dedup)}
-            expr = D_to.expr(ids_to[dedup])
-            # duplicates, rightmost first: each inserts a degeneracy at the
-            # duplicated vertex's position in the base
-            for p in range(len(out) - 1, 0, -1):
-                if out[p] == out[p - 1]:
-                    expr = degeneracy_expr(expr, pos_of[out[p]])
-            return expr
-
-        return SimplicialMap(D_from, D_to, {s: image(D_from.labels[s]) for s in D_from.cells()})
-
-    # identify non-degenerate n-simplices: maps not of the form g . (1 x s_j)
-    nondeg_maps: list[list[dict]] = [[] for _ in range(dim_bound + 1)]
+    # non-degenerate n-simplices: maps not of the form g . (1 x s_j)
+    nondeg_maps: list[list[SimplicialMap]] = [[] for _ in range(dim_bound + 1)]
     nondeg_ids: list[dict] = [{} for _ in range(dim_bound + 1)]
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     labels = {}
     next_id = 0
-
-    # degeneracy detection: f is s_j(g) iff precomposing with the collapse
-    # reproduces f, where g = f . (1 x d^{j})
-    def im_sj(n: int, f: dict, j: int):
-        g = precompose(f, n - 1, delta_face(n, j))
-        fj = precompose(g, n, delta_degeneracy(n - 1, j))
-        return g if _map_key(fj) == _map_key(f) else None
-
-    for n in range(dim_bound + 1):
-        for f in simplex_maps[n]:
-            if n >= 1 and any(im_sj(n, f, j) is not None for j in range(n)):
+    for n, p in enumerate(prods):
+        for assignment in _enumerate_maps(p.complex, X):
+            f = SimplicialMap(p.complex, X, assignment)
+            if any(im_sj(n, f, j) is not None for j in range(n)):
                 continue
-            k = _map_key(f)
+            k = _map_key(assignment)
             nondeg_ids[n][k] = next_id
             nondeg[n].append(next_id)
             nondeg_maps[n].append(f)
             labels[next_id] = ("map", n, k)
             next_id += 1
 
-    def normalize(n: int, f: dict) -> SimplexExpr:
+    def normalize(n: int, f: SimplicialMap) -> SimplexExpr:
         word = []
         while n >= 1:
-            hit = None
             for j in range(n - 1, -1, -1):
                 g = im_sj(n, f, j)
                 if g is not None:
-                    hit = (j, g)
                     break
-            if hit is None:
+            else:
                 break
-            word.append(hit[0])
-            f = hit[1]
+            word.append(j)
+            f = g
             n -= 1
-        from .simplicial import degeneracy_expr
-
-        res = SimplexExpr((), nondeg_ids[n][_map_key(f)], n)
-        for j in reversed(word):
-            res = degeneracy_expr(res, j)
-        return res
+        return degenerate(SimplexExpr((), nondeg_ids[n][_map_key(f.assignment)], n), word)
 
     faces = {}
     for n in range(1, dim_bound + 1):
         for f in nondeg_maps[n]:
-            s = nondeg_ids[n][_map_key(f)]
-            faces[s] = tuple(
-                normalize(n - 1, precompose(f, n - 1, delta_face(n, i))) for i in range(n + 1)
-            )
+            s = nondeg_ids[n][_map_key(f.assignment)]
+            faces[s] = tuple(normalize(n - 1, f.compose(face[n, i])) for i in range(n + 1))
     return SimplicialSet(dim_bound, nondeg, faces, X.coskeletal_at, labels, check=False)
 
 
@@ -542,24 +457,11 @@ def tau0(K: SimplicialSet, X: SimplicialSet, limit: int = 24):
     H = function_complex(K, X, d + 1, limit=limit)
     report = certify_quasi_category(H)
     witnesses = quasi_iso_edges(H, report)
-    parent = {v: v for v in H.vertices()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    uf = UnionFind(H.vertices())
     for e in witnesses:
         if not e.is_degenerate:
-            x, y = H.vertex_ids(e)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-    classes: dict = {}
-    for v in H.vertices():
-        classes.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(members)) for members in classes.values())
+            uf.union(*H.vertex_ids(e))
+    return sorted(tuple(sorted(members)) for members in uf.groups().values())
 
 
 # -- one saturation stage ---------------------------------------------------------

@@ -67,6 +67,40 @@ def degeneracy_expr(expr: SimplexExpr, i: int) -> SimplexExpr:
     return SimplexExpr(tuple(out) + (i,), expr.base, expr.dim + 1)
 
 
+def degenerate(expr: SimplexExpr, word) -> SimplexExpr:
+    """Apply a degeneracy word (outermost first, as in `SimplexExpr.word`)."""
+    for j in reversed(word):
+        expr = degeneracy_expr(expr, j)
+    return expr
+
+
+class UnionFind:
+    """Disjoint sets over a fixed item list, with path halving."""
+
+    def __init__(self, items):
+        self.parent = {w: w for w in items}
+
+    def find(self, w):
+        p = self.parent
+        while p[w] != w:
+            p[w] = p[p[w]]
+            w = p[w]
+        return w
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def groups(self) -> dict:
+        """Root -> members; members, and classes by their first member, in
+        the order the items were given."""
+        out: dict = {}
+        for w in self.parent:
+            out.setdefault(self.find(w), []).append(w)
+        return out
+
+
 class SimplicialSet:
     """Finite dimension-bounded simplicial set with stable integer ids.
 
@@ -105,6 +139,7 @@ class SimplicialSet:
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._filler_index: dict = {}
+        self._boundary_index: dict = {}
         if check:
             self.validate()
 
@@ -158,9 +193,7 @@ class SimplicialSet:
                 i -= 1
         else:
             res = self.faces[expr.base][i]
-        for j in reversed(out):
-            res = degeneracy_expr(res, j)
-        return res
+        return degenerate(res, out)
 
     def vertex_ids(self, expr: SimplexExpr) -> tuple[int, ...]:
         """Vertex ids of an expression, in simplex order (length dim+1)."""
@@ -240,19 +273,29 @@ class SimplicialSet:
                         if self.face(dj, i) != self.face(self.face(e, i), j - 1):
                             raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
 
-    # -- filler index (used by horn filling) -------------------------------
+    # -- indexes by faces (horn filling, boundary lookups) ------------------
 
-    def filler_lookup(self, n: int, k: int | None, key: tuple) -> SimplexExpr | None:
-        """First n-expr whose faces away from position k match `key`
-        (k = None matches against the full face vector)."""
+    def filler_lookup(self, n: int, k: int, key: tuple) -> SimplexExpr | None:
+        """First n-expr whose faces away from position k match `key`."""
         idx = self._filler_index.get((n, k))
         if idx is None:
             idx = {}
             for e in self.all_exprs(n):
-                fkey = tuple(self.face(e, i) for i in range(n + 1) if k is None or i != k)
-                idx.setdefault(fkey, e)
+                idx.setdefault(tuple(self.face(e, i) for i in range(n + 1) if i != k), e)
             self._filler_index[(n, k)] = idx
         return idx.get(key)
+
+    def exprs_with_boundary(self, n: int, faces: tuple) -> tuple[SimplexExpr, ...]:
+        """Every n-expr whose face vector (d_0, ..., d_n) is `faces`, in
+        `all_exprs` order; a vertex's face vector is ()."""
+        idx = self._boundary_index.get(n)
+        if idx is None:
+            idx = {}
+            for e in self.all_exprs(n):
+                idx.setdefault(tuple(self.face(e, i) for i in range(n + 1)) if n else (), []).append(e)
+            idx = {key: tuple(exprs) for key, exprs in idx.items()}
+            self._boundary_index[n] = idx
+        return idx.get(faces, ())
 
 
 @dataclass(frozen=True)
@@ -264,10 +307,7 @@ class SimplicialMap:
     assignment: dict[int, SimplexExpr] = field(compare=False)
 
     def push(self, expr: SimplexExpr) -> SimplexExpr:
-        res = self.assignment[expr.base]
-        for j in reversed(expr.word):
-            res = degeneracy_expr(res, j)
-        return res
+        return degenerate(self.assignment[expr.base], expr.word)
 
     def validate(self):
         for s, img in self.assignment.items():
@@ -328,6 +368,21 @@ def standard_simplex(n: int) -> SimplicialSet:
     # memoized: complexes are immutable, and callers rely on a single
     # Delta^n instance so that maps into it compose by identity
     return _subsets_complex(n, lambda vs: True, coskeletal_at=min(n, 1))
+
+
+def simplex_map(vertex_map, n: int) -> SimplicialMap:
+    """Delta^m -> Delta^n sending vertex v to vertex_map[v] (monotone), with
+    m = len(vertex_map) - 1: a face inclusion, degeneracy or composite."""
+    source, target = standard_simplex(len(vertex_map) - 1), standard_simplex(n)
+    ids = {target.labels[t]: t for t in target.cells()}
+    assignment = {}
+    for s in source.cells():
+        vs = tuple(vertex_map[v] for v in source.labels[s])
+        # a repeated vertex at positions j, j+1 is s_j, applied to the
+        # simplex on the distinct vertices
+        word = tuple(j for j in range(len(vs) - 2, -1, -1) if vs[j] == vs[j + 1])
+        assignment[s] = SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1)
+    return SimplicialMap(source, target, assignment)
 
 
 def build_standard(kind: str, n: int, k: int | None = None):
@@ -471,10 +526,7 @@ class ProductComplex:
             word.append(i)
             e1 = self.left.face(e1, i + 1)
             e2 = self.right.face(e2, i + 1)
-        res = self.complex.expr(self.pair_id[(e1, e2)])
-        for i in reversed(word):
-            res = degeneracy_expr(res, i)
-        return res
+        return degenerate(self.complex.expr(self.pair_id[(e1, e2)]), word)
 
     def vertex_pair_chain(self, s: int) -> tuple[tuple[int, int], ...]:
         e1, e2 = self.pairs[s]
@@ -539,21 +591,6 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     return ProductComplex(P, X, Y, pr_left, pr_right, pairs, pair_id)
 
 
-def embed_at_vertex(prod: ProductComplex, vertex: int, side: str = "right") -> SimplicialMap:
-    """Embedding X -> X x Y at a fixed vertex of the other factor."""
-    X = prod.left if side == "right" else prod.right
-    other = prod.right if side == "right" else prod.left
-    if vertex not in other.dim_of or other.dim_of[vertex] != 0:
-        raise SimplicialError(f"{vertex} is not a vertex")
-    assignment = {}
-    for s in X.cells():
-        d = X.dim_of[s]
-        const = SimplexExpr(tuple(range(d - 1, -1, -1)), vertex, d)
-        e1, e2 = (X.expr(s), const) if side == "right" else (const, X.expr(s))
-        assignment[s] = prod.pair_expr(e1, e2)
-    return SimplicialMap(X, prod.complex, assignment)
-
-
 def product_map(
     prodA: ProductComplex, prodB: ProductComplex, f: SimplicialMap, g: SimplicialMap
 ) -> SimplicialMap:
@@ -607,25 +644,13 @@ def join(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
 
     def join_expr(e1: SimplexExpr | None, e2: SimplexExpr | None) -> SimplexExpr:
         if e1 is None:
-            base = ids[(None, e2.base)]
-            res = SimplexExpr((), base, Y.dim_of[e2.base])
-            for j in reversed(e2.word):
-                res = degeneracy_expr(res, j)
-            return res
+            return degenerate(SimplexExpr((), ids[(None, e2.base)], Y.dim_of[e2.base]), e2.word)
         if e2 is None:
-            base = ids[(e1.base, None)]
-            res = SimplexExpr((), base, X.dim_of[e1.base])
-            for j in reversed(e1.word):
-                res = degeneracy_expr(res, j)
-            return res
-        base = ids[(e1.base, e2.base)]
-        off = X.dim_of[e1.base] + 1
-        res = SimplexExpr((), base, X.dim_of[e1.base] + Y.dim_of[e2.base] + 1)
-        for j in reversed(e2.word):
-            res = degeneracy_expr(res, j + off)
-        for j in reversed(e1.word):
-            res = degeneracy_expr(res, j)
-        return res
+            return degenerate(SimplexExpr((), ids[(e1.base, None)], X.dim_of[e1.base]), e1.word)
+        p = X.dim_of[e1.base]
+        base = SimplexExpr((), ids[(e1.base, e2.base)], p + Y.dim_of[e2.base] + 1)
+        # the Y-word acts on the positions after the p + 1 vertices of e1
+        return degenerate(base, e1.word + tuple(j + p + 1 for j in e2.word))
 
     faces = {}
     for (x, y), s in ids.items():

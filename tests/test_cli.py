@@ -35,6 +35,23 @@ def test_pathcat_homsets(capsys, delta2):
     assert len(entry) == 1 and len(entry[0]["classes"]) == 1
 
 
+def test_pathcat_builds_presentation_once(capsys, delta2, monkeypatch):
+    import quasicat.cli
+    import quasicat.pathcat
+
+    calls = []
+    build = quasicat.pathcat.path_category
+
+    def counting(X):
+        calls.append(X)
+        return build(X)
+
+    monkeypatch.setattr(quasicat.pathcat, "path_category", counting)
+    monkeypatch.setattr(quasicat.cli, "path_category", counting)
+    code, _rep = run(capsys, ["pathcat", delta2, "--homsets"])
+    assert code == 0 and len(calls) == 1
+
+
 def test_pathcat_deep_spine(capsys, tmp_path):
     # edges 0 -> 1 -> ... -> 1200, deeper than the interpreter's recursion limit
     v = lambda i: SimplexExpr((), i, 0)

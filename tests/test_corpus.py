@@ -11,7 +11,7 @@ from quasicat.corpus import (
     small_corpus_categories,
 )
 from quasicat.jsonio import cat_from_json, loads, sset_from_json
-from quasicat.pathcat import is_loop_free
+from quasicat.pathcat import is_loop_free, path_category
 
 
 def test_corpus_composition():
@@ -45,7 +45,7 @@ def test_complex_fixtures_valid():
 
 def test_loop_free_selection():
     for name, X in loop_free_corpus_complexes().items():
-        assert is_loop_free(X), name
+        assert is_loop_free(path_category(X)), name
 
 
 def test_materialized_corpus_roundtrips(tmp_path):

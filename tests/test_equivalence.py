@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from quasicat.cat import (
@@ -128,3 +131,13 @@ def test_skeleton_passes():
     T = cyclic_group_category(1)
     F = FiniteFunctor(T, P, {"*": 0}, {"g0": "id0"}).validate()
     assert nerve_equivalence_criterion(F)
+
+
+def test_criterion_keeps_no_category_alive():
+    # the per-category groupoid and iso-class caches live on the category
+    C = poset_category(2)
+    ref = weakref.ref(C)
+    assert nerve_equivalence_criterion(identity_functor(C))
+    del C
+    gc.collect()
+    assert ref() is None

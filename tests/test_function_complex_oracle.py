@@ -1,0 +1,288 @@
+"""`function_complex` against the implementation it replaced.
+
+The oracle below is the earlier code: it scans every n-expr of X for each
+candidate cell of a map, and rebuilds the product map 1_K x delta on each
+precomposition.  Its output must match the current `function_complex` byte
+for byte (`sset_to_json`) and label for label.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasicat.cat import (
+    cyclic_group_category,
+    free_iso_groupoid,
+    nerve,
+    poset_category,
+    preorder_category,
+)
+from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
+from quasicat.jsonio import dumps, sset_to_json
+from quasicat.quasi import function_complex
+from quasicat.simplicial import (
+    SimplexExpr,
+    SimplicialMap,
+    SimplicialSet,
+    SizeLimitError,
+    build_standard,
+    product,
+    standard_simplex,
+    with_coskeletal,
+)
+
+
+# -- the oracle, as it stood before function_complex was rebuilt on compose -----
+
+
+def _map_key(assignment: dict) -> tuple:
+    return tuple(sorted(assignment.items(), key=lambda kv: kv[0]))
+
+
+def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
+    """All simplicial maps P -> X as assignment dicts (backtracking by cell)."""
+    order = [s for level in P.nondegenerate for s in level]
+    results: list[dict] = []
+    assignment: dict[int, SimplexExpr] = {}
+
+    def push(expr: SimplexExpr) -> SimplexExpr:
+        from quasicat.simplicial import degeneracy_expr
+
+        res = assignment[expr.base]
+        for j in reversed(expr.word):
+            res = degeneracy_expr(res, j)
+        return res
+
+    def assign(i: int):
+        if i == len(order):
+            results.append(dict(assignment))
+            return
+        s = order[i]
+        d = P.dim_of[s]
+        if d == 0:
+            candidates = [X.expr(v) for v in X.vertices()]
+        else:
+            want = tuple(push(e) for e in P.faces[s])
+            candidates = [
+                e for e in X.all_exprs(d)
+                if tuple(X.face(e, t) for t in range(d + 1)) == want
+            ]
+        for e in candidates:
+            assignment[s] = e
+            assign(i + 1)
+            del assignment[s]
+
+    assign(0)
+    return results
+
+
+def oracle_function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: int = 24) -> SimplicialSet:
+    """hom(K, X) through dimension dim_bound: n-simplices are maps
+    K x Delta^n -> X, with faces and degeneracies by precomposition."""
+    from quasicat.simplicial import identity_map, product_map, standard_simplex
+
+    if K.n_cells > limit:
+        raise SizeLimitError(f"function complex needs |K| <= {limit}")
+    prods = [product(K, standard_simplex(n)) for n in range(dim_bound + 1)]
+    simplex_maps: list[list[dict]] = [_enumerate_maps(p.complex, X) for p in prods]
+
+    def precompose(f: dict, n_from: int, delta_map: SimplicialMap) -> dict:
+        # delta_map: Delta^{n_from} -> Delta^{n_to}; pull f along 1 x delta
+        pm = product_map(prods[n_from], prods[delta_map.target.dim], identity_map(K), delta_map)
+        out = {}
+        for s in prods[n_from].complex.cells():
+            img = pm.assignment[s]
+            res = f[img.base]
+            from quasicat.simplicial import degeneracy_expr
+
+            for j in reversed(img.word):
+                res = degeneracy_expr(res, j)
+            out[s] = res
+        return out
+
+    def delta_face(n: int, i: int) -> SimplicialMap:
+        D_from, D_to = standard_simplex(n - 1), standard_simplex(n)
+        keep = tuple(v for v in range(n + 1) if v != i)
+        ids_to = {D_to.labels[s]: s for s in D_to.cells()}
+        return SimplicialMap(
+            D_from, D_to,
+            {
+                s: D_to.expr(ids_to[tuple(keep[v] for v in D_from.labels[s])])
+                for s in D_from.cells()
+            },
+        )
+
+    def delta_degeneracy(n: int, j: int) -> SimplicialMap:
+        # surjection Delta^{n+1} -> Delta^n repeating vertex j
+        from quasicat.simplicial import degeneracy_expr
+
+        D_from, D_to = standard_simplex(n + 1), standard_simplex(n)
+        collapse = [v if v <= j else v - 1 for v in range(n + 2)]
+        ids_to = {D_to.labels[s]: s for s in D_to.cells()}
+
+        def image(vs):
+            out = tuple(collapse[v] for v in vs)
+            dedup = tuple(sorted(set(out)))
+            pos_of = {val: i for i, val in enumerate(dedup)}
+            expr = D_to.expr(ids_to[dedup])
+            # duplicates, rightmost first: each inserts a degeneracy at the
+            # duplicated vertex's position in the base
+            for p in range(len(out) - 1, 0, -1):
+                if out[p] == out[p - 1]:
+                    expr = degeneracy_expr(expr, pos_of[out[p]])
+            return expr
+
+        return SimplicialMap(D_from, D_to, {s: image(D_from.labels[s]) for s in D_from.cells()})
+
+    # identify non-degenerate n-simplices: maps not of the form g . (1 x s_j)
+    nondeg_maps: list[list[dict]] = [[] for _ in range(dim_bound + 1)]
+    nondeg_ids: list[dict] = [{} for _ in range(dim_bound + 1)]
+    nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
+    labels = {}
+    next_id = 0
+
+    # degeneracy detection: f is s_j(g) iff precomposing with the collapse
+    # reproduces f, where g = f . (1 x d^{j})
+    def im_sj(n: int, f: dict, j: int):
+        g = precompose(f, n - 1, delta_face(n, j))
+        fj = precompose(g, n, delta_degeneracy(n - 1, j))
+        return g if _map_key(fj) == _map_key(f) else None
+
+    for n in range(dim_bound + 1):
+        for f in simplex_maps[n]:
+            if n >= 1 and any(im_sj(n, f, j) is not None for j in range(n)):
+                continue
+            k = _map_key(f)
+            nondeg_ids[n][k] = next_id
+            nondeg[n].append(next_id)
+            nondeg_maps[n].append(f)
+            labels[next_id] = ("map", n, k)
+            next_id += 1
+
+    def normalize(n: int, f: dict) -> SimplexExpr:
+        word = []
+        while n >= 1:
+            hit = None
+            for j in range(n - 1, -1, -1):
+                g = im_sj(n, f, j)
+                if g is not None:
+                    hit = (j, g)
+                    break
+            if hit is None:
+                break
+            word.append(hit[0])
+            f = hit[1]
+            n -= 1
+        from quasicat.simplicial import degeneracy_expr
+
+        res = SimplexExpr((), nondeg_ids[n][_map_key(f)], n)
+        for j in reversed(word):
+            res = degeneracy_expr(res, j)
+        return res
+
+    faces = {}
+    for n in range(1, dim_bound + 1):
+        for f in nondeg_maps[n]:
+            s = nondeg_ids[n][_map_key(f)]
+            faces[s] = tuple(
+                normalize(n - 1, precompose(f, n - 1, delta_face(n, i))) for i in range(n + 1)
+            )
+    return SimplicialSet(dim_bound, nondeg, faces, X.coskeletal_at, labels, check=False)
+
+
+# -- comparisons ---------------------------------------------------------------------
+
+
+def assert_matches_oracle(K, X, dim_bound):
+    got = function_complex(K, X, dim_bound)
+    want = oracle_function_complex(K, X, dim_bound)
+    assert dumps(sset_to_json(got)) == dumps(sset_to_json(want))
+    assert got.labels == want.labels
+    return got
+
+
+def _boundary1():
+    return build_standard("boundary", 1)[0]
+
+
+# the function complexes built by test_quasi, tau0's among them (dim_bound is
+# the target's coskeletal bound plus one there), and tau0(Delta^1, B(chain2))
+CASES = {
+    "point_into_chain1": (lambda: standard_simplex(0), lambda: nerve(poset_category(1), 2), 2),
+    "interval_into_interval": (
+        lambda: standard_simplex(1), lambda: with_coskeletal(standard_simplex(1), 1), 1,
+    ),
+    "two_points_into_chain1": (_boundary1, lambda: nerve(poset_category(1), 2), 2),
+    "interval_into_chain1": (lambda: standard_simplex(1), lambda: nerve(poset_category(1), 3), 2),
+    "point_into_chain2": (lambda: standard_simplex(0), lambda: nerve(poset_category(2), 3), 3),
+    "point_into_free_iso": (lambda: standard_simplex(0), lambda: nerve(free_iso_groupoid(), 3), 3),
+    "point_into_z2": (lambda: standard_simplex(0), lambda: nerve(cyclic_group_category(2), 3), 3),
+    "two_points_into_point": (_boundary1, lambda: with_coskeletal(standard_simplex(0), 1), 2),
+    "two_points_into_chain2": (_boundary1, lambda: nerve(poset_category(2), 3), 3),
+    "interval_into_chain2": (lambda: standard_simplex(1), lambda: nerve(poset_category(2), 3), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_oracle(name):
+    K, X, dim_bound = CASES[name]
+    assert_matches_oracle(K(), X(), dim_bound)
+
+
+@st.composite
+def tiny_poset_nerves(draw):
+    """Nerve of a random poset on at most three elements, through dimension 3."""
+    n = draw(st.integers(1, 3))
+    le = {(i, i) for i in range(n)}
+    le |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    while True:
+        extra = {(a, d) for a, b in le for c, d in le if b == c} - le
+        if not extra:
+            break
+        le |= extra
+    return nerve(preorder_category(range(n), le), 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["delta0", "delta1", "boundary1"]),
+    tiny_poset_nerves(),
+    st.integers(1, 2),
+)
+def test_poset_nerves_match_oracle(k_name, X, dim_bound):
+    K = _boundary1() if k_name == "boundary1" else standard_simplex(int(k_name[-1]))
+    assert_matches_oracle(K, X, dim_bound)
+
+
+def test_size_limit():
+    with pytest.raises(SizeLimitError):
+        function_complex(standard_simplex(2), standard_simplex(0), 1, limit=3)
+    with pytest.raises(SizeLimitError):
+        oracle_function_complex(standard_simplex(2), standard_simplex(0), 1, limit=3)
+
+
+# -- the boundary index ----------------------------------------------------------------
+
+
+def brute_force_boundary_index(X, n):
+    out = {}
+    for e in X.all_exprs(n):
+        key = tuple(X.face(e, i) for i in range(n + 1)) if n else ()
+        out.setdefault(key, []).append(e)
+    return out
+
+
+def boundary_fixtures():
+    out = dict(corpus_complexes())
+    out.update(loop_free_corpus_complexes())
+    out["delta1_x_boundary2"] = product(standard_simplex(1), build_standard("boundary", 2)[0]).complex
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(boundary_fixtures()))
+def test_exprs_with_boundary_matches_scan(name):
+    X = boundary_fixtures()[name]
+    for n in range(X.dim_bound + 2):
+        want = brute_force_boundary_index(X, n)
+        for key, exprs in want.items():
+            assert X.exprs_with_boundary(n, key) == tuple(exprs), (n, key)
+        assert X.exprs_with_boundary(n, (None,) * (n + 1)) == ()

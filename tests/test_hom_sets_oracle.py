@@ -59,7 +59,7 @@ def assert_matches_oracle(X):
 
 
 FIXTURES = {
-    **{name: X for name, X in corpus_complexes().items() if is_loop_free(X)},
+    **{name: X for name, X in corpus_complexes().items() if is_loop_free(path_category(X))},
     **loop_free_corpus_complexes(),
 }
 

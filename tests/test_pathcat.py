@@ -66,10 +66,10 @@ def test_degenerate_edges_compiled_away():
 
 
 def test_loop_free_examples():
-    assert is_loop_free(standard_simplex(3))
+    assert is_loop_free(path_category(standard_simplex(3)))
     B, _ = build_standard("boundary", 3)
-    assert is_loop_free(B)
-    assert not is_loop_free(truncate(nerve(cyclic_group_category(2), 2), 2))
+    assert is_loop_free(path_category(B))
+    assert not is_loop_free(path_category(truncate(nerve(cyclic_group_category(2), 2), 2)))
 
 
 def spine(n, closed=False):
@@ -82,8 +82,8 @@ def spine(n, closed=False):
 
 def test_loop_free_deep_spine():
     # deeper than the interpreter's recursion limit
-    assert is_loop_free(spine(1500))
-    assert not is_loop_free(spine(1500, closed=True))
+    assert is_loop_free(path_category(spine(1500)))
+    assert not is_loop_free(path_category(spine(1500, closed=True)))
     P = path_category(spine(1500))
     assert bounded_hom_classes(P, 0, 1, 1).partial  # the longest path has 1500 edges
     entry = bounded_hom_classes(P, 0, 1500, 1500)
