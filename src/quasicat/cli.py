@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Every subcommand reads JSON, writes a JSON report (stdout or --out), and
-exits 0 on success/true verdicts, 1 on false verdicts, 2 on usage errors.
+exits 0 on success/true verdicts, 1 on false verdicts, 2 on usage errors
+and malformed input.
 Reports are byte-identical across runs on identical inputs: the timing
 field is always null in the report (wall time goes to stderr).
 """

@@ -17,7 +17,49 @@ import json
 from .anodyne import AnodyneCertificate, CertStep
 from .cat import FiniteCategory, FiniteFunctor
 from .pathcat import HomSetTable, PresentedCategory, Relation
-from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet
+from .simplicial import SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
+
+
+class MalformedInputError(ValueError):
+    """JSON input that does not follow its schema or describes no valid
+    complex; the CLI reports it as a usage error."""
+
+
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedInputError(f"{where}: missing {key!r}")
+    return obj[key]
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise MalformedInputError(f"{where}: expected an integer, got {value!r}") from None
+
+
+def _expr(obj, dims: dict[int, int], where: str) -> SimplexExpr:
+    """A {"word", "base"} record over simplices of the given dimensions."""
+    base = _int(_field(obj, "base", where), where)
+    if base not in dims:
+        raise MalformedInputError(f"{where}: unknown base {base}")
+    word = tuple(_int(i, where) for i in _list(_field(obj, "word", where), where))
+    dim = dims[base] + len(word)
+    try:
+        expr = SimplexExpr(word, base, dim)
+    except SimplicialError as exc:
+        raise MalformedInputError(f"{where}: {exc}") from exc
+    # the word decreases, so word[0] is the largest index; s_j yields a
+    # dim-simplex only for 0 <= j < dim
+    if word and (word[-1] < 0 or word[0] >= dim):
+        raise MalformedInputError(f"{where}: degeneracy index out of range in word {list(word)}")
+    return expr
 
 
 def expr_to_json(e: SimplexExpr) -> dict:
@@ -25,9 +67,7 @@ def expr_to_json(e: SimplexExpr) -> dict:
 
 
 def expr_from_json(obj: dict, X: SimplicialSet) -> SimplexExpr:
-    base = int(obj["base"])
-    word = tuple(int(i) for i in obj["word"])
-    return SimplexExpr(word, base, X.dim_of[base] + len(word))
+    return _expr(obj, X.dim_of, "expression")
 
 
 def sset_to_json(X: SimplicialSet) -> dict:
@@ -46,29 +86,33 @@ def sset_to_json(X: SimplicialSet) -> dict:
 
 
 def sset_from_json(obj: dict) -> SimplicialSet:
-    dim_bound = int(obj["dim_bound"])
+    """Load and validate a complex; raises MalformedInputError on anything
+    that is not a well-formed `*.sset.json` complex."""
+    dim_bound = _int(_field(obj, "dim_bound", "complex"), "dim_bound")
+    levels = _list(_field(obj, "simplices", "complex"), "simplices")
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     dims: dict[int, int] = {}
-    for d, level in enumerate(obj["simplices"]):
-        for entry in level:
-            s = int(entry["id"])
+    for d, level in enumerate(levels):
+        for entry in _list(level, f"simplices[{d}]"):
+            s = _int(_field(entry, "id", f"simplices[{d}]"), f"simplices[{d}]")
+            if s in dims:
+                raise MalformedInputError(f"duplicate simplex id {s}")
+            if d > dim_bound:
+                raise MalformedInputError(f"simplex {s} of dimension {d} above dim_bound {dim_bound}")
             nondeg[d].append(s)
             dims[s] = d
     faces = {}
-    for d, level in enumerate(obj["simplices"]):
-        for entry in level:
-            if d >= 1:
+    for d, level in enumerate(levels):
+        if d >= 1:
+            for entry in level:
                 s = int(entry["id"])
-                faces[s] = tuple(
-                    SimplexExpr(
-                        tuple(int(i) for i in f["word"]),
-                        int(f["base"]),
-                        dims[int(f["base"])] + len(f["word"]),
-                    )
-                    for f in entry["faces"]
-                )
+                where = f"face of {s}"
+                faces[s] = tuple(_expr(f, dims, where) for f in _list(_field(entry, "faces", where), where))
     flag = obj.get("coskeletal_at")
-    return SimplicialSet(dim_bound, nondeg, faces, None if flag is None else int(flag))
+    try:
+        return SimplicialSet(dim_bound, nondeg, faces, None if flag is None else _int(flag, "coskeletal_at"))
+    except SimplicialError as exc:
+        raise MalformedInputError(str(exc)) from exc
 
 
 def smap_to_json(f: SimplicialMap) -> dict:

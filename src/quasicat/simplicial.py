@@ -11,6 +11,13 @@ expressions back into normal form using the simplicial identities
     d_i s_j = s_j d_{i-1}   (i > j+1)
     s_i s_j = s_{j+1} s_i   (i <= j)
 
+A `SimplexExpr` is an immutable (word, base, dim) tuple: equality and
+hashing are the tuple's own, computed in C, and the constructor checks that
+the word strictly decreases.  `face` of a non-degenerate expression is a
+lookup in the face table.  `product` computes each component face and each
+pair normal form once per distinct argument, in dicts local to one build,
+so nothing outlives it.
+
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
 """
@@ -19,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
+from operator import itemgetter
 
 GLOBAL_DIM_BOUND = 12
 
@@ -32,21 +41,35 @@ class SizeLimitError(SimplicialError):
     pass
 
 
-@dataclass(frozen=True)
-class SimplexExpr:
-    """A possibly-degenerate simplex: degeneracy word applied to a base id."""
+class SimplexExpr(tuple):
+    """A possibly-degenerate simplex: degeneracy word applied to a base id.
 
-    word: tuple[int, ...]
-    base: int
-    dim: int
+    An immutable (word, base, dim) triple; equality and hashing are those
+    of the triple.
+    """
 
-    def __post_init__(self):
-        if any(a <= b for a, b in zip(self.word, self.word[1:])):
-            raise SimplicialError(f"degeneracy word not strictly decreasing: {self.word}")
+    __slots__ = ()
+
+    def __new__(cls, word: tuple[int, ...], base: int, dim: int):
+        if len(word) > 1:
+            for a, b in zip(word, word[1:]):
+                if a <= b:
+                    raise SimplicialError(f"degeneracy word not strictly decreasing: {word}")
+        return tuple.__new__(cls, (word, base, dim))
+
+    word = property(itemgetter(0))
+    base = property(itemgetter(1))
+    dim = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"SimplexExpr(word={self[0]!r}, base={self[1]!r}, dim={self[2]!r})"
 
     @property
     def is_degenerate(self) -> bool:
-        return bool(self.word)
+        return bool(self[0])
 
 
 def degeneracy_expr(expr: SimplexExpr, i: int) -> SimplexExpr:
@@ -56,15 +79,15 @@ def degeneracy_expr(expr: SimplexExpr, i: int) -> SimplexExpr:
     s_i s_j = s_{j+1} s_i until it can be inserted keeping the word
     strictly decreasing.
     """
-    if not 0 <= i <= expr.dim:
-        raise SimplicialError(f"degeneracy index {i} out of range for dim {expr.dim}")
+    word, base, dim = expr
+    if not 0 <= i <= dim:
+        raise SimplicialError(f"degeneracy index {i} out of range for dim {dim}")
     out = []
-    word = expr.word
     for pos, j in enumerate(word):
         if i > j:
-            return SimplexExpr(tuple(out) + (i,) + word[pos:], expr.base, expr.dim + 1)
+            return SimplexExpr(tuple(out) + (i,) + word[pos:], base, dim + 1)
         out.append(j + 1)
-    return SimplexExpr(tuple(out) + (i,), expr.base, expr.dim + 1)
+    return SimplexExpr(tuple(out) + (i,), base, dim + 1)
 
 
 def degenerate(expr: SimplexExpr, word) -> SimplexExpr:
@@ -137,6 +160,7 @@ class SimplicialSet:
                     raise SimplicialError(f"duplicate simplex id {s}")
                 self.dim_of[s] = d
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
+        self._face_base_index: dict[int, tuple[int, ...]] | None = None
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._filler_index: dict = {}
         self._boundary_index: dict = {}
@@ -178,21 +202,23 @@ class SimplicialSet:
 
     def face(self, expr: SimplexExpr, i: int) -> SimplexExpr:
         """d_i of an expression, in normal form."""
-        if expr.dim < 1 or not 0 <= i <= expr.dim:
-            raise SimplicialError(f"face index {i} out of range for dim {expr.dim}")
+        word, base, dim = expr
+        if dim < 1 or not 0 <= i <= dim:
+            raise SimplicialError(f"face index {i} out of range for dim {dim}")
+        if not word:
+            return self.faces[base][i]
         out = []
-        word = expr.word
         for pos, j in enumerate(word):
             if i < j:
                 out.append(j - 1)
             elif i <= j + 1:
-                res = SimplexExpr(word[pos + 1 :], expr.base, self.dim_of[expr.base] + len(word) - pos - 1)
+                res = SimplexExpr(word[pos + 1 :], base, self.dim_of[base] + len(word) - pos - 1)
                 break
             else:
                 out.append(j)
                 i -= 1
         else:
-            res = self.faces[expr.base][i]
+            res = self.faces[base][i]
         return degenerate(res, out)
 
     def vertex_ids(self, expr: SimplexExpr) -> tuple[int, ...]:
@@ -266,14 +292,26 @@ class SimplicialSet:
             if d < 2:
                 continue
             for s in level:
-                e = self.expr(s)
+                fs = self.faces[s]
                 for j in range(1, d + 1):
-                    dj = self.face(e, j)
                     for i in range(j):
-                        if self.face(dj, i) != self.face(self.face(e, i), j - 1):
+                        if self.face(fs[j], i) != self.face(fs[i], j - 1):
                             raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
 
-    # -- indexes by faces (horn filling, boundary lookups) ------------------
+    # -- indexes by faces (face closure, horn filling, boundary lookups) -----
+
+    def first_unclosed(self, ids: set[int] | frozenset[int]) -> int | None:
+        """First id of the set `ids`, in its iteration order, with a face
+        base outside `ids`; None when `ids` is face-closed."""
+        index = self._face_base_index
+        if index is None:
+            # each cell's face base ids, () for a vertex, built once
+            index = self._face_base_index = {
+                s: tuple(e.base for e in self.faces[s]) if d else () for s, d in self.dim_of.items()
+            }
+        if ids.issuperset(chain.from_iterable(map(index.__getitem__, ids))):
+            return None
+        return next(s for s in ids if not ids.issuperset(index[s]))
 
     def filler_lookup(self, n: int, k: int, key: tuple) -> SimplexExpr | None:
         """First n-expr whose faces away from position k match `key`."""
@@ -466,9 +504,9 @@ def closure_ids(X: SimplicialSet, seeds) -> frozenset[int]:
 def make_subcomplex(X: SimplicialSet, cell_ids) -> tuple[SimplicialSet, SimplicialMap]:
     """Subcomplex on a face-closed id set, with its inclusion into X."""
     cell_ids = frozenset(cell_ids)
-    for s in cell_ids:
-        if X.dim_of[s] >= 1 and any(e.base not in cell_ids for e in X.faces[s]):
-            raise SimplicialError(f"cell set not face-closed at {s}")
+    s = X.first_unclosed(cell_ids)
+    if s is not None:
+        raise SimplicialError(f"cell set not face-closed at {s}")
     old_by_dim = [sorted(s for s in cell_ids if X.dim_of[s] == d) for d in range(X.dim_bound + 1)]
     new_of_old = {}
     nondeg: list[list[int]] = [[] for _ in range(X.dim_bound + 1)]
@@ -535,6 +573,18 @@ class ProductComplex:
         return tuple(zip(v1, v2))
 
 
+def product_cell_count(X: SimplicialSet, Y: SimplicialSet, dim_bound: int) -> int:
+    """Number of non-degenerate cells of `product(X, Y, dim_bound)`, from
+    the factors' counts alone: a d-cell pairs a p-cell and a q-cell
+    (p + q >= d) with disjoint words of d - p and d - q indices below d."""
+    return sum(
+        len(X.nondegenerate[p]) * len(Y.nondegenerate[q]) * comb(d, d - p) * comb(p, d - q)
+        for d in range(max(dim_bound, 0) + 1)
+        for p in range(min(d, X.dim) + 1)
+        for q in range(d - p, min(d, Y.dim) + 1)
+    )
+
+
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
     """Binary product, materialized through dimension `dim_bound`.
 
@@ -559,24 +609,40 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
                 for x in X.nondegenerate[p]:
                     for y in Y.nondegenerate[q]:
                         for w1 in combinations(range(d - 1, -1, -1), d - p):
+                            e1 = SimplexExpr(w1, x, d)
                             rest = [i for i in range(d - 1, -1, -1) if i not in w1]
                             for w2 in combinations(rest, d - q):
-                                e1 = SimplexExpr(w1, x, d)
-                                e2 = SimplexExpr(w2, y, d)
-                                pair_id[(e1, e2)] = next_id
-                                pairs[next_id] = (e1, e2)
+                                pair = (e1, SimplexExpr(w2, y, d))
+                                pair_id[pair] = next_id
+                                pairs[next_id] = pair
                                 nondeg[d].append(next_id)
-                                labels[next_id] = (e1, e2)
+                                labels[next_id] = pair
                                 next_id += 1
     P = SimplicialSet(dim_bound, nondeg, {}, None, labels, check=False)
     prod = ProductComplex(P, X, Y, None, None, pairs, pair_id)  # type: ignore[arg-type]
+    # many cells share a component and many faces share a pair, so each
+    # component face and each pair normal form is computed once per build
+    x_faces: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}
+    y_faces: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}
+    pair_exprs: dict[tuple[SimplexExpr, SimplexExpr], SimplexExpr] = {}
     faces = {}
     for s, (e1, e2) in pairs.items():
         d = e1.dim
-        if d >= 1:
-            faces[s] = tuple(
-                prod.pair_expr(X.face(e1, i), Y.face(e2, i)) for i in range(d + 1)
-            )
+        if d < 1:
+            continue
+        f1 = x_faces.get(e1)
+        if f1 is None:
+            f1 = x_faces[e1] = tuple(X.face(e1, i) for i in range(d + 1))
+        f2 = y_faces.get(e2)
+        if f2 is None:
+            f2 = y_faces[e2] = tuple(Y.face(e2, i) for i in range(d + 1))
+        fs = []
+        for pair in zip(f1, f2):
+            f = pair_exprs.get(pair)
+            if f is None:
+                f = pair_exprs[pair] = prod.pair_expr(*pair)
+            fs.append(f)
+        faces[s] = tuple(fs)
     flag = None
     if (
         X.coskeletal_at is not None

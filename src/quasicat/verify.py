@@ -33,9 +33,9 @@ def verify_certificate(cert) -> VerifyResult:
     for s in current:
         if s not in X.dim_of:
             return VerifyResult(False, None, f"source id {s} not in target")
-    for s in current:
-        if X.dim_of[s] >= 1 and any(e.base not in current for e in X.faces[s]):
-            return VerifyResult(False, None, f"source not face-closed at {s}")
+    s = X.first_unclosed(current)
+    if s is not None:
+        return VerifyResult(False, None, f"source not face-closed at {s}")
     for step_no, step in enumerate(cert.steps):
         n, k = step.n, step.k
         if not 0 < k < n:

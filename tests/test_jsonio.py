@@ -1,6 +1,10 @@
+import pytest
+
 from quasicat.anodyne import facet_certificate, prism_certificate
 from quasicat.cat import cyclic_group_category, identity_functor, poset_category, nerve
+from quasicat.cli import main
 from quasicat.jsonio import (
+    MalformedInputError,
     cat_from_json,
     cat_to_json,
     certificate_from_json,
@@ -78,3 +82,49 @@ def test_certificate_roundtrip_and_verify():
 def test_dumps_deterministic():
     X = standard_simplex(2)
     assert dumps(sset_to_json(X)) == dumps(sset_to_json(standard_simplex(2)))
+
+
+def _delta2_json():
+    return roundtrip(sset_to_json(standard_simplex(2)))
+
+
+def _unknown_face_base(obj):
+    obj["simplices"][1][0]["faces"][0]["base"] = 99
+    return obj
+
+
+def _missing_dim_bound(obj):
+    del obj["dim_bound"]
+    return obj
+
+
+def _degeneracy_out_of_range(obj):
+    # s_7 of a vertex as a face of the triangle: a 1-simplex only has s_0
+    vertex = obj["simplices"][0][0]["id"]
+    obj["simplices"][2][0]["faces"][0] = {"word": [7], "base": vertex}
+    return obj
+
+
+MALFORMED = {
+    "unknown face base": (_unknown_face_base, "unknown base 99"),
+    "missing dim_bound": (_missing_dim_bound, "missing 'dim_bound'"),
+    "degeneracy index out of range": (_degeneracy_out_of_range, r"out of range in word \[7\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_sset_from_json_rejects_malformed(case):
+    corrupt, message = MALFORMED[case]
+    with pytest.raises(MalformedInputError, match=message):
+        sset_from_json(corrupt(_delta2_json()))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_complex_exits_2(capsys, tmp_path, case):
+    corrupt, _ = MALFORMED[case]
+    p = tmp_path / "bad.sset.json"
+    p.write_text(dumps(corrupt(_delta2_json())))
+    assert main(["certify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
