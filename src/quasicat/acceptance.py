@@ -333,19 +333,12 @@ def criterion_8_ho() -> CriterionResult:
             if entries[(x, z)].class_of(word) != entries[(x, z)].class_of(word_of(ho.rep_of_arrow[ba])):
                 failures.append(f"{name}: composition mismatch")
                 break
-        # filler independence, exhausted over all 2-simplices
-        for alpha in X.all_exprs(1):
-            for beta in X.all_exprs(1):
-                if X.vertex_ids(alpha)[1] != X.vertex_ids(beta)[0]:
-                    continue
-                composites = {
-                    ho.edge_class[X.face(tau, 1)]
-                    for tau in X.all_exprs(2)
-                    if X.face(tau, 2) == alpha and X.face(tau, 0) == beta
-                }
-                if len(composites) > 1:
-                    failures.append(f"{name}: filler-dependent composition")
-                    break
+        # filler independence, exhausted over all 2-simplices: the fillers
+        # of one composable pair (d_2, d_0) all have homotopic d_1
+        for fillers in X.face_index(2, (0, 2)).values():
+            if len({ho.edge_class[X.face(tau, 1)] for tau in fillers}) > 1:
+                failures.append(f"{name}: filler-dependent composition")
+                break
     return CriterionResult(
         8, "ho(X) = materialized P(X) quotient; composition filler-independent",
         not failures,

@@ -347,77 +347,6 @@ def is_equivalence_of_categories(F: FiniteFunctor) -> bool:
     return hit_classes == set(cls_D)
 
 
-def category_iso(C: FiniteCategory, D: FiniteCategory) -> FiniteFunctor | None:
-    """Search for an isomorphism of categories (desk scale, backtracking)."""
-    if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
-        return None
-
-    d_objects = list(D.objects)
-
-    def arrow_backtrack(obj_map):
-        hom_pairs = []
-        for x in C.objects:
-            for y in C.objects:
-                hc = C.hom(x, y)
-                hd = D.hom(obj_map[x], obj_map[y])
-                if len(hc) != len(hd):
-                    return None
-                hom_pairs.append((hc, hd))
-        arrow_map = {C.identity[x]: D.identity[obj_map[x]] for x in C.objects}
-
-        def fill(pair_idx, perm_state):
-            if pair_idx == len(hom_pairs):
-                F = FiniteFunctor(C, D, dict(obj_map), dict(arrow_map))
-                try:
-                    F.validate()
-                except CategoryError:
-                    return None
-                return F
-            hc, hd = hom_pairs[pair_idx]
-            free_c = [f for f in hc if f not in arrow_map]
-            free_d = [g for g in hd if g not in set(arrow_map.values())]
-            if len(free_c) != len(free_d):
-                return None
-
-            def place(i):
-                if i == len(free_c):
-                    return fill(pair_idx + 1, None)
-                f = free_c[i]
-                for g in free_d:
-                    if g in set(arrow_map.values()):
-                        continue
-                    arrow_map[f] = g
-                    res = place(i + 1)
-                    if res is not None:
-                        return res
-                    del arrow_map[f]
-                return None
-
-            return place(0)
-
-        return fill(0, None)
-
-    def obj_backtrack(i, obj_map, used):
-        if i == len(C.objects):
-            return arrow_backtrack(dict(obj_map))
-        x = C.objects[i]
-        for y in d_objects:
-            if y in used:
-                continue
-            if len(C.hom(x, x)) != len(D.hom(y, y)):
-                continue
-            obj_map[x] = y
-            used.add(y)
-            res = obj_backtrack(i + 1, obj_map, used)
-            if res is not None:
-                return res
-            used.discard(y)
-            del obj_map[x]
-        return None
-
-    return obj_backtrack(0, {}, set())
-
-
 # -- small constructors --------------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 Every subcommand reads JSON, writes a JSON report (stdout or --out), and
 exits 0 on success/true verdicts, 1 on false verdicts, 2 on usage errors
-and malformed input.
+and malformed input, and 3 on an inconclusive verdict (reported as null).
 Reports are byte-identical across runs on identical inputs: the timing
 field is always null in the report (wall time goes to stderr).
 """
@@ -60,7 +60,7 @@ def _report(command: str, inputs, verdicts: dict, counts: dict) -> dict:
 def _load_sset(path: str):
     obj = loads(Path(path).read_text())
     # accept bare complexes and reports produced by `core` / `saturate`
-    if "simplices" not in obj:
+    if isinstance(obj, dict) and "simplices" not in obj:
         if "core" in obj:
             obj = obj["core"]
         elif "saturation" in obj:
@@ -77,7 +77,9 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _exit_code(verdicts: dict) -> int:
-    return 0 if all(v is not False for v in verdicts.values()) else 1
+    if any(v is False for v in verdicts.values()):
+        return 1
+    return 3 if any(v is None for v in verdicts.values()) else 0
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -121,7 +123,9 @@ def cmd_homset(args) -> tuple[dict, dict]:
 def cmd_certify(args) -> tuple[dict, dict]:
     X = _load_sset(args.complex)
     rep = certify_quasi_category(X)
-    verdicts = {"quasi_category": rep.is_quasi, "verdict": rep.verdict}
+    # an inconclusive verdict is neither true nor false
+    quasi = None if rep.verdict == "inconclusive" else rep.is_quasi
+    verdicts = {"quasi_category": quasi, "verdict": rep.verdict}
     payload = {
         "verdict": rep.verdict,
         "coskeletal_at": rep.coskeletal_at,
@@ -201,7 +205,10 @@ def cmd_cert_build(args) -> tuple[dict, dict]:
 
 def cmd_cert_verify(args) -> tuple[dict, dict]:
     obj = loads(Path(args.certificate).read_text())
-    cert = certificate_from_json(obj.get("certificate", obj))
+    # accept a bare certificate and the report produced by `cert-build`
+    if isinstance(obj, dict) and "certificate" in obj:
+        obj = obj["certificate"]
+    cert = certificate_from_json(obj)
     res = verify_certificate(cert)
     payload = {"ok": bool(res), "failed_step": res.failed_step, "reason": res.reason}
     return {"verification": payload}, ({"verified": bool(res)}, {"steps": len(cert.steps)})
@@ -328,13 +335,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         payload, (verdicts, counts) = HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotLoopFreeError, CertificationError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, NotLoopFreeError, CertificationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     inputs = {

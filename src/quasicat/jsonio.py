@@ -5,9 +5,11 @@ presentations, and certificates.
     {"dim_bound": n, "coskeletal_at": n|null,
      "simplices": [per-dimension arrays of {"id", "faces": [{"word", "base"}]}]}
 
-Loading canonicalizes: object and arrow names of categories are strings,
-ids are ints.  dump(load(x)) == load-parsed input for files produced here,
-which is what the round-trip invariant of the CLI checks.
+Names of objects, arrows and generators are strings, ids are ints.  Every
+loader checks its input against the schema and raises MalformedInputError
+on a missing field, a wrong type, an unknown name or id, or a value that
+fails its own validation.  dump(load(x)) == load-parsed input for files
+produced here, which is what the round-trip invariant of the CLI checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .anodyne import AnodyneCertificate, CertStep
-from .cat import FiniteCategory, FiniteFunctor
+from .cat import CategoryError, FiniteCategory, FiniteFunctor
 from .pathcat import HomSetTable, PresentedCategory, Relation
 from .simplicial import SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
 
@@ -38,10 +40,29 @@ def _list(value, where: str) -> list:
 
 
 def _int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise MalformedInputError(f"{where}: expected an integer, got {value!r}") from None
+    # int() would truncate 0.5 and parse "1", and True is an int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _name(value, where: str, among=None) -> str:
+    """An object, arrow or generator name: a string, one of `among` if given."""
+    if not isinstance(value, str):
+        raise MalformedInputError(f"{where}: expected a name, got {value!r}")
+    if among is not None and value not in among:
+        raise MalformedInputError(f"{where}: unknown name {value!r}")
+    return value
+
+
+def _name_map(obj, keys, images, where: str) -> dict:
+    """A JSON object sending each of `keys` to one of `images`."""
+    if not isinstance(obj, dict):
+        raise MalformedInputError(f"{where}: expected an object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise MalformedInputError(f"{where}: missing entry for {key!r}")
+    return {key: _name(obj[key], f"{where}[{key!r}]", images) for key in keys}
 
 
 def _expr(obj, dims: dict[int, int], where: str) -> SimplexExpr:
@@ -64,10 +85,6 @@ def _expr(obj, dims: dict[int, int], where: str) -> SimplexExpr:
 
 def expr_to_json(e: SimplexExpr) -> dict:
     return {"word": list(e.word), "base": e.base}
-
-
-def expr_from_json(obj: dict, X: SimplicialSet) -> SimplexExpr:
-    return _expr(obj, X.dim_of, "expression")
 
 
 def sset_to_json(X: SimplicialSet) -> dict:
@@ -126,12 +143,21 @@ def smap_to_json(f: SimplicialMap) -> dict:
 
 
 def smap_from_json(obj: dict) -> SimplicialMap:
-    source = sset_from_json(obj["source"])
-    target = sset_from_json(obj["target"])
-    assignment = {
-        int(rec["id"]): expr_from_json(rec["image"], target) for rec in obj["assignment"]
-    }
-    return SimplicialMap(source, target, assignment).validate()
+    source = sset_from_json(_field(obj, "source", "map"))
+    target = sset_from_json(_field(obj, "target", "map"))
+    assignment = {}
+    for rec in _list(_field(obj, "assignment", "map"), "assignment"):
+        s = _int(_field(rec, "id", "assignment"), "assignment")
+        if s not in source.dim_of:
+            raise MalformedInputError(f"assignment: unknown source id {s}")
+        assignment[s] = _expr(_field(rec, "image", f"image of {s}"), target.dim_of, f"image of {s}")
+    for s in source.cells():
+        if s not in assignment:
+            raise MalformedInputError(f"assignment: missing source id {s}")
+    try:
+        return SimplicialMap(source, target, assignment).validate()
+    except SimplicialError as exc:
+        raise MalformedInputError(str(exc)) from exc
 
 
 def cat_to_json(C: FiniteCategory) -> dict:
@@ -150,13 +176,24 @@ def cat_to_json(C: FiniteCategory) -> dict:
 
 
 def cat_from_json(obj: dict, name: str | None = None) -> FiniteCategory:
-    objects = tuple(obj["objects"])
-    arrows = tuple(rec["id"] for rec in obj["arrows"])
-    src = {rec["id"]: rec["src"] for rec in obj["arrows"]}
-    tgt = {rec["id"]: rec["tgt"] for rec in obj["arrows"]}
-    identity = dict(obj["identities"])
-    compose = {(g, f): gf for g, f, gf in obj["compose"]}
-    return FiniteCategory(objects, arrows, src, tgt, identity, compose, name=name)
+    objects = tuple(_name(x, "objects") for x in _list(_field(obj, "objects", "category"), "objects"))
+    arrows, src, tgt = [], {}, {}
+    for rec in _list(_field(obj, "arrows", "category"), "arrows"):
+        f = _name(_field(rec, "id", "arrows"), "arrows")
+        arrows.append(f)
+        src[f] = _name(_field(rec, "src", f"arrow {f}"), f"arrow {f}", objects)
+        tgt[f] = _name(_field(rec, "tgt", f"arrow {f}"), f"arrow {f}", objects)
+    identity = _name_map(_field(obj, "identities", "category"), objects, src, "identities")
+    compose = {}
+    for rec in _list(_field(obj, "compose", "category"), "compose"):
+        if len(_list(rec, "compose")) != 3:
+            raise MalformedInputError(f"compose: expected [g, f, g.f], got {rec!r}")
+        g, f, gf = (_name(a, "compose", src) for a in rec)
+        compose[g, f] = gf
+    try:
+        return FiniteCategory(objects, arrows, src, tgt, identity, compose, name=name)
+    except CategoryError as exc:
+        raise MalformedInputError(str(exc)) from exc
 
 
 def functor_to_json(F: FiniteFunctor) -> dict:
@@ -169,11 +206,14 @@ def functor_to_json(F: FiniteFunctor) -> dict:
 
 
 def functor_from_json(obj: dict) -> FiniteFunctor:
-    source = cat_from_json(obj["source"])
-    target = cat_from_json(obj["target"])
-    return FiniteFunctor(
-        source, target, dict(obj["object_map"]), dict(obj["arrow_map"])
-    ).validate()
+    source = cat_from_json(_field(obj, "source", "functor"))
+    target = cat_from_json(_field(obj, "target", "functor"))
+    object_map = _name_map(_field(obj, "object_map", "functor"), source.objects, target.objects, "object_map")
+    arrow_map = _name_map(_field(obj, "arrow_map", "functor"), source.arrows, target.src, "arrow_map")
+    try:
+        return FiniteFunctor(source, target, object_map, arrow_map).validate()
+    except CategoryError as exc:
+        raise MalformedInputError(str(exc)) from exc
 
 
 def presentation_to_json(P: PresentedCategory, table: HomSetTable | None = None) -> dict:
@@ -210,17 +250,25 @@ def presentation_to_json(P: PresentedCategory, table: HomSetTable | None = None)
 
 
 def presentation_from_json(obj: dict) -> PresentedCategory:
-    gens = tuple(rec["id"] for rec in obj["generators"])
-    return PresentedCategory(
-        tuple(obj["objects"]),
-        gens,
-        {rec["id"]: rec["src"] for rec in obj["generators"]},
-        {rec["id"]: rec["tgt"] for rec in obj["generators"]},
-        tuple(
-            Relation(tuple(rec["lhs"]), tuple(rec["rhs"]), rec["src"], rec["tgt"])
-            for rec in obj["relations"]
-        ),
-    ).validate()
+    objects = tuple(_name(x, "objects") for x in _list(_field(obj, "objects", "presentation"), "objects"))
+    gens, gen_src, gen_tgt = [], {}, {}
+    for rec in _list(_field(obj, "generators", "presentation"), "generators"):
+        g = _name(_field(rec, "id", "generators"), "generators")
+        gens.append(g)
+        gen_src[g] = _name(_field(rec, "src", f"generator {g}"), f"generator {g}", objects)
+        gen_tgt[g] = _name(_field(rec, "tgt", f"generator {g}"), f"generator {g}", objects)
+    relations = []
+    for rec in _list(_field(obj, "relations", "presentation"), "relations"):
+        lhs, rhs = (
+            tuple(_name(g, "relation", gen_src) for g in _list(_field(rec, side, "relation"), "relation"))
+            for side in ("lhs", "rhs")
+        )
+        src, tgt = (_name(_field(rec, end, "relation"), "relation", objects) for end in ("src", "tgt"))
+        relations.append(Relation(lhs, rhs, src, tgt))
+    try:
+        return PresentedCategory(objects, tuple(gens), gen_src, gen_tgt, tuple(relations)).validate()
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
 
 
 def certificate_to_json(cert: AnodyneCertificate) -> dict:
@@ -245,17 +293,27 @@ def certificate_to_json(cert: AnodyneCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> AnodyneCertificate:
-    target = sset_from_json(obj["target"])
+    """Load a certificate's schema; whether its steps are sound is for
+    `verify_certificate` to decide."""
+    target = sset_from_json(_field(obj, "target", "certificate"))
+    source_ids = _list(_field(obj, "source_ids", "certificate"), "source_ids")
     steps = []
-    for rec in obj["steps"]:
-        n, k = int(rec["n"]), int(rec["k"])
+    for no, rec in enumerate(_list(_field(obj, "steps", "certificate"), "steps")):
+        where = f"step {no}"
+        n, k, attached = (_int(_field(rec, key, where), where) for key in ("n", "k", "attached"))
+        # an n-simplex is attached, so n is at most the target's dim_bound
+        if not 0 <= n <= target.dim_bound:
+            raise MalformedInputError(f"{where}: dimension {n} outside 0..{target.dim_bound}")
         top: list = [None] * (n + 1)
-        for f in rec["horn"]:
-            top[int(f["face"])] = expr_from_json(f, target)
-        steps.append(CertStep(n, k, tuple(top), int(rec["attached"])))
+        for f in _list(_field(rec, "horn", where), where):
+            i = _int(_field(f, "face", where), where)
+            if not 0 <= i <= n:
+                raise MalformedInputError(f"{where}: face index {i} outside 0..{n}")
+            top[i] = _expr(f, target.dim_of, where)
+        steps.append(CertStep(n, k, tuple(top), attached))
     return AnodyneCertificate(
         target,
-        frozenset(int(s) for s in obj["source_ids"]),
+        frozenset(_int(s, "source_ids") for s in source_ids),
         tuple(steps),
         obj.get("description", ""),
     )

@@ -80,23 +80,14 @@ class HornMap:
 def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
     """All simplicial maps Lambda^n_k -> X, by backtracking over face images.
 
-    Faces are assigned in index order with an index keyed on the face
-    values forced by earlier assignments, so the search is output-sensitive.
+    Faces are assigned in index order.  The candidates for slot j are read
+    from `X.face_index(n - 1, earlier slots)` at the face values forced by
+    the earlier assignments, so the search is output-sensitive.
     """
     if n < 2:
         raise SimplicialError("horns need n >= 2")
-    slots = [i for i in range(n + 1) if i != k]
-    exprs = X.all_exprs(n - 1)
-    rows = {e: tuple(X.face(e, t) for t in range(n)) for e in exprs}
-    # index[j] maps the tuple of faces shared with earlier slots to candidates
-    index: list[dict] = []
-    for pos in range(len(slots)):
-        earlier = slots[:pos]
-        idx: dict = {}
-        for e in exprs:
-            key = tuple(rows[e][i] for i in earlier)
-            idx.setdefault(key, []).append(e)
-        index.append(idx)
+    slots = tuple(i for i in range(n + 1) if i != k)
+    index = [X.face_index(n - 1, slots[:pos]) for pos in range(len(slots))]
     results: list[HornMap] = []
     chosen: dict[int, SimplexExpr] = {}
 
@@ -121,8 +112,9 @@ def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
 def find_filler(X: SimplicialSet, h: HornMap) -> SimplexExpr | None:
     """An n-expr of X restricting to the horn, or None (search is exhaustive
     through all n-dimensional expressions, in canonical order)."""
-    key = tuple(h.top[i] for i in range(h.n + 1) if i != h.k)
-    return X.filler_lookup(h.n, h.k, key)
+    slots = tuple(i for i in range(h.n + 1) if i != h.k)
+    fillers = X.face_index(h.n, slots).get(tuple(h.top[i] for i in slots))
+    return fillers[0] if fillers else None
 
 
 @dataclass
@@ -150,7 +142,7 @@ def _has_shell_filler(X: SimplicialSet, h: HornMap) -> bool:
         X.face(h.top[m], h.k - 1) if m < h.k else X.face(h.top[m + 1], h.k)
         for m in range(d + 1)
     )
-    return bool(X.exprs_with_boundary(d, needed))
+    return needed in X.face_index(d, tuple(range(d + 1)))
 
 
 def certify_quasi_category(X: SimplicialSet) -> CertReport:
@@ -205,18 +197,15 @@ def quasi_iso_edges(X: SimplicialSet, report: CertReport | None = None) -> dict[
     if not report.is_quasi:
         raise CertificationError(f"quasi_iso_edges needs a certified quasi-category ({report.verdict})")
     out: dict[SimplexExpr, QuasiIsoWitness] = {}
-    edges = X.all_exprs(1)
-    by_endpoints: dict = {}
-    for e in edges:
-        vs = X.vertex_ids(e)
-        by_endpoints.setdefault(vs, []).append(e)
-    for alpha in edges:
-        x, y = X.vertex_ids(alpha)
-        sx = SimplexExpr((0,), x, 1)
-        sy = SimplexExpr((0,), y, 1)
-        for beta in by_endpoints.get((y, x), ()):
-            sigma = X.exprs_with_boundary(2, (beta, sx, alpha))
-            sigma_prime = X.exprs_with_boundary(2, (alpha, sy, beta))
+    edges = X.face_index(1, (0, 1))
+    triangles = X.face_index(2, (0, 1, 2))
+    for alpha in X.all_exprs(1):
+        y, x = X.face(alpha, 0), X.face(alpha, 1)
+        sx = SimplexExpr((0,), x.base, 1)
+        sy = SimplexExpr((0,), y.base, 1)
+        for beta in edges.get((x, y), ()):
+            sigma = triangles.get((beta, sx, alpha))
+            sigma_prime = triangles.get((alpha, sy, beta))
             if sigma and sigma_prime:
                 out[alpha] = QuasiIsoWitness(alpha, beta, sigma[0], sigma_prime[0])
                 break
@@ -267,16 +256,13 @@ def core(X: SimplicialSet, report: CertReport | None = None):
 
 def right_homotopy_classes(X: SimplicialSet):
     """Partition of edge exprs under the symmetrized right-homotopy relation."""
-    edges = X.all_exprs(1)
-    uf = UnionFind(edges)
-    by_endpoints: dict = {}
-    for e in edges:
-        by_endpoints.setdefault(X.vertex_ids(e), []).append(e)
-    for (x, y), group in by_endpoints.items():
-        sy = SimplexExpr((0,), y, 1)
+    uf = UnionFind(X.all_exprs(1))
+    triangles = X.face_index(2, (0, 1, 2))
+    for (y, _x), group in X.face_index(1, (0, 1)).items():
+        sy = SimplexExpr((0,), y.base, 1)
         for alpha in group:
             for beta in group:
-                if X.exprs_with_boundary(2, (sy, beta, alpha)):
+                if (sy, beta, alpha) in triangles:
                     uf.union(alpha, beta)
     return uf.groups(), uf.find
 
@@ -284,13 +270,13 @@ def right_homotopy_classes(X: SimplicialSet):
 def has_right_homotopy(X, alpha, beta) -> bool:
     """Is there a 2-simplex with boundary (s0 y, beta, alpha)?"""
     y = X.vertex_ids(alpha)[1]
-    return bool(X.exprs_with_boundary(2, (SimplexExpr((0,), y, 1), beta, alpha)))
+    return (SimplexExpr((0,), y, 1), beta, alpha) in X.face_index(2, (0, 1, 2))
 
 
 def has_left_homotopy(X, alpha, beta) -> bool:
     """Is there a 2-simplex with boundary (alpha, beta, s0 x)?"""
     x = X.vertex_ids(alpha)[0]
-    return bool(X.exprs_with_boundary(2, (alpha, beta, SimplexExpr((0,), x, 1))))
+    return (alpha, beta, SimplexExpr((0,), x, 1)) in X.face_index(2, (0, 1, 2))
 
 
 def _edge_sort_key(e: SimplexExpr):
@@ -359,6 +345,7 @@ def _map_key(assignment: dict) -> tuple:
 def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
     """All simplicial maps P -> X as assignment dicts (backtracking by cell)."""
     order = [s for level in P.nondegenerate for s in level]
+    index = [X.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(P.dim_bound + 1)]
     results: list[dict] = []
     assignment: dict[int, SimplexExpr] = {}
 
@@ -368,7 +355,7 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
             return
         s = order[i]
         want = tuple(degenerate(assignment[e.base], e.word) for e in P.faces.get(s, ()))
-        for e in X.exprs_with_boundary(P.dim_of[s], want):
+        for e in index[P.dim_of[s]].get(want, ()):
             assignment[s] = e
             assign(i + 1)
             del assignment[s]

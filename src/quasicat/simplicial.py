@@ -162,8 +162,7 @@ class SimplicialSet:
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
         self._face_base_index: dict[int, tuple[int, ...]] | None = None
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
-        self._filler_index: dict = {}
-        self._boundary_index: dict = {}
+        self._face_index: dict = {}
         if check:
             self.validate()
 
@@ -313,27 +312,18 @@ class SimplicialSet:
             return None
         return next(s for s in ids if not ids.issuperset(index[s]))
 
-    def filler_lookup(self, n: int, k: int, key: tuple) -> SimplexExpr | None:
-        """First n-expr whose faces away from position k match `key`."""
-        idx = self._filler_index.get((n, k))
+    def face_index(self, n: int, positions: tuple[int, ...]) -> dict[tuple, tuple[SimplexExpr, ...]]:
+        """Every n-expr grouped by its faces at `positions`: the dict from
+        (d_i e for i in positions) to the n-exprs e with those faces, in
+        `all_exprs` order.  Built once per (n, positions); a vertex's
+        positions are (), and a horn's free face is a missing position."""
+        idx = self._face_index.get((n, positions))
         if idx is None:
-            idx = {}
+            groups: dict = {}
             for e in self.all_exprs(n):
-                idx.setdefault(tuple(self.face(e, i) for i in range(n + 1) if i != k), e)
-            self._filler_index[(n, k)] = idx
-        return idx.get(key)
-
-    def exprs_with_boundary(self, n: int, faces: tuple) -> tuple[SimplexExpr, ...]:
-        """Every n-expr whose face vector (d_0, ..., d_n) is `faces`, in
-        `all_exprs` order; a vertex's face vector is ()."""
-        idx = self._boundary_index.get(n)
-        if idx is None:
-            idx = {}
-            for e in self.all_exprs(n):
-                idx.setdefault(tuple(self.face(e, i) for i in range(n + 1)) if n else (), []).append(e)
-            idx = {key: tuple(exprs) for key, exprs in idx.items()}
-            self._boundary_index[n] = idx
-        return idx.get(faces, ())
+                groups.setdefault(tuple(self.face(e, i) for i in positions), []).append(e)
+            idx = self._face_index[n, positions] = {key: tuple(es) for key, es in groups.items()}
+        return idx
 
 
 @dataclass(frozen=True)
@@ -741,11 +731,12 @@ def join(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
 
 
 def iso_check(X: SimplicialSet, Y: SimplicialSet, limit: int = 64) -> SimplicialMap | None:
-    """Exact isomorphism search by backtracking over vertex bijections.
+    """Exact isomorphism search by backtracking over cells in dimension order.
 
-    Returns a dimension-preserving, face-commuting bijection as a
-    SimplicialMap, or None.  Both complexes must have at most `limit`
-    non-degenerate simplices in total.
+    A cell's candidates are the unused non-degenerate cells of Y whose
+    faces are the images of its faces.  Returns a dimension-preserving,
+    face-commuting bijection as a SimplicialMap, or None.  Both complexes
+    must have at most `limit` non-degenerate simplices in total.
     """
     if X.n_cells > limit or Y.n_cells > limit:
         raise SizeLimitError(f"iso_check limit {limit} exceeded")
@@ -754,48 +745,29 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, limit: int = 64) -> Simplicial
     cy = tuple(len(Y.nondegenerate[d]) if d <= Y.dim_bound else 0 for d in range(top + 1))
     if cx != cy:
         return None
+    order = list(X.cells())
+    index = [Y.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(X.dim + 1)]
+    phi: dict[int, int] = {}
+    used: set[int] = set()
 
-    vx, vy = X.vertices(), Y.vertices()
+    def candidates(s: int):
+        want = tuple(SimplexExpr(e.word, phi[e.base], e.dim) for e in X.faces.get(s, ()))
+        return iter([e.base for e in index[X.dim_of[s]].get(want, ()) if not e.word and e.base not in used])
 
-    def extend(phi: dict[int, int]) -> dict[int, int] | None:
-        # Extend a vertex bijection dimension by dimension; images are
-        # forced by the face vectors, so only consistency is checked.
-        for d in range(1, X.dim + 1):
-            taken = set()
-            for s in X.nondegenerate[d]:
-                want = tuple(
-                    SimplexExpr(e.word, phi[e.base], e.dim) for e in X.faces[s]
-                )
-                img = None
-                for t in Y.nondegenerate[d]:
-                    if t not in taken and Y.faces[t] == want:
-                        img = t
-                        break
-                if img is None:
-                    return None
-                taken.add(img)
-                phi[s] = img
-        return phi
-
-    def assign(i: int, phi: dict[int, int], used: set[int]):
-        if i == len(vx):
-            full = extend(dict(phi))
-            if full is not None:
-                return full
+    # stack[i] holds the untried candidates for order[i]; an explicit stack,
+    # since a complex may have more cells than the recursion limit
+    stack = [candidates(order[0])] if order else []
+    while len(phi) < len(order):
+        if not stack:
             return None
-        for w in vy:
-            if w in used:
-                continue
-            phi[vx[i]] = w
-            used.add(w)
-            res = assign(i + 1, phi, used)
-            if res is not None:
-                return res
-            used.discard(w)
-            del phi[vx[i]]
-        return None
-
-    phi = assign(0, {}, set())
-    if phi is None:
-        return None
+        s = order[len(stack) - 1]
+        used.discard(phi.pop(s, None))
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            continue
+        phi[s] = t
+        used.add(t)
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
     return SimplicialMap(X, Y, {s: Y.expr(t) for s, t in phi.items()})

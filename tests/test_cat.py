@@ -3,7 +3,6 @@ import pytest
 from quasicat.cat import (
     CategoryError,
     FiniteFunctor,
-    category_iso,
     cyclic_group_category,
     discrete_category,
     disjoint_union_category,
@@ -17,6 +16,7 @@ from quasicat.cat import (
     poset_category,
     product_category,
 )
+from quasicat.equivalence import category_iso
 from quasicat.simplicial import build_standard, iso_check, product, truncate
 
 

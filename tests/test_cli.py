@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from quasicat.cli import main
 from quasicat.jsonio import dumps, functor_to_json, sset_to_json
 from quasicat.cat import cyclic_group_category, identity_functor, nerve, poset_category
-from quasicat.simplicial import SimplexExpr, SimplicialSet, build_standard, standard_simplex
+from quasicat.simplicial import SimplexExpr, SimplicialSet, build_standard, standard_simplex, truncate
 
 
 @pytest.fixture
@@ -146,3 +147,23 @@ def test_report_determinism(capsys, delta2, tmp_path):
     assert main(["certify", delta2, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     capsys.readouterr()
+
+
+def test_certify_inconclusive_exits_3(capsys, tmp_path):
+    # no coskeletal flag: neither a certificate nor a counterexample
+    p = tmp_path / "noflag.sset.json"
+    p.write_text(dumps(sset_to_json(truncate(standard_simplex(2), 1))))
+    code, rep = run(capsys, ["certify", str(p)])
+    assert code == 3
+    assert rep["verdicts"]["quasi_category"] is None
+    assert rep["certification"]["verdict"] == "inconclusive"
+
+
+def test_corpus_run_report_matches_expected(capsys, tmp_path):
+    # the "same behaviour" bar: the battery report is byte-identical to the
+    # one the benchmark compares against
+    expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "battery_report.json"
+    out = tmp_path / "report.json"
+    assert main(["corpus-run", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == expected.read_bytes()

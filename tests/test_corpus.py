@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 from quasicat.corpus import (
     MAX_ARROWS,
@@ -59,9 +60,16 @@ def test_materialized_corpus_roundtrips(tmp_path):
             sset_from_json(obj).validate()
 
 
+COMMITTED_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
 def test_materialization_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     files = materialize_corpus(a)
     assert materialize_corpus(b) == files
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    # and it regenerates the committed corpus/ byte for byte
+    assert sorted(p.name for p in COMMITTED_CORPUS.iterdir()) == files
+    for name in files:
+        assert (a / name).read_bytes() == (COMMITTED_CORPUS / name).read_bytes(), name

@@ -6,6 +6,8 @@ precomposition.  Its output must match the current `function_complex` byte
 for byte (`sset_to_json`) and label for label.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -260,15 +262,14 @@ def test_size_limit():
         oracle_function_complex(standard_simplex(2), standard_simplex(0), 1, limit=3)
 
 
-# -- the boundary index ----------------------------------------------------------------
+# -- the face index ----------------------------------------------------------------
 
 
-def brute_force_boundary_index(X, n):
+def brute_force_face_index(X, n, positions):
     out = {}
     for e in X.all_exprs(n):
-        key = tuple(X.face(e, i) for i in range(n + 1)) if n else ()
-        out.setdefault(key, []).append(e)
-    return out
+        out.setdefault(tuple(X.face(e, i) for i in positions), []).append(e)
+    return {key: tuple(exprs) for key, exprs in out.items()}
 
 
 def boundary_fixtures():
@@ -280,9 +281,10 @@ def boundary_fixtures():
 
 @pytest.mark.parametrize("name", sorted(boundary_fixtures()))
 def test_exprs_with_boundary_matches_scan(name):
+    # `face_index` at every subset of positions, the full boundary and a
+    # horn's slots among them, against a scan of all n-exprs
     X = boundary_fixtures()[name]
     for n in range(X.dim_bound + 2):
-        want = brute_force_boundary_index(X, n)
-        for key, exprs in want.items():
-            assert X.exprs_with_boundary(n, key) == tuple(exprs), (n, key)
-        assert X.exprs_with_boundary(n, (None,) * (n + 1)) == ()
+        for r in range(n + 2 if n else 1):
+            for positions in combinations(range(n + 1), r):
+                assert X.face_index(n, positions) == brute_force_face_index(X, n, positions), (n, positions)

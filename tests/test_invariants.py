@@ -3,9 +3,9 @@
 import pytest
 
 from quasicat.anodyne import prism_certificate
-from quasicat.cat import Groupoid, category_iso, iso_subgroupoid, nerve
+from quasicat.cat import Groupoid, iso_subgroupoid, nerve
 from quasicat.corpus import corpus_categories, quasi_category_corpus
-from quasicat.equivalence import criterion_presentations, functor_category
+from quasicat.equivalence import category_iso, criterion_presentations, functor_category
 from quasicat.pathcat import hom_sets, path_category
 from quasicat.quasi import (
     certify_quasi_category,

@@ -105,8 +105,14 @@ def _degeneracy_out_of_range(obj):
     return obj
 
 
+def _fractional_id(obj):
+    obj["simplices"][0][0]["id"] = 0.5
+    return obj
+
+
 MALFORMED = {
     "unknown face base": (_unknown_face_base, "unknown base 99"),
+    "fractional id": (_fractional_id, "expected an integer, got 0.5"),
     "missing dim_bound": (_missing_dim_bound, "missing 'dim_bound'"),
     "degeneracy index out of range": (_degeneracy_out_of_range, r"out of range in word \[7\]"),
 }
@@ -128,3 +134,106 @@ def test_malformed_complex_exits_2(capsys, tmp_path, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _point_json():
+    return {"dim_bound": 0, "simplices": [[{"id": 0, "faces": []}]]}
+
+
+def _functor_missing_object():
+    obj = functor_to_json(identity_functor(cyclic_group_category(2)))
+    obj["object_map"] = {}
+    return obj
+
+
+MALFORMED_INPUTS = {
+    "certificate without steps": ("cert-verify", {"target": _point_json(), "source_ids": [0]}),
+    "certificate that is a list": ("cert-verify", [1, 2]),
+    "functor missing an object": ("nerve-equiv", _functor_missing_object()),
+    "complex that is a number": ("certify", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    command, obj = MALFORMED_INPUTS[case]
+    p = tmp_path / "bad.json"
+    p.write_text(dumps(obj))
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _cat_json():
+    return roundtrip(cat_to_json(cyclic_group_category(2)))
+
+
+def _functor_json():
+    return roundtrip(functor_to_json(identity_functor(cyclic_group_category(2))))
+
+
+def _smap_json():
+    return roundtrip(smap_to_json(build_standard("horn", 2, 1)[1]))
+
+
+def _cert_json():
+    return roundtrip(certificate_to_json(facet_certificate(3, {0, 3})))
+
+
+def _presentation_json():
+    return roundtrip(presentation_to_json(path_category(standard_simplex(2))))
+
+
+def _corrupt(make, edit):
+    obj = make()
+    edit(obj)
+    return obj
+
+
+LOADERS = {
+    "cat": cat_from_json,
+    "functor": functor_from_json,
+    "smap": smap_from_json,
+    "cert": certificate_from_json,
+    "presentation": presentation_from_json,
+}
+
+MALFORMED_DOCUMENTS = {
+    # case: (loader, valid document, corruption, expected message)
+    "cat: arrow to an unknown object": (
+        "cat", _cat_json, lambda o: o["arrows"][0].update(tgt="nowhere"), "unknown name 'nowhere'"
+    ),
+    "cat: compose entry too short": ("cat", _cat_json, lambda o: o["compose"][0].pop(), r"expected \[g, f, g.f\]"),
+    "cat: missing identity": ("cat", _cat_json, lambda o: o["identities"].clear(), "missing entry"),
+    "cat: composition table hole": ("cat", _cat_json, lambda o: o["compose"].pop(), "composition table wrong"),
+    "functor: unknown arrow image": (
+        "functor", _functor_json, lambda o: o["arrow_map"].update({k: "zz" for k in o["arrow_map"]}), "unknown name 'zz'"
+    ),
+    "functor: missing arrow_map": ("functor", _functor_json, lambda o: o.pop("arrow_map"), "missing 'arrow_map'"),
+    "smap: missing assignment entry": ("smap", _smap_json, lambda o: o["assignment"].pop(), "missing source id"),
+    "smap: unknown source id": ("smap", _smap_json, lambda o: o["assignment"][0].update(id=99), "unknown source id 99"),
+    "smap: face not commuting": (
+        "smap", _smap_json, lambda o: o["assignment"][0]["image"].update(base=1), "does not commute"
+    ),
+    "cert: face index out of range": (
+        "cert", _cert_json, lambda o: o["steps"][0]["horn"][0].update(face=9), "face index 9"
+    ),
+    "cert: step above dim_bound": ("cert", _cert_json, lambda o: o["steps"][0].update(n=50), "dimension 50 outside"),
+    "cert: source id not an integer": (
+        "cert", _cert_json, lambda o: o["source_ids"].append("x"), "expected an integer"
+    ),
+    "presentation: unknown generator": (
+        "presentation", _presentation_json, lambda o: o["relations"][0]["lhs"].append("zz"), "unknown name 'zz'"
+    ),
+    "presentation: name not a string": (
+        "presentation", _presentation_json, lambda o: o["objects"].append([1]), "expected a name"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_loaders_reject_malformed(case):
+    loader, make, edit, message = MALFORMED_DOCUMENTS[case]
+    with pytest.raises(MalformedInputError, match=message):
+        LOADERS[loader](_corrupt(make, edit))

@@ -1,7 +1,6 @@
 import pytest
 
 from quasicat.cat import (
-    category_iso,
     cyclic_group_category,
     free_iso_groupoid,
     idempotent_monoid_category,
@@ -9,6 +8,7 @@ from quasicat.cat import (
     nerve,
     poset_category,
 )
+from quasicat.equivalence import category_iso
 from quasicat.pathcat import bounded_hom_classes, path_category
 from quasicat.quasi import (
     CertificationError,

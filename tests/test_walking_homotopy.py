@@ -3,8 +3,9 @@ non-singleton homotopy class of edges."""
 
 import pytest
 
-from quasicat.cat import category_iso, poset_category
+from quasicat.cat import poset_category
 from quasicat.corpus import walking_homotopy
+from quasicat.equivalence import category_iso
 from quasicat.pathcat import bounded_hom_classes, path_category
 from quasicat.quasi import (
     certify_quasi_category,
