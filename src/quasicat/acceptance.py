@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 
 from .anodyne import (
@@ -54,6 +55,7 @@ class CriterionResult:
     ok: bool
     detail: str = ""
     counts: dict = field(default_factory=dict)
+    seconds: float | None = None  # wall time, set by run_all; kept out of reports
 
 
 def criterion_1_counit() -> CriterionResult:
@@ -160,10 +162,13 @@ def _mutations(cert: AnodyneCertificate, rng: random.Random):
         s = c.steps[i]
         slots = [j for j in range(s.n + 1) if j != s.k]
         j = rng.choice(slots)
-        exprs = c.target.all_exprs(s.n - 1)
-        alt = exprs[rng.randrange(len(exprs))]
+        X, d = c.target, s.n - 1
+        alt = X.expr_at(d, rng.randrange(X.n_exprs(d)))
         if alt == s.top[j]:
-            alt = next(e for e in exprs if e != s.top[j])
+            # on a collision, the first expression that differs
+            alt = X.expr_at(d, 0)
+            if alt == s.top[j]:
+                alt = X.expr_at(d, 1)
         top = list(s.top)
         top[j] = alt
         new = CertStep(s.n, s.k, tuple(top), s.attached)
@@ -420,8 +425,8 @@ RUNNERS = [
 def run_all(mutations: int = MUTATIONS_PER_CERTIFICATE) -> list[CriterionResult]:
     results = []
     for runner in RUNNERS:
-        if runner is criterion_4_certificates:
-            results.append(runner(mutations))
-        else:
-            results.append(runner())
+        started = time.perf_counter()
+        result = runner(mutations) if runner is criterion_4_certificates else runner()
+        result.seconds = time.perf_counter() - started
+        results.append(result)
     return results

@@ -117,7 +117,8 @@ def cmd_homset(args) -> tuple[dict, dict]:
         "partial": entry.partial,
         "classes": [{"rep": [str(g) for g in c.rep], "size": c.size} for c in entry.classes],
     }
-    return {"homset": payload}, ({"partial": entry.partial}, {"classes": len(entry.classes)})
+    # a partial answer is a bounded one, not a false one: no verdict
+    return {"homset": payload}, ({}, {"classes": len(entry.classes)})
 
 
 def cmd_certify(args) -> tuple[dict, dict]:
@@ -228,6 +229,8 @@ def cmd_corpus_run(args) -> tuple[dict, dict]:
     if args.out_dir:
         written = materialize_corpus(args.out_dir)
     results = run_all(mutations=args.mutations)
+    for r in results:
+        print(f"criterion {r.number}: {r.seconds:.3f}s", file=sys.stderr)
     payload = [
         {"criterion": r.number, "name": r.name, "ok": r.ok, "detail": r.detail, "counts": r.counts}
         for r in results

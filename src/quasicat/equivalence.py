@@ -21,6 +21,7 @@ from .cat import (
     FiniteCategory,
     FiniteFunctor,
     Groupoid,
+    _iso_classes,
     is_equivalence_of_groupoids,
 )
 from .pathcat import PresentedCategory, path_category
@@ -113,12 +114,14 @@ def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
     return FiniteCategory(objects, tuple(arrows), src, tgt, identity, compose, check=False)
 
 
-def iso_functor_groupoid(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
-    """Iso(C^P) without materializing non-invertible transformations.
+def _iso_groupoid_without_composition(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
+    """Iso(C^P) with an empty composition table: objects, arrows, ends,
+    identities and inverses, which is all `is_equivalence_of_groupoids`
+    reads.  `iso_functor_groupoid` adds the composition.
 
     An invertible natural transformation has invertible components, and its
-    target functor is the conjugate of its source, so arrows are pairs
-    (functor, invertible component tuple).
+    target functor is the conjugate of its source, so arrows are triples
+    (functor, conjugate, invertible component tuple).
     """
     functors = functors_from_presentation(P, C)
     inv = C.invertible_arrows()
@@ -151,24 +154,32 @@ def iso_functor_groupoid(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
             tgt[a] = G
             inverse[a] = (G, F, tuple(inv[c] for c in comps))
     identity = {F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors}
-    compose = {}
-    by_src: dict = {}
-    for a in arrows:
-        by_src.setdefault(a[0], []).append(a)
-    for a in arrows:
-        for b in by_src.get(a[1], ()):
-            comps = tuple(C.compose_table[(b[2][i], a[2][i])] for i in range(len(P.objects)))
-            compose[(b, a)] = (a[0], b[1], comps)
     return Groupoid(
-        tuple(functors), tuple(arrows), src, tgt, identity, compose,
-        inverse=inverse, check=False,
+        tuple(functors), tuple(arrows), src, tgt, identity, {}, inverse=inverse, check=False
     )
 
 
-def induced_iso_functor(
-    F: FiniteFunctor, P: PresentedCategory, GC: Groupoid, GD: Groupoid
-) -> FiniteFunctor:
-    """Iso(C^P) -> Iso(D^P) by postcomposition with F."""
+def iso_functor_groupoid(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
+    """Iso(C^P) without materializing non-invertible transformations;
+    composition is objectwise."""
+    G = _iso_groupoid_without_composition(C, P)
+    by_src: dict = {}
+    for a in G.arrows:
+        by_src.setdefault(a[0], []).append(a)
+    compose = {}
+    for a in G.arrows:
+        for b in by_src.get(a[1], ()):
+            comps = tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2]))
+            compose[(b, a)] = (a[0], b[1], comps)
+    return Groupoid(
+        G.objects, G.arrows, G.src, G.tgt, G.identity, compose, inverse=G.inverse, check=False
+    )
+
+
+def _induced_on_automorphisms(F: FiniteFunctor, GC: Groupoid, GD: Groupoid) -> FiniteFunctor:
+    """Iso(C^P) -> Iso(D^P) by postcomposition with F, given on every
+    object and on the automorphisms of each iso-class representative:
+    the part `is_equivalence_of_groupoids` reads."""
 
     def push_functor(H: PresentedFunctor) -> PresentedFunctor:
         return PresentedFunctor(
@@ -177,10 +188,12 @@ def induced_iso_functor(
         )
 
     object_map = {H: push_functor(H) for H in GC.objects}
-    arrow_map = {
-        a: (push_functor(a[0]), push_functor(a[1]), tuple(F.arrow_map[c] for c in a[2]))
-        for a in GC.arrows
-    }
+    arrow_map = {}
+    for members in _iso_classes(GC).values():
+        x = members[0]
+        fx = object_map[x]
+        for a in GC.hom(x, x):
+            arrow_map[a] = (fx, fx, tuple(F.arrow_map[c] for c in a[2]))
     return FiniteFunctor(GC, GD, object_map, arrow_map)
 
 
@@ -198,13 +211,14 @@ def criterion_presentations() -> tuple[tuple[str, PresentedCategory], ...]:
 
 
 def _cached_iso_groupoid(C: FiniteCategory, shape_name: str, P: PresentedCategory) -> Groupoid:
-    """Iso(C^P), built once per category and shape and kept on C."""
+    """Iso(C^P) without composition, built once per category and shape and
+    kept on C."""
     cache = getattr(C, "_iso_shape_cache", None)
     if cache is None:
         cache = C._iso_shape_cache = {}
     hit = cache.get(shape_name)
     if hit is None:
-        hit = cache[shape_name] = iso_functor_groupoid(C, P)
+        hit = cache[shape_name] = _iso_groupoid_without_composition(C, P)
     return hit
 
 
@@ -282,7 +296,7 @@ def nerve_equivalence_criterion(F: FiniteFunctor, verbose: bool = False):
     for name, P in criterion_presentations():
         GC = _cached_iso_groupoid(F.source, name, P)
         GD = _cached_iso_groupoid(F.target, name, P)
-        ok, _w = is_equivalence_of_groupoids(induced_iso_functor(F, P, GC, GD))
+        ok, _w = is_equivalence_of_groupoids(_induced_on_automorphisms(F, GC, GD))
         results[name] = ok
         if not ok:
             verdict = False

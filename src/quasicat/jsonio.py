@@ -19,7 +19,7 @@ import json
 from .anodyne import AnodyneCertificate, CertStep
 from .cat import CategoryError, FiniteCategory, FiniteFunctor
 from .pathcat import HomSetTable, PresentedCategory, Relation
-from .simplicial import SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
+from .simplicial import GLOBAL_DIM_BOUND, SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
 
 
 class MalformedInputError(ValueError):
@@ -106,6 +106,9 @@ def sset_from_json(obj: dict) -> SimplicialSet:
     """Load and validate a complex; raises MalformedInputError on anything
     that is not a well-formed `*.sset.json` complex."""
     dim_bound = _int(_field(obj, "dim_bound", "complex"), "dim_bound")
+    # checked before the levels are allocated: the bound sizes them
+    if dim_bound > GLOBAL_DIM_BOUND:
+        raise MalformedInputError(f"dim_bound {dim_bound} above the limit {GLOBAL_DIM_BOUND}")
     levels = _list(_field(obj, "simplices", "complex"), "simplices")
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     dims: dict[int, int] = {}

@@ -253,14 +253,54 @@ class SimplicialSet:
         cached = self._expr_cache.get(d)
         if cached is not None:
             return cached
-        out = [self.expr(s) for s in self.nondegenerate[d]] if d <= self.dim_bound else []
-        for p in range(min(d - 1, self.dim_bound), -1, -1):
-            for s in self.nondegenerate[p]:
-                for w in combinations(range(d - 1, -1, -1), d - p):
-                    out.append(SimplexExpr(w, s, d))
-        result = tuple(out)
+        result = tuple(
+            SimplexExpr(w, s, d)
+            for p, bases in self._expr_blocks(d)
+            for s in bases
+            for w in combinations(range(d - 1, -1, -1), d - p)
+        )
         self._expr_cache[d] = result
         return result
+
+    def _expr_blocks(self, d: int):
+        """The order of `all_exprs(d)`: consecutive blocks (p, bases) of
+        the p-dimensional bases, each base followed by its comb(d, d - p)
+        degeneracy words; the non-degenerate d-cells (p = d) come first."""
+        if d <= self.dim_bound:
+            yield d, self.nondegenerate[d]
+        for p in range(min(d - 1, self.dim_bound), -1, -1):
+            yield p, self.nondegenerate[p]
+
+    def n_exprs(self, d: int) -> int:
+        """len(all_exprs(d)), without building the expressions."""
+        return sum(len(bases) * comb(d, d - p) for p, bases in self._expr_blocks(d))
+
+    def expr_at(self, d: int, r: int) -> SimplexExpr:
+        """all_exprs(d)[r] for 0 <= r < n_exprs(d), built alone: the base
+        is found by block, and the word by unranking `all_exprs`'s
+        lexicographic combinations of range(d - 1, -1, -1)."""
+        if r < 0:
+            raise IndexError(f"expression index {r} out of range")
+        for p, bases in self._expr_blocks(d):
+            per_base = comb(d, d - p)
+            if r >= len(bases) * per_base:
+                r -= len(bases) * per_base
+                continue
+            base, r = divmod(r, per_base)
+            word = []
+            m = d - p
+            for letter in range(d - 1, -1, -1):
+                if not m:
+                    break
+                # words whose next letter is `letter`: pick m - 1 below it
+                below = comb(letter, m - 1)
+                if r < below:
+                    word.append(letter)
+                    m -= 1
+                else:
+                    r -= below
+            return SimplexExpr(tuple(word), bases[base], d)
+        raise IndexError(f"expression index out of range for dimension {d}")
 
     # -- validation --------------------------------------------------------
 

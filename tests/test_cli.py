@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,13 @@ def test_homset_bounded(capsys, tmp_path):
     assert code == 0
     assert rep["homset"]["partial"] is True
     assert len(rep["homset"]["classes"]) == 2
+
+
+def test_homset_complete_exits_0(capsys, delta2):
+    code, rep = run(capsys, ["homset", delta2, "0", "2"])
+    assert code == 0
+    assert rep["homset"]["partial"] is False and len(rep["homset"]["classes"]) == 1
+    assert rep["verdicts"] == {}
 
 
 def test_certify_exit_codes(capsys, delta2, horn21):
@@ -165,5 +173,8 @@ def test_corpus_run_report_matches_expected(capsys, tmp_path):
     expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "battery_report.json"
     out = tmp_path / "report.json"
     assert main(["corpus-run", "--out", str(out)]) == 0
-    capsys.readouterr()
+    err = capsys.readouterr().err.splitlines()
     assert out.read_bytes() == expected.read_bytes()
+    # per-criterion wall times go to stderr only, one line each
+    timed = [line for line in err if re.fullmatch(r"criterion \d+: \d+\.\d{3}s", line)]
+    assert [line.split(":")[0] for line in timed] == [f"criterion {n}" for n in range(1, 11)]

@@ -4,19 +4,23 @@
 The oracles are the previous `SimplicialSet.face`, `ProductComplex.pair_expr`
 and `product` (every component face and pair normal form recomputed for
 every cell), and the previous `verify_certificate` (face closure of the
-source tested cell by cell with a generator over its faces).
+source tested cell by cell with a generator over its faces, and horn
+compatibility tested pairwise on every step).  `SimplicialSet.expr_at`,
+the indexed draw of criterion 4's face corruption, is checked against
+`all_exprs`.
 """
 
 import copy
 import pickle
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicat.acceptance import MUTATION_SEED, _all_facet_parameters, _mutations
-from quasicat.anodyne import AnodyneCertificate, facet_certificate, prism_certificate
+from quasicat.anodyne import AnodyneCertificate, CertStep, facet_certificate, prism_certificate
 from quasicat.cat import nerve, preorder_category
 from quasicat.corpus import loop_free_corpus_complexes
 from quasicat.jsonio import dumps, sset_to_json
@@ -281,6 +285,82 @@ def test_make_subcomplex_closure_matches_oracle():
         else:
             with pytest.raises(SimplicialError, match=f"cell set not face-closed at {bad}$"):
                 make_subcomplex(X, ids)
+
+
+# -- the filler-first replay ---------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def replay_certificates():
+    certs = [facet_certificate(n, S) for n, S in _all_facet_parameters(4)]
+    return tuple(certs + [prism_certificate(n, k, m) for n, k, m in [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 2)]])
+
+
+def replace_step(cert, i, step):
+    return AnodyneCertificate(cert.target, cert.source_ids, cert.steps[:i] + (step,) + cert.steps[i + 1 :])
+
+
+def assert_verify_matches_oracle(cert):
+    got, want = verify_certificate(cert), old_verify_certificate(cert)
+    assert (got.ok, got.failed_step, got.reason) == (want.ok, want.failed_step, want.reason)
+    return want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_verify_matches_oracle_under_one_corruption(data):
+    cert = data.draw(st.sampled_from(replay_certificates()))
+    X = cert.target
+    i = data.draw(st.integers(0, len(cert.steps) - 1))
+    s = cert.steps[i]
+    kind = data.draw(st.sampled_from(["horn face", "attached id", "horn index"]))
+    if kind == "horn face":
+        # any expression of the right dimension, the step's own included
+        j = data.draw(st.sampled_from([j for j in range(s.n + 1) if j != s.k]))
+        exprs = X.all_exprs(s.n - 1)
+        top = list(s.top)
+        top[j] = exprs[data.draw(st.integers(0, len(exprs) - 1))]
+        step = CertStep(s.n, s.k, tuple(top), s.attached)
+    elif kind == "attached id":
+        step = CertStep(s.n, s.k, s.top, data.draw(st.sampled_from(sorted(X.dim_of))))
+    else:
+        # the horn at another index k, filled by the same simplex
+        k = data.draw(st.sampled_from([k for k in range(s.n + 1) if k != s.k]))
+        top = list(s.top)
+        top[s.k] = X.faces[s.attached][s.k]
+        top[k] = None
+        step = CertStep(s.n, k, tuple(top), s.attached)
+    assert_verify_matches_oracle(replace_step(cert, i, step))
+
+
+def test_incompatible_horn_without_filler_reports_disagreement():
+    # Lambda^2_1 -> Delta^2 with the edge 01 in both slots: d_0 y_2 = 1 but
+    # d_1 y_0 = 0, and the attached 2-simplex does not fill that horn
+    cert = facet_certificate(2, {0, 2})
+    (s,) = cert.steps
+    step = CertStep(s.n, s.k, (s.top[2], None, s.top[2]), s.attached)
+    want = assert_verify_matches_oracle(replace_step(cert, 0, step))
+    assert (want.ok, want.failed_step, want.reason) == (False, 0, "horn faces disagree at (0,2)")
+
+
+# -- the indexed expression draw -------------------------------------------------------
+
+
+def test_expr_at_matches_all_exprs_on_criterion_4_targets():
+    certs = [facet_certificate(n, S) for n, S in _all_facet_parameters(5)]
+    certs += [prism_certificate(n, k, m) for n in range(2, 5) for k in range(1, n) for m in range(4)]
+    # expr_at and all_exprs read only dim_bound and the non-degenerate
+    # levels, so each distinct pair of those is checked once
+    targets = {(c.target.dim_bound, c.target.nondegenerate): c.target for c in certs}
+    for X in targets.values():
+        for d in range(X.dim_bound + 2):
+            want = X.all_exprs(d)
+            assert X.n_exprs(d) == len(want)
+            assert [X.expr_at(d, r) for r in range(len(want))] == list(want), d
+            with pytest.raises(IndexError):
+                X.expr_at(d, len(want))
+            with pytest.raises(IndexError):
+                X.expr_at(d, -1)
 
 
 # -- SimplexExpr ------------------------------------------------------------------

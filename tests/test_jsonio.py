@@ -110,8 +110,19 @@ def _fractional_id(obj):
     return obj
 
 
+def _dim_bound(value):
+    def corrupt(obj):
+        obj["dim_bound"] = value
+        return obj
+
+    return corrupt
+
+
 MALFORMED = {
     "unknown face base": (_unknown_face_base, "unknown base 99"),
+    # refused before the levels are allocated: 10**9 would ask for tens of GB
+    "dim_bound above the limit": (_dim_bound(13), "dim_bound 13 above the limit 12"),
+    "dim_bound of 10**9": (_dim_bound(10**9), "dim_bound 1000000000 above the limit 12"),
     "fractional id": (_fractional_id, "expected an integer, got 0.5"),
     "missing dim_bound": (_missing_dim_bound, "missing 'dim_bound'"),
     "degeneracy index out of range": (_degeneracy_out_of_range, r"out of range in word \[7\]"),
