@@ -12,9 +12,9 @@ corpus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .cat import (
     CategoryError,
@@ -28,12 +28,28 @@ from .pathcat import PresentedCategory, path_category
 from .simplicial import build_standard, standard_simplex
 
 
-@dataclass(frozen=True)
-class PresentedFunctor:
-    """A functor from a presented category: object and generator images."""
+class PresentedFunctor(tuple):
+    """A functor from a presented category: object and generator images.
 
-    objects: tuple  # images of P.objects, in order
-    generators: tuple  # images of P.generators, in order
+    An immutable (objects, generators) pair, where `objects` lists the
+    images of P.objects and `generators` those of P.generators, in order.
+    It is a tuple, so it hashes and compares in C, and equals the plain
+    tuple of its two fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, objects: tuple, generators: tuple):
+        return tuple.__new__(cls, (objects, generators))
+
+    objects = property(itemgetter(0))
+    generators = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"PresentedFunctor(objects={self[0]!r}, generators={self[1]!r})"
 
 
 def functors_from_presentation(P: PresentedCategory, C: FiniteCategory) -> list[PresentedFunctor]:

@@ -55,15 +55,6 @@ class PresentedCategory:
                     raise ValueError(f"relation word {word} has wrong target")
         return self
 
-    def word_vertices(self, word, start):
-        vs = [start]
-        for g in word:
-            vs.append(self.gen_tgt[g])
-        return vs
-
-    def out_edges(self, x):
-        return [g for g in self.generators if self.gen_src[g] == x]
-
 
 def path_category(X: SimplicialSet) -> PresentedCategory:
     """Presentation of P(X), read off sk_2(X) only."""
@@ -157,34 +148,37 @@ class HomEntry:
         return len(self.classes)
 
 
-def _close_words(P: PresentedCategory, x, words, max_len=None):
+def _close_words(P: PresentedCategory, words):
     """Union-find closure of a word set under single relation substitutions.
 
-    Each relation is applied at every position, in both directions; with a
-    bound, substitutions whose result exceeds the bound are skipped.  The
-    word universe must already be substitution-closed (true for the full
-    path set of a DAG, and for the length-bounded walk set).
+    Each relation becomes one rule, from its longer side to its shorter one
+    (a relation with equal sides says nothing and is dropped).  The rules
+    are indexed by the first generator of their left side, so at each
+    position a word tries only the rules that start with the generator
+    there, with one slice comparison each: the cost is words times the
+    rules that can fire, not words times relations times length.
+
+    One direction is enough: two words that differ by one substitution are
+    found from the one that holds the longer side.  So no rule has an empty
+    left side, and no position needs its vertex, which inserting a side
+    that composes to an identity would.  Every result must be in the word
+    universe.  It is a path with the word's ends and no longer than the
+    word, so the full path set of a DAG and the length-bounded walk set
+    both qualify.
     """
     universe = set(words)
     uf = UnionFind(universe)
-    rules = []
+    rules: dict = {}  # first generator of the longer side -> [(longer side, shorter side)]
     for rel in P.relations:
-        rules.append((rel.lhs, rel.rhs, rel.src))
-        rules.append((rel.rhs, rel.lhs, rel.src))
+        lhs, rhs = (rel.lhs, rel.rhs) if len(rel.lhs) >= len(rel.rhs) else (rel.rhs, rel.lhs)
+        if lhs != rhs:
+            rules.setdefault(lhs[0], []).append((lhs, rhs))
     for w in universe:
-        vs = P.word_vertices(w, x)
-        for lhs, rhs, at in rules:
-            n = len(lhs)
-            if max_len is not None and len(w) - n + len(rhs) > max_len:
-                continue
-            for i in range(len(w) - n + 1):
-                if tuple(w[i : i + n]) != lhs:
-                    continue
-                if n == 0 and vs[i] != at:
-                    continue
-                w2 = w[:i] + rhs + w[i + n :]
-                if w2 in universe:
-                    uf.union(w, w2)
+        for i, g in enumerate(w):
+            for lhs, rhs in rules.get(g, ()):
+                n = len(lhs)
+                if w[i : i + n] == lhs:
+                    uf.union(w, w[:i] + rhs + w[i + n :])
     classes = []
     class_of = {}
     for members in uf.groups().values():
@@ -277,10 +271,16 @@ def bounded_hom_classes(P: PresentedCategory, x, y, max_len: int) -> HomEntry:
 
     The result is flagged partial unless the presentation is loop-free and
     the bound dominates the longest path, in which case it coincides with
-    the exact table.
+    the exact table.  The walks from x of length <= max_len are extended
+    through an out-edge dict built once per call, and the words ending at
+    y are closed by `_close_words`, at the cost of the rules that can fire
+    in them, not of every relation at every position.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    out = {v: [] for v in P.objects}
+    for g in P.generators:
+        out[P.gen_src[g]].append((g, P.gen_tgt[g]))
     words = []
     stack = [((), x)]
     while stack:
@@ -288,8 +288,8 @@ def bounded_hom_classes(P: PresentedCategory, x, y, max_len: int) -> HomEntry:
         if at == y:
             words.append(word)
         if len(word) < max_len:
-            stack.extend((word + (g,), P.gen_tgt[g]) for g in P.out_edges(at))
-    classes, class_of = _close_words(P, x, words, max_len=max_len)
+            stack.extend((word + (g,), z) for g, z in out[at])
+    classes, class_of = _close_words(P, words)
     order = _topological_order(P)
     partial = len(order) < len(P.objects) or max_len < _longest_path(P, order)
     return HomEntry(x, y, classes, partial, class_of)

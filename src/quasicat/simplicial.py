@@ -163,6 +163,7 @@ class SimplicialSet:
         self._face_base_index: dict[int, tuple[int, ...]] | None = None
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
+        self._checked_source: frozenset[int] | None = None  # last source verify_certificate accepted
         if check:
             self.validate()
 

@@ -13,6 +13,13 @@ When it does, y_i = d_i tau for every i != k, and each pair agrees by the
 simplicial identity d_i d_j tau = d_{j-1} d_i tau, which the target's
 validation has already checked on every cell; the verdict and the reason
 are the same either way.
+
+A target remembers the last source set it found to be a face-closed set
+of its cells.  The replays of criterion 4's mutants share their
+certificate's source set, so it is checked once; any other set, a source
+with one cell dropped included, differs in value and is checked in full.
+Only an accepted source is remembered, so a refusal always names the
+same id as a fresh check would.
 """
 
 from __future__ import annotations
@@ -38,12 +45,16 @@ def verify_certificate(cert) -> VerifyResult:
         return VerifyResult(False, None, f"target complex invalid: {exc}")
     dim_of = X.dim_of
     current = set(cert.source_ids)
-    if not current <= dim_of.keys():
-        s = next(s for s in current if s not in dim_of)
-        return VerifyResult(False, None, f"source id {s} not in target")
-    s = X.first_unclosed(current)
-    if s is not None:
-        return VerifyResult(False, None, f"source not face-closed at {s}")
+    checked = X._checked_source
+    # the identity test spares the set comparison for the very same set
+    if checked is not cert.source_ids and checked != cert.source_ids:
+        if not current <= dim_of.keys():
+            s = next(s for s in current if s not in dim_of)
+            return VerifyResult(False, None, f"source id {s} not in target")
+        s = X.first_unclosed(current)
+        if s is not None:
+            return VerifyResult(False, None, f"source not face-closed at {s}")
+        X._checked_source = frozenset(cert.source_ids)
     for step_no, step in enumerate(cert.steps):
         n, k, top, tau = step.n, step.k, tuple(step.top), step.attached
         if not 0 < k < n:

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -15,6 +17,7 @@ from quasicat.cat import (
     poset_category,
 )
 from quasicat.equivalence import (
+    PresentedFunctor,
     criterion_presentations,
     enumerate_functors,
     nerve_equivalence_criterion,
@@ -141,3 +144,17 @@ def test_criterion_keeps_no_category_alive():
     del C
     gc.collect()
     assert ref() is None
+
+
+def test_presented_functor_value_semantics():
+    F = PresentedFunctor(("a", "b"), ("f",))
+    assert (F.objects, F.generators) == (("a", "b"), ("f",))
+    # a tuple of its two fields: it hashes in C and equals the plain tuple
+    assert F == PresentedFunctor(("a", "b"), ("f",)) == (("a", "b"), ("f",))
+    assert hash(F) == hash((("a", "b"), ("f",)))
+    assert F != PresentedFunctor(("a", "b"), ("g",))
+    assert repr(F) == "PresentedFunctor(objects=('a', 'b'), generators=('f',))"
+    for name in ("objects", "generators", "other"):
+        with pytest.raises(AttributeError):
+            setattr(F, name, ())
+    assert copy.deepcopy(F) == F and pickle.loads(pickle.dumps(F)) == F

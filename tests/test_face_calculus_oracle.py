@@ -313,7 +313,14 @@ def test_verify_matches_oracle_under_one_corruption(data):
     X = cert.target
     i = data.draw(st.integers(0, len(cert.steps) - 1))
     s = cert.steps[i]
-    kind = data.draw(st.sampled_from(["horn face", "attached id", "horn index"]))
+    kind = data.draw(st.sampled_from(["horn face", "attached id", "horn index", "source cell"]))
+    if kind == "source cell":
+        # verified first, the source is the one its target last accepted; a
+        # source with one cell dropped must still be checked in full
+        assert verify_certificate(cert).ok
+        dropped = data.draw(st.sampled_from(sorted(cert.source_ids)))
+        assert_verify_matches_oracle(AnodyneCertificate(X, cert.source_ids - {dropped}, cert.steps))
+        return
     if kind == "horn face":
         # any expression of the right dimension, the step's own included
         j = data.draw(st.sampled_from([j for j in range(s.n + 1) if j != s.k]))

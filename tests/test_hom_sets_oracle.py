@@ -1,27 +1,115 @@
-"""The forward-pass `hom_sets` against the path-enumerating algorithm it replaced.
+"""The forward-pass `hom_sets` and the indexed bounded word closure against
+the algorithms they replaced.
 
 The oracle lists every generator path of each hom-set of a loop-free
-presentation and closes the lists under the relations with `_close_words`.
-Its cost is exponential in depth, so it runs only on small complexes.
+presentation, or every bounded walk of a looped one, and closes the lists
+under the relations with `old_close_words`, which tries every relation in
+both directions at every position of every word.  Its cost is exponential
+in depth, so it runs only on small complexes.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from quasicat.cat import nerve, preorder_category
-from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
+from quasicat.cat import (
+    FiniteCategory,
+    cyclic_group_category,
+    disjoint_union_category,
+    free_iso_groupoid,
+    nerve,
+    preorder_category,
+    product_category,
+)
+from quasicat.corpus import corpus_complexes, corpus_nerves, loop_free_corpus_complexes
 from quasicat.jsonio import dumps, presentation_to_json
 from quasicat.pathcat import (
+    HomClass,
     HomEntry,
     HomSetTable,
-    _close_words,
+    _longest_path,
+    _topological_order,
+    _word_key,
+    bounded_hom_classes,
     hom_sets,
     is_loop_free,
     path_category,
 )
-from quasicat.simplicial import make_subcomplex, product
+from quasicat.simplicial import UnionFind, make_subcomplex, product
 
 PRODUCT_CELL_LIMIT = 400
+
+
+def out_edges(P, x):
+    return [g for g in P.generators if P.gen_src[g] == x]
+
+
+def word_vertices(P, word, start):
+    vs = [start]
+    for g in word:
+        vs.append(P.gen_tgt[g])
+    return vs
+
+
+def old_close_words(P, x, words, max_len=None):
+    """Union-find closure of a word set under single relation substitutions.
+
+    Each relation is applied at every position, in both directions; with a
+    bound, substitutions whose result exceeds the bound are skipped.  The
+    word universe must already be substitution-closed (true for the full
+    path set of a DAG, and for the length-bounded walk set).
+    """
+    universe = set(words)
+    uf = UnionFind(universe)
+    rules = []
+    for rel in P.relations:
+        rules.append((rel.lhs, rel.rhs, rel.src))
+        rules.append((rel.rhs, rel.lhs, rel.src))
+    for w in universe:
+        vs = word_vertices(P, w, x)
+        for lhs, rhs, at in rules:
+            n = len(lhs)
+            if max_len is not None and len(w) - n + len(rhs) > max_len:
+                continue
+            for i in range(len(w) - n + 1):
+                if tuple(w[i : i + n]) != lhs:
+                    continue
+                if n == 0 and vs[i] != at:
+                    continue
+                w2 = w[:i] + rhs + w[i + n :]
+                if w2 in universe:
+                    uf.union(w, w2)
+    classes = []
+    class_of = {}
+    for members in uf.groups().values():
+        rep = min(members, key=_word_key)
+        classes.append(HomClass(rep, len(members)))
+        for w in members:
+            class_of[w] = rep
+    classes.sort(key=lambda c: _word_key(c.rep))
+    return tuple(classes), class_of
+
+
+def old_bounded_hom_classes(P, x, y, max_len: int) -> HomEntry:
+    """Classes among words of length <= max_len; sound but possibly partial.
+
+    The result is flagged partial unless the presentation is loop-free and
+    the bound dominates the longest path, in which case it coincides with
+    the exact table.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    words = []
+    stack = [((), x)]
+    while stack:
+        word, at = stack.pop()
+        if at == y:
+            words.append(word)
+        if len(word) < max_len:
+            stack.extend((word + (g,), P.gen_tgt[g]) for g in out_edges(P, at))
+    classes, class_of = old_close_words(P, x, words, max_len=max_len)
+    order = _topological_order(P)
+    partial = len(order) < len(P.objects) or max_len < _longest_path(P, order)
+    return HomEntry(x, y, classes, partial, class_of)
 
 
 def enumerated_hom_sets(P) -> HomSetTable:
@@ -32,10 +120,10 @@ def enumerated_hom_sets(P) -> HomSetTable:
         while stack:
             word, at = stack.pop()
             paths[(x, at)].append(word)
-            stack.extend((word + (g,), P.gen_tgt[g]) for g in P.out_edges(at))
+            stack.extend((word + (g,), P.gen_tgt[g]) for g in out_edges(P, at))
     entries = {}
     for (x, y), words in paths.items():
-        classes, class_of = _close_words(P, x, words)
+        classes, class_of = old_close_words(P, x, words)
         entries[(x, y)] = HomEntry(x, y, classes, False, class_of)
     return HomSetTable(P, entries)
 
@@ -116,3 +204,90 @@ def test_thinned_nerve_has_several_classes():
     sub, _ = make_subcomplex(N, set(N.cells()) - set(N.nondegenerate[2]))
     T = assert_matches_oracle(sub)
     assert [c.size for c in T.entry(0, 2).classes] == [1, 1]
+
+
+# -- the bounded closure on looped presentations ---------------------------------
+
+
+def assert_bounded_matches_oracle(X, max_lens):
+    P = path_category(X)
+    for max_len in max_lens:
+        for x in P.objects:
+            for y in P.objects:
+                got = bounded_hom_classes(P, x, y, max_len)
+                want = old_bounded_hom_classes(P, x, y, max_len)
+                assert got.classes == want.classes, (x, y, max_len)
+                assert got.partial == want.partial, (x, y, max_len)
+                assert got._class_of == want._class_of, (x, y, max_len)
+
+
+LOOPED = {
+    name: X
+    for name, X in {**corpus_complexes(), **corpus_nerves()}.items()
+    if not is_loop_free(path_category(X))
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPED))
+def test_looped_corpus_bounded_matches_oracle(name):
+    assert_bounded_matches_oracle(LOOPED[name], range(5))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_loop_free_corpus_bounded_matches_oracle(name):
+    P = path_category(FIXTURES[name])
+    longest = _longest_path(P, _topological_order(P))
+    assert_bounded_matches_oracle(FIXTURES[name], (longest, longest + 1))
+
+
+def transformation_monoid(generators) -> FiniteCategory:
+    """The monoid of maps {0, 1, 2} -> {0, 1, 2} generated by `generators`,
+    as a one-object category; g after f is (g[f[0]], g[f[1]], g[f[2]])."""
+    identity = (0, 1, 2)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        f = frontier.pop()
+        for g in generators:
+            gf = tuple(g[i] for i in f)
+            if gf not in elements:
+                elements.add(gf)
+                frontier.append(gf)
+    arrows = sorted(elements)
+    return FiniteCategory(
+        ("*",),
+        arrows,
+        {f: "*" for f in arrows},
+        {f: "*" for f in arrows},
+        {"*": identity},
+        {(g, f): tuple(g[i] for i in f) for g in arrows for f in arrows},
+    )
+
+
+@st.composite
+def groupoid_and_monoid_nerves(draw):
+    """The 2-skeleton of the nerve of a small monoid or groupoid.
+
+    The monoid is generated by one or two maps of a 3-element set, so it may
+    hold a group (a 3-cycle gives Z/3), idempotents, or both.  It is
+    optionally put beside or multiplied by a small groupoid, which gives
+    several objects with loops at each.  Inverse pairs give relations
+    f.g = () with an empty side.
+    """
+    maps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    M = transformation_monoid(draw(st.lists(maps, min_size=1, max_size=2)))
+    assume(len(M.arrows) <= 5)
+    other = draw(st.sampled_from([None, free_iso_groupoid(), cyclic_group_category(2)]))
+    if other is not None:
+        combine = draw(st.sampled_from([disjoint_union_category, product_category]))
+        C = combine(M, other)
+        assume(len(C.arrows) <= 12)
+    else:
+        C = M
+    return nerve(C, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(groupoid_and_monoid_nerves())
+def test_groupoid_and_monoid_nerves_bounded_match_oracle(X):
+    assert_bounded_matches_oracle(X, range(5))
