@@ -19,9 +19,12 @@ at runtime and fail loudly instead of being trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .simplicial import (
+    GLOBAL_DIM_BOUND,
     SimplexExpr,
     SimplicialError,
     SimplicialMap,
@@ -72,6 +75,8 @@ def shuffles(r: int, s: int) -> list[LatticePath]:
     extension of the componentwise order)."""
     if r < 0 or s < 0:
         raise SimplicialError("need r, s >= 0")
+    if r + s > GLOBAL_DIM_BOUND:
+        raise SimplicialError(f"shuffles of Delta^{r} x Delta^{s} need r + s <= {GLOBAL_DIM_BOUND}")
     paths = []
     for rises in combinations(range(r + s), r):
         pts = [(0, 0)]
@@ -193,6 +198,8 @@ def _steps_for_cells(X: SimplicialSet, id_of_vs, cell_steps):
 def facet_certificate(n: int, S) -> AnodyneCertificate:
     """Inner-anodyne decomposition of <S> inside Delta^n, where S is a
     proper set of facet indices containing 0 and n."""
+    if n > GLOBAL_DIM_BOUND:
+        raise CertificateError(f"facet certificate in Delta^{n} needs n <= {GLOBAL_DIM_BOUND}")
     S = frozenset(S)
     if not S <= set(range(n + 1)):
         raise CertificateError("S must consist of face indices 0..n")
@@ -221,18 +228,32 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
         raise CertificateError("need an inner index 0 < k < n")
     if m < 0:
         raise CertificateError("need m >= 0")
-    prod = product(standard_simplex(n), standard_simplex(m))
+    if n + m > GLOBAL_DIM_BOUND:
+        raise CertificateError(f"prism certificate in Delta^{n} x Delta^{m} needs n + m <= {GLOBAL_DIM_BOUND}")
+    A, B = standard_simplex(n), standard_simplex(m)
+    prod = product(A, B)
     X = prod.complex
-    id_of_chain = {prod.vertex_pair_chain(s): s for s in X.cells()}
-
-    def in_source(chain) -> bool:
-        avs = {p[0] for p in chain}
-        bvs = {p[1] for p in chain}
-        in_horn = avs != set(range(n + 1)) and avs != set(range(n + 1)) - {k}
-        in_bd = bvs != set(range(m + 1))
-        return in_horn or in_bd
-
-    source_chains = {c for c in id_of_chain if in_source(c)}
+    # a cell lies outside Lambda^n_k x Delta^m exactly when its first
+    # component's base is Delta^n or its face d^k, and outside
+    # Delta^n x bd Delta^m exactly when its second component's base is Delta^m
+    top_a = A.nondegenerate[n][0]
+    not_horn = {top_a, A.faces[top_a][k].base}
+    top_b = B.nondegenerate[m][0]
+    vertices_a: dict[SimplexExpr, tuple[int, ...]] = {}
+    vertices_b: dict[SimplexExpr, tuple[int, ...]] = {}
+    id_of_chain = {}
+    source_chains = set()
+    for s, (e1, e2) in prod.pairs.items():
+        v1 = vertices_a.get(e1)
+        if v1 is None:
+            v1 = vertices_a[e1] = A.vertex_ids(e1)
+        v2 = vertices_b.get(e2)
+        if v2 is None:
+            v2 = vertices_b[e2] = B.vertex_ids(e2)
+        chain = tuple(zip(v1, v2))
+        id_of_chain[chain] = s
+        if e1[1] not in not_horn or e2[1] != top_b:
+            source_chains.add(chain)
     source_ids = frozenset(id_of_chain[c] for c in source_chains)
     desc = f"(Lambda^{n}_{k} x Delta^{m}) u (Delta^{n} x bd Delta^{m})"
     if m == 0:
@@ -293,19 +314,30 @@ def _vertex_subsets(n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _proper_faces(N: int) -> tuple:
+    """(getter of the sub-tuple at the positions, bitmask of the positions
+    left out) for every proper vertex subset of an N-simplex, in
+    `_vertex_subsets` order."""
+    full = (1 << (N + 1)) - 1
+    return tuple(
+        # a one-position getter slices, so that it too returns a tuple
+        (itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(positions[0], positions[0] + 1)),
+         full & ~sum(1 << v for v in positions))
+        for positions in _vertex_subsets(N)
+        if len(positions) <= N
+    )
+
+
 def _assert_intersection_generated(chain, stage, faces_present):
     """The part of the simplex already in the stage must be generated by its
-    codimension-one faces (the delicate claim of the product construction)."""
-    N = len(chain) - 1
-    for positions in _vertex_subsets(N):
-        if len(positions) == N + 1:
-            continue
-        sub = tuple(chain[v] for v in positions)
-        in_stage = sub in stage
-        covered = any(
-            i in faces_present and i not in positions for i in range(N + 1)
-        )
-        if in_stage != covered:
+    codimension-one faces (the delicate claim of the product construction):
+    a proper face lies in the stage exactly when some present facet
+    contains it, that is, leaves out a position the face leaves out."""
+    present = sum(1 << i for i in faces_present)
+    for getter, outside in _proper_faces(len(chain) - 1):
+        sub = getter(chain)
+        if (sub in stage) != bool(present & outside):
             raise CertificateError(
                 f"intersection with the stage is not generated in codimension one at {sub}"
             )

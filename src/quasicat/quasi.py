@@ -343,15 +343,25 @@ def _map_key(assignment: dict) -> tuple:
 
 
 def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
-    """All simplicial maps P -> X as assignment dicts (backtracking by cell)."""
-    order = [s for level in P.nondegenerate for s in level]
+    """All simplicial maps P -> X as assignment dicts, keyed and ordered
+    as a backtracking search over the cells in dimension order would give
+    them: lexicographically by each image's rank in `X.all_exprs`.
+
+    The search itself assigns each cell as soon as its last vertex is
+    assigned, so that a wrong vertex fails at the first edge it closes,
+    not after every other vertex has been tried."""
+    cells = [s for level in P.nondegenerate for s in level]
+    vertex_rank = {v: r for r, v in enumerate(P.vertices())}
+    order = sorted(
+        cells, key=lambda s: (max(map(vertex_rank.__getitem__, P.vertex_ids(P.expr(s)))), P.dim_of[s])
+    )
     index = [X.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(P.dim_bound + 1)]
     results: list[dict] = []
     assignment: dict[int, SimplexExpr] = {}
 
     def assign(i: int):
         if i == len(order):
-            results.append(dict(assignment))
+            results.append({s: assignment[s] for s in cells})
             return
         s = order[i]
         want = tuple(degenerate(assignment[e.base], e.word) for e in P.faces.get(s, ()))
@@ -361,6 +371,9 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
             del assignment[s]
 
     assign(0)
+    rank = [{e: r for r, e in enumerate(X.all_exprs(d))} for d in range(P.dim_bound + 1)]
+    cell_ranks = [(s, rank[P.dim_of[s]]) for s in cells]
+    results.sort(key=lambda a: [r[a[s]] for s, r in cell_ranks])
     return results
 
 

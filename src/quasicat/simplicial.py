@@ -14,9 +14,21 @@ expressions back into normal form using the simplicial identities
 A `SimplexExpr` is an immutable (word, base, dim) tuple: equality and
 hashing are the tuple's own, computed in C, and the constructor checks that
 the word strictly decreases.  `face` of a non-degenerate expression is a
-lookup in the face table.  `product` computes each component face and each
-pair normal form once per distinct argument, in dicts local to one build,
-so nothing outlives it.
+lookup in the face table.
+
+The rewriting reads three memoized word tables, pure functions of words
+and dimensions that never see a complex: `_degenerate_word` (the normal
+form of s_outer s_inner, built letter by letter with `degeneracy_expr`),
+`_face_word` (d_i s_word is s_out d_j, or s_rest when the face cancels a
+letter) and `_peel_words` (the common letters peeled from a product pair).
+So the face of a degenerate expression costs one `_face_word` read, at most
+one face-table and one `_degenerate_word` read, and one `SimplexExpr`,
+whatever the length of its word.  With complexes as keys the tables would
+grow with the cells; with words they grow with the dimensions in use, 2^d
+words below d, and `jsonio`, `product` and the certificate builders stop
+at `GLOBAL_DIM_BOUND`.  `product` computes each component expression's
+faces once per dimension and each pair normal form once per distinct
+pair, in dicts local to one build.
 
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
@@ -92,9 +104,60 @@ def degeneracy_expr(expr: SimplexExpr, i: int) -> SimplexExpr:
 
 def degenerate(expr: SimplexExpr, word) -> SimplexExpr:
     """Apply a degeneracy word (outermost first, as in `SimplexExpr.word`)."""
-    for j in reversed(word):
+    if not word:
+        return expr
+    inner, base, dim = expr
+    word = tuple(word)
+    return SimplexExpr(_degenerate_word(word, inner, dim), base, dim + len(word))
+
+
+# -- word tables: pure functions of words and dimensions, memoized -------------
+
+
+@lru_cache(maxsize=None)
+def _degenerate_word(outer: tuple[int, ...], inner: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    """The word of s_outer s_inner x for a dim-dimensional s_inner x,
+    raising as `degeneracy_expr` does for a letter out of range."""
+    expr = SimplexExpr(inner, 0, dim)
+    for j in reversed(outer):
         expr = degeneracy_expr(expr, j)
-    return expr
+    return expr[0]
+
+
+@lru_cache(maxsize=None)
+def _face_word(word: tuple[int, ...], i: int, dim: int) -> tuple[tuple[int, ...], int | None]:
+    """d_i s_word on a dim-dimensional expression: (out, j) when
+    d_i s_word = s_out d_j, and (rest, None) when the face cancels a letter
+    and d_i s_word = s_rest, `rest` in normal form."""
+    out = []
+    for pos, j in enumerate(word):
+        if i < j:
+            out.append(j - 1)
+        elif i <= j + 1:
+            return _degenerate_word(tuple(out), word[pos + 1 :], dim - pos - 1), None
+        else:
+            out.append(j)
+            i -= 1
+    return tuple(out), i
+
+
+@lru_cache(maxsize=None)
+def _peel_words(w1: tuple[int, ...], w2: tuple[int, ...], dim: int):
+    """Peel the common letters of a pair of dim-dimensional words, largest
+    first, each by the face d_{i+1} it cancels: (word, v1, v2) with
+    (s_w1 x, s_w2 y) = s_word (s_v1 x, s_v2 y), `word` in normal form and
+    v1, v2 disjoint."""
+    word = []
+    while True:
+        common = set(w1) & set(w2)
+        if not common:
+            break
+        i = max(common)
+        word.append(i)
+        w1 = _face_word(w1, i + 1, dim)[0]
+        w2 = _face_word(w2, i + 1, dim)[0]
+        dim -= 1
+    return _degenerate_word(tuple(word), (), dim), w1, w2
 
 
 class UnionFind:
@@ -207,19 +270,11 @@ class SimplicialSet:
             raise SimplicialError(f"face index {i} out of range for dim {dim}")
         if not word:
             return self.faces[base][i]
-        out = []
-        for pos, j in enumerate(word):
-            if i < j:
-                out.append(j - 1)
-            elif i <= j + 1:
-                res = SimplexExpr(word[pos + 1 :], base, self.dim_of[base] + len(word) - pos - 1)
-                break
-            else:
-                out.append(j)
-                i -= 1
-        else:
-            res = self.faces[base][i]
-        return degenerate(res, out)
+        out, j = _face_word(word, i, dim)
+        if j is None:
+            return SimplexExpr(out, base, dim - 1)
+        inner, fbase, fdim = self.faces[base][j]
+        return SimplexExpr(_degenerate_word(out, inner, fdim), fbase, dim - 1)
 
     def vertex_ids(self, expr: SimplexExpr) -> tuple[int, ...]:
         """Vertex ids of an expression, in simplex order (length dim+1)."""
@@ -314,28 +369,41 @@ class SimplicialSet:
 
     def validate(self):
         """Exhaustive well-formedness check: face targets and d_i d_j identities."""
+        faces, dim_of = self.faces, self.dim_of
         for d, level in enumerate(self.nondegenerate):
             for s in level:
                 if d == 0:
-                    if s in self.faces and self.faces[s]:
+                    if s in faces and faces[s]:
                         raise SimplicialError(f"vertex {s} has faces")
                     continue
-                fs = self.faces.get(s)
+                fs = faces.get(s)
                 if fs is None or len(fs) != d + 1:
                     raise SimplicialError(f"simplex {s} needs {d + 1} faces")
-                for e in fs:
-                    if e.base not in self.dim_of:
-                        raise SimplicialError(f"face of {s} has unknown base {e.base}")
-                    if self.dim_of[e.base] + len(e.word) != d - 1 or e.dim != d - 1:
+                for word, base, dim in fs:
+                    if base not in dim_of:
+                        raise SimplicialError(f"face of {s} has unknown base {base}")
+                    if dim_of[base] + len(word) != d - 1 or dim != d - 1:
                         raise SimplicialError(f"face of {s} has wrong dimension")
+        # the faces of a face: a non-degenerate one's are its row of the
+        # face table, a degenerate one's are computed once per call
+        degenerate_faces: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}
         for d, level in enumerate(self.nondegenerate):
             if d < 2:
                 continue
             for s in level:
-                fs = self.faces[s]
+                ffs = []
+                for e in faces[s]:
+                    if not e[0]:
+                        ffs.append(faces[e[1]])
+                        continue
+                    ef = degenerate_faces.get(e)
+                    if ef is None:
+                        ef = degenerate_faces[e] = tuple(self.face(e, i) for i in range(d))
+                    ffs.append(ef)
                 for j in range(1, d + 1):
+                    fj = ffs[j]
                     for i in range(j):
-                        if self.face(fs[j], i) != self.face(fs[i], j - 1):
+                        if fj[i] != ffs[i][j - 1]:
                             raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
 
     # -- indexes by faces (face closure, horn filling, boundary lookups) -----
@@ -586,22 +654,17 @@ class ProductComplex:
         Peels common degeneracy indices (largest first); a pair is
         non-degenerate exactly when the component words are disjoint.
         """
-        word = []
-        while True:
-            common = set(e1.word) & set(e2.word)
-            if not common:
-                break
-            i = max(common)
-            word.append(i)
-            e1 = self.left.face(e1, i + 1)
-            e2 = self.right.face(e2, i + 1)
-        return degenerate(self.complex.expr(self.pair_id[(e1, e2)]), word)
+        return _pair_expr(self.pair_id, e1, e2)
 
-    def vertex_pair_chain(self, s: int) -> tuple[tuple[int, int], ...]:
-        e1, e2 = self.pairs[s]
-        v1 = self.left.vertex_ids(e1)
-        v2 = self.right.vertex_ids(e2)
-        return tuple(zip(v1, v2))
+
+def _pair_expr(pair_id: dict, e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
+    w1, b1, dim = e1
+    w2, b2, _ = e2
+    word, w1, w2 = _peel_words(w1, w2, dim)
+    if not word:
+        return SimplexExpr((), pair_id[(e1, e2)], dim)
+    d = dim - len(word)
+    return SimplexExpr(word, pair_id[(SimplexExpr(w1, b1, d), SimplexExpr(w2, b2, d))], dim)
 
 
 def product_cell_count(X: SimplicialSet, Y: SimplicialSet, dim_bound: int) -> int:
@@ -614,6 +677,15 @@ def product_cell_count(X: SimplicialSet, Y: SimplicialSet, dim_bound: int) -> in
         for p in range(min(d, X.dim) + 1)
         for q in range(d - p, min(d, Y.dim) + 1)
     )
+
+
+def _exprs_with_faces(X: SimplicialSet, x: int, words, d: int) -> list[tuple[SimplexExpr, tuple]]:
+    """(expression, its faces) for each word on the cell x, in dimension d."""
+    out = []
+    for w in words:
+        e = SimplexExpr(w, x, d)
+        out.append((e, tuple(X.face(e, i) for i in range(d + 1)) if d else ()))
+    return out
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
@@ -631,49 +703,45 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     pairs: dict[int, tuple[SimplexExpr, SimplexExpr]] = {}
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     labels = {}
+    faces = {}
+    # many faces share a pair, so each pair normal form is computed once
+    # per build; the faces of a d-cell are pairs of lower ids, all known
+    pair_exprs: dict[tuple[SimplexExpr, SimplexExpr], SimplexExpr] = {}
     next_id = 0
     for d in range(dim_bound + 1):
-        for p in range(min(d, X.dim) + 1):
-            for q in range(min(d, Y.dim) + 1):
-                if p + q < d:
-                    continue
-                for x in X.nondegenerate[p]:
-                    for y in Y.nondegenerate[q]:
-                        for w1 in combinations(range(d - 1, -1, -1), d - p):
-                            e1 = SimplexExpr(w1, x, d)
-                            rest = [i for i in range(d - 1, -1, -1) if i not in w1]
-                            for w2 in combinations(rest, d - q):
-                                pair = (e1, SimplexExpr(w2, y, d))
+        # words[r]: the degeneracy words of a d-expression on an r-cell
+        words = [tuple(combinations(range(d - 1, -1, -1), d - r)) for r in range(d + 1)]
+        # each component expression and its faces, built once per dimension
+        # and only for the cell dimensions that some pair uses
+        ys: dict[int, list] = {}
+        for p in range(max(d - Y.dim, 0), min(d, X.dim) + 1):
+            xs = [(x, _exprs_with_faces(X, x, words[p], d)) for x in X.nondegenerate[p]]
+            for q in range(d - p, min(d, Y.dim) + 1):
+                if q not in ys:
+                    ys[q] = [(y, _exprs_with_faces(Y, y, words[q], d)) for y in Y.nondegenerate[q]]
+                # for each word of the x-component, the y-words disjoint from it
+                disjoint = [
+                    [j for j, w2 in enumerate(words[q]) if set(w1).isdisjoint(w2)] for w1 in words[p]
+                ]
+                for x, e1s in xs:
+                    for y, e2s in ys[q]:
+                        for (e1, f1), js in zip(e1s, disjoint):
+                            for j in js:
+                                e2, f2 = e2s[j]
+                                pair = (e1, e2)
                                 pair_id[pair] = next_id
                                 pairs[next_id] = pair
                                 nondeg[d].append(next_id)
                                 labels[next_id] = pair
+                                if d:
+                                    fs = []
+                                    for face_pair in zip(f1, f2):
+                                        f = pair_exprs.get(face_pair)
+                                        if f is None:
+                                            f = pair_exprs[face_pair] = _pair_expr(pair_id, *face_pair)
+                                        fs.append(f)
+                                    faces[next_id] = tuple(fs)
                                 next_id += 1
-    P = SimplicialSet(dim_bound, nondeg, {}, None, labels, check=False)
-    prod = ProductComplex(P, X, Y, None, None, pairs, pair_id)  # type: ignore[arg-type]
-    # many cells share a component and many faces share a pair, so each
-    # component face and each pair normal form is computed once per build
-    x_faces: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}
-    y_faces: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}
-    pair_exprs: dict[tuple[SimplexExpr, SimplexExpr], SimplexExpr] = {}
-    faces = {}
-    for s, (e1, e2) in pairs.items():
-        d = e1.dim
-        if d < 1:
-            continue
-        f1 = x_faces.get(e1)
-        if f1 is None:
-            f1 = x_faces[e1] = tuple(X.face(e1, i) for i in range(d + 1))
-        f2 = y_faces.get(e2)
-        if f2 is None:
-            f2 = y_faces[e2] = tuple(Y.face(e2, i) for i in range(d + 1))
-        fs = []
-        for pair in zip(f1, f2):
-            f = pair_exprs.get(pair)
-            if f is None:
-                f = pair_exprs[pair] = prod.pair_expr(*pair)
-            fs.append(f)
-        faces[s] = tuple(fs)
     flag = None
     if (
         X.coskeletal_at is not None

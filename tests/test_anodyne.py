@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quasicat import anodyne
 from quasicat.anodyne import (
     AnodyneCertificate,
     CertStep,
@@ -16,7 +17,8 @@ from quasicat.anodyne import (
     shuffles,
     prism_certificate,
 )
-from quasicat.simplicial import SimplicialError, iso_check, standard_simplex
+from quasicat.cli import main
+from quasicat.simplicial import GLOBAL_DIM_BOUND, SimplicialError, iso_check, standard_simplex
 from quasicat.verify import verify_certificate
 
 
@@ -244,6 +246,59 @@ def test_prism_cert_beyond_desk_scale(n, k, m):
     # the battery exercises
     cert = prism_certificate(n, k, m)
     assert verify_certificate(cert)
+
+
+# -- shapes above the dimension bound ------------------------------------------------
+
+
+@pytest.fixture
+def no_building(monkeypatch):
+    # a refusal must come before any complex is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a complex for a shape above the dimension bound")
+
+    monkeypatch.setattr(anodyne, "product", refuse)
+    monkeypatch.setattr(anodyne, "standard_simplex", refuse)
+
+
+@pytest.mark.parametrize("n,k,m", [(7, 1, 6), (12, 1, 12), (GLOBAL_DIM_BOUND, 1, 1)])
+def test_prism_cert_refuses_shapes_above_dim_bound(no_building, n, k, m):
+    with pytest.raises(CertificateError, match=f"needs n \\+ m <= {GLOBAL_DIM_BOUND}"):
+        prism_certificate(n, k, m)
+
+
+@pytest.mark.parametrize("n", [GLOBAL_DIM_BOUND + 1, 40])
+def test_facet_cert_refuses_dimension_above_dim_bound(no_building, n):
+    with pytest.raises(CertificateError, match=f"needs n <= {GLOBAL_DIM_BOUND}"):
+        facet_certificate(n, {0, n})
+
+
+@pytest.mark.parametrize("r,s", [(7, 6), (GLOBAL_DIM_BOUND + 1, 0)])
+def test_shuffles_refuse_shapes_above_dim_bound(r, s):
+    with pytest.raises(SimplicialError, match=f"need r \\+ s <= {GLOBAL_DIM_BOUND}"):
+        shuffles(r, s)
+
+
+def test_shapes_at_dim_bound_still_accepted():
+    assert len(shuffles(GLOBAL_DIM_BOUND, 0)) == 1
+    assert len(shuffles(6, 6)) == math.comb(12, 6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cert-build", "--prism", "12", "1", "12"],
+        ["cert-build", "--prism", "7", "1", "6"],
+        ["cert-build", "--facets", "40", "0", "40"],
+        ["shuffles", "7", "6"],
+    ],
+)
+def test_cli_refuses_shapes_above_dim_bound(no_building, capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and f"<= {GLOBAL_DIM_BOUND}" in line
 
 
 # -- verifier rejections ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from quasicat.cat import (
     nerve,
     poset_category,
     preorder_category,
+    product_category,
 )
 from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
 from quasicat.jsonio import dumps, sset_to_json
@@ -221,6 +222,13 @@ CASES = {
     "two_points_into_point": (_boundary1, lambda: with_coskeletal(standard_simplex(0), 1), 2),
     "two_points_into_chain2": (_boundary1, lambda: nerve(poset_category(2), 3), 3),
     "interval_into_chain2": (lambda: standard_simplex(1), lambda: nerve(poset_category(2), 3), 3),
+    # two objects with parallel arrows: a search that assigns an edge before
+    # the last vertex finds the maps in another order than the oracle
+    "interval_into_chain1_times_z2": (
+        lambda: standard_simplex(1),
+        lambda: nerve(product_category(poset_category(1), cyclic_group_category(2)), 3),
+        1,
+    ),
 }
 
 
