@@ -27,9 +27,7 @@ from .simplicial import (
     GLOBAL_DIM_BOUND,
     SimplexExpr,
     SimplicialError,
-    SimplicialMap,
     SimplicialSet,
-    build_standard,
     closure_ids,
     make_subcomplex,
     product,
@@ -256,15 +254,6 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
             source_chains.add(chain)
     source_ids = frozenset(id_of_chain[c] for c in source_chains)
     desc = f"(Lambda^{n}_{k} x Delta^{m}) u (Delta^{n} x bd Delta^{m})"
-    if m == 0:
-        # degenerate factor: the target is Delta^n itself and a single
-        # inner-horn step fills it
-        steps = _steps_for_cells(
-            X, {vs: id_of_chain[tuple((i, 0) for i in vs)] for vs in _vertex_subsets(n)},
-            [(tuple(range(n + 1)), k)],
-        )
-        return AnodyneCertificate(X, source_ids, tuple(steps), desc)
-
     stage = set(source_chains)
     all_steps = []
     order = shuffles(n, m)
@@ -290,16 +279,9 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
             if t + 1 in faces_present:
                 raise CertificateError(f"face d^{t + 1} unexpectedly present")
         cell_steps = _facet_decomposition(tuple(range(N + 1)), faces_present)
-        for vs, kk in cell_steps:
-            sub_chain = tuple(chain[v] for v in vs)
-            d = len(vs) - 1
-            top = tuple(
-                None
-                if i == kk
-                else X.expr(id_of_chain[sub_chain[:i] + sub_chain[i + 1 :]])
-                for i in range(d + 1)
-            )
-            all_steps.append(CertStep(d, kk, top, id_of_chain[sub_chain]))
+        chain_steps = [(tuple(chain[v] for v in vs), kk) for vs, kk in cell_steps]
+        all_steps += _steps_for_cells(X, id_of_chain, chain_steps)
+        for sub_chain, kk in chain_steps:
             stage.add(sub_chain[:kk] + sub_chain[kk + 1 :])
             stage.add(sub_chain)
     if len(stage) != len(id_of_chain):

@@ -71,12 +71,9 @@ class FiniteCategory:
             return cached
         inv = getattr(self, "inverse", None)
         if inv is None:
-            by_pair: dict = {}
-            for f in self.arrows:
-                by_pair.setdefault((self.src[f], self.tgt[f]), []).append(f)
             inv = {}
             for f in self.arrows:
-                for g in by_pair.get((self.tgt[f], self.src[f]), ()):
+                for g in self.hom(self.tgt[f], self.src[f]):
                     if (
                         self.compose_table[(g, f)] == self.identity[self.src[f]]
                         and self.compose_table[(f, g)] == self.identity[self.tgt[f]]

@@ -24,7 +24,7 @@ from .cat import (
     _iso_classes,
     is_equivalence_of_groupoids,
 )
-from .pathcat import PresentedCategory, path_category
+from .pathcat import PresentedCategory, Relation, path_category
 from .simplicial import build_standard, standard_simplex
 
 
@@ -54,41 +54,61 @@ class PresentedFunctor(tuple):
 
 def functors_from_presentation(P: PresentedCategory, C: FiniteCategory) -> list[PresentedFunctor]:
     """All functors P -> C: object assignments plus generator assignments
-    with matching endpoints, satisfying the relations of P."""
+    with matching endpoints, satisfying the relations of P.
+
+    A generator's candidates are C's arrows between the images of its ends;
+    each relation is tested as soon as the last generator it names is
+    assigned, so a failing branch is cut at once.
+    """
     results = []
     obj_index = {x: i for i, x in enumerate(P.objects)}
+    gen_index = {g: i for i, g in enumerate(P.generators)}
+    ends = [(obj_index[P.gen_src[g]], obj_index[P.gen_tgt[g]]) for g in P.generators]
+    # due[i]: the relations whose last named generator is i, as (source
+    # position, lhs positions, rhs positions); a relation naming none holds
+    due: list[list] = [[] for _ in P.generators]
+    for rel in P.relations:
+        lhs = [gen_index[g] for g in rel.lhs]
+        rhs = [gen_index[g] for g in rel.rhs]
+        if lhs or rhs:
+            due[max(lhs + rhs)].append((obj_index[rel.src], lhs, rhs))
+    compose = C.compose_table
     for obj_images in iproduct(C.objects, repeat=len(P.objects)):
-        candidates = [
-            [
-                f
-                for f in C.arrows
-                if C.src[f] == obj_images[obj_index[P.gen_src[g]]]
-                and C.tgt[f] == obj_images[obj_index[P.gen_tgt[g]]]
-            ]
-            for g in P.generators
-        ]
-        gen_index = {g: i for i, g in enumerate(P.generators)}
+        candidates = [C.hom(obj_images[a], obj_images[b]) for a, b in ends]
+        gen_images: list = []
 
-        def word_value(word, at, gen_images):
-            value = C.identity[obj_images[obj_index[at]]]
-            for g in word:
-                value = C.compose_table[(gen_images[gen_index[g]], value)]
+        def word_value(word, at):
+            value = C.identity[obj_images[at]]
+            for i in word:
+                value = compose[(gen_images[i], value)]
             return value
 
-        def rec(i, gen_images):
-            if i == len(P.generators):
-                for rel in P.relations:
-                    if word_value(rel.lhs, rel.src, gen_images) != word_value(rel.rhs, rel.src, gen_images):
-                        return
-                results.append(PresentedFunctor(tuple(obj_images), tuple(gen_images)))
+        def rec(i):
+            if i == len(candidates):
+                results.append(PresentedFunctor(obj_images, tuple(gen_images)))
                 return
             for f in candidates[i]:
                 gen_images.append(f)
-                rec(i + 1, gen_images)
+                if all(word_value(lhs, at) == word_value(rhs, at) for at, lhs, rhs in due[i]):
+                    rec(i + 1)
                 gen_images.pop()
 
-        rec(0, [])
+        rec(0)
     return results
+
+
+def _objectwise_composition(C: FiniteCategory, arrows) -> dict:
+    """Composition table of natural transformations (F, G, components):
+    b after a, defined when a ends where b starts, composes componentwise."""
+    by_src: dict = {}
+    for a in arrows:
+        by_src.setdefault(a[0], []).append(a)
+    compose = {}
+    for a in arrows:
+        for b in by_src.get(a[1], ()):
+            comps = tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2]))
+            compose[(b, a)] = (a[0], b[1], comps)
+    return compose
 
 
 def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
@@ -119,14 +139,7 @@ def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
     identity = {
         F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors
     }
-    compose = {}
-    for b in arrows:
-        for a in arrows:
-            if a[1] == b[0]:
-                comps = tuple(
-                    C.compose_table[(b[2][i], a[2][i])] for i in range(len(P.objects))
-                )
-                compose[(b, a)] = (a[0], b[1], comps)
+    compose = _objectwise_composition(C, arrows)
     return FiniteCategory(objects, tuple(arrows), src, tgt, identity, compose, check=False)
 
 
@@ -179,14 +192,7 @@ def iso_functor_groupoid(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
     """Iso(C^P) without materializing non-invertible transformations;
     composition is objectwise."""
     G = _iso_groupoid_without_composition(C, P)
-    by_src: dict = {}
-    for a in G.arrows:
-        by_src.setdefault(a[0], []).append(a)
-    compose = {}
-    for a in G.arrows:
-        for b in by_src.get(a[1], ()):
-            comps = tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2]))
-            compose[(b, a)] = (a[0], b[1], comps)
+    compose = _objectwise_composition(C, G.arrows)
     return Groupoid(
         G.objects, G.arrows, G.src, G.tgt, G.identity, compose, inverse=G.inverse, check=False
     )
@@ -239,54 +245,23 @@ def _cached_iso_groupoid(C: FiniteCategory, shape_name: str, P: PresentedCategor
 
 
 def enumerate_functors(C: FiniteCategory, D: FiniteCategory) -> list[FiniteFunctor]:
-    """Exhaustive functor enumeration, pruned composite by composite."""
+    """Every functor C -> D: the functors from C's composition presentation,
+    whose generators are the non-identity arrows, with one relation per
+    composable pair of them.  Arrow maps list the identities first."""
     nonid = C.nonidentity_arrows()
-    results: list[FiniteFunctor] = []
-    for obj_images in iproduct(D.objects, repeat=len(C.objects)):
-        obj_map = dict(zip(C.objects, obj_images))
-        arrow_map = {C.identity[x]: D.identity[obj_map[x]] for x in C.objects}
-        candidates = [
-            [
-                g
-                for g in D.arrows
-                if D.src[g] == obj_map[C.src[f]] and D.tgt[g] == obj_map[C.tgt[f]]
-            ]
-            for f in nonid
-        ]
-
-        def consistent(i: int) -> bool:
-            # every composition constraint is checked once all three of its
-            # arrows are assigned; f may close a triple as a factor or as
-            # the composite
-            f = nonid[i]
-            assigned = list(arrow_map)
-            for g in assigned:
-                for a, b in ((g, f), (f, g)):
-                    if (a, b) in C.compose_table:
-                        ab = C.compose_table[(a, b)]
-                        if ab in arrow_map and (
-                            D.compose_table[(arrow_map[a], arrow_map[b])] != arrow_map[ab]
-                        ):
-                            return False
-            for a in assigned:
-                for b in assigned:
-                    if C.compose_table.get((a, b)) == f and (
-                        D.compose_table[(arrow_map[a], arrow_map[b])] != arrow_map[f]
-                    ):
-                        return False
-            return True
-
-        def rec(i: int):
-            if i == len(nonid):
-                results.append(FiniteFunctor(C, D, dict(obj_map), dict(arrow_map)))
-                return
-            for g in candidates[i]:
-                arrow_map[nonid[i]] = g
-                if consistent(i):
-                    rec(i + 1)
-                del arrow_map[nonid[i]]
-
-        rec(0)
+    relations = []
+    for f in nonid:
+        for g in nonid:
+            gf = C.compose_table.get((g, f))
+            if gf is not None:
+                rhs = () if C.is_identity(gf) else (gf,)
+                relations.append(Relation((f, g), rhs, C.src[f], C.tgt[g]))
+    P = PresentedCategory(C.objects, nonid, C.src, C.tgt, tuple(relations))
+    results = []
+    for H in functors_from_presentation(P, D):
+        arrow_map = {C.identity[x]: D.identity[y] for x, y in zip(C.objects, H.objects)}
+        arrow_map.update(zip(nonid, H.generators))
+        results.append(FiniteFunctor(C, D, dict(zip(C.objects, H.objects)), arrow_map))
     return results
 
 

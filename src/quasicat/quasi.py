@@ -28,6 +28,7 @@ from .simplicial import (
     product_map,
     simplex_map,
     standard_simplex,
+    with_coskeletal,
 )
 
 
@@ -215,39 +216,21 @@ def quasi_iso_edges(X: SimplicialSet, report: CertReport | None = None) -> dict[
 def core(X: SimplicialSet, report: CertReport | None = None):
     """Maximal subcomplex all of whose edges are quasi-isomorphisms.
 
-    Keeps a simplex iff every composite Delta^1 -> Delta^n -> X over a
-    monotone injection lands in the quasi-iso edges; the result is the
-    maximal Kan subcomplex of a certified quasi-category.
+    Keeps every vertex and the non-degenerate quasi-iso edges, then, from
+    dimension 2 up, each cell whose face bases are all kept: every edge of
+    such a cell lies in one of its faces, and a degenerate face's edges are
+    its base's edges or degenerate.  The result is the maximal Kan
+    subcomplex of a certified quasi-category.
     """
     if report is None:
         report = certify_quasi_category(X)
-    witnesses = quasi_iso_edges(X, report)
-    good_edges = {e.base for e in witnesses if not e.is_degenerate}
-    keep = []
-    for s in X.cells():
-        d = X.dim_of[s]
-        e = X.expr(s)
-        ok = True
-        for p in range(d + 1):
-            for q in range(p + 1, d + 1):
-                edge = X.edge_at(e, p, q)
-                if not edge.is_degenerate and edge.base not in good_edges:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            keep.append(s)
+    keep = set(X.vertices())
+    keep.update(e.base for e in quasi_iso_edges(X, report) if not e.is_degenerate)
+    for level in X.nondegenerate[2:]:
+        keep.update(s for s in level if all(e.base in keep for e in X.faces[s]))
     sub, incl = make_subcomplex(X, keep)
     flag = max(X.coskeletal_at, 1) if X.coskeletal_at is not None else None
-    sub = SimplicialSet(
-        sub.dim_bound,
-        [list(level) for level in sub.nondegenerate],
-        sub.faces,
-        flag,
-        sub.labels,
-        check=False,
-    )
+    sub = with_coskeletal(sub, flag)
     return sub, SimplicialMap(sub, X, incl.assignment)
 
 
@@ -327,7 +310,7 @@ def ho_category_data(X: SimplicialSet, report: CertReport | None = None) -> HoDa
                 raise CertificationError("missing inner-horn filler during ho composition")
             composite = X.face(filler, 1)
             compose[(arrow_of_rep[rb], arrow_of_rep[ra])] = arrow_of_rep[rep_of[composite]]
-    cat = FiniteCategory(objects, arrows, src, tgt, identity, compose, name="ho").validate()
+    cat = FiniteCategory(objects, arrows, src, tgt, identity, compose, name="ho")
     return HoData(cat, rep_of, arrow_of_rep, dict(zip(arrows, reps)))
 
 

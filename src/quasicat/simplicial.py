@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
@@ -223,7 +223,6 @@ class SimplicialSet:
                     raise SimplicialError(f"duplicate simplex id {s}")
                 self.dim_of[s] = d
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
-        self._face_base_index: dict[int, tuple[int, ...]] | None = None
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
         self._checked_source: frozenset[int] | None = None  # last source verify_certificate accepted
@@ -300,9 +299,6 @@ class SimplicialSet:
             if p not in positions:
                 res = self.face(res, p)
         return res
-
-    def edge_at(self, expr: SimplexExpr, p: int, q: int) -> SimplexExpr:
-        return self.restrict(expr, (p, q))
 
     def all_exprs(self, d: int) -> tuple[SimplexExpr, ...]:
         """Every d-dimensional expression (non-degenerate first, then by base/word)."""
@@ -411,15 +407,10 @@ class SimplicialSet:
     def first_unclosed(self, ids: set[int] | frozenset[int]) -> int | None:
         """First id of the set `ids`, in its iteration order, with a face
         base outside `ids`; None when `ids` is face-closed."""
-        index = self._face_base_index
-        if index is None:
-            # each cell's face base ids, () for a vertex, built once
-            index = self._face_base_index = {
-                s: tuple(e.base for e in self.faces[s]) if d else () for s, d in self.dim_of.items()
-            }
-        if ids.issuperset(chain.from_iterable(map(index.__getitem__, ids))):
+        faces = self.faces
+        if ids.issuperset({e.base for s in ids for e in faces.get(s, ())}):
             return None
-        return next(s for s in ids if not ids.issuperset(index[s]))
+        return next(s for s in ids if not ids.issuperset(e.base for e in faces.get(s, ())))
 
     def face_index(self, n: int, positions: tuple[int, ...]) -> dict[tuple, tuple[SimplexExpr, ...]]:
         """Every n-expr grouped by its faces at `positions`: the dict from

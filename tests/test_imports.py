@@ -1,4 +1,4 @@
-"""Every import in the package is at module level.
+"""Every import in the package is at module level, and used.
 
 An import inside a function runs on each call, and hides a module's
 dependencies from a reader of its header.
@@ -22,3 +22,21 @@ def test_no_function_level_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert not found, found
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, unused
