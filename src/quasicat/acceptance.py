@@ -141,25 +141,28 @@ def _all_facet_parameters(max_n: int):
 def _mutations(cert: AnodyneCertificate, rng: random.Random):
     """Structurally invalid variants; every operator must be rejected."""
 
-    def outer_k(c):
-        i = rng.randrange(len(c.steps))
-        s = c.steps[i]
+    def at_random_step(change):
+        # the variant replaces one step, drawn first, by change(c, step)
+        def mutate(c):
+            i = rng.randrange(len(c.steps))
+            new = change(c, c.steps[i])
+            return AnodyneCertificate(c.target, c.source_ids, c.steps[:i] + (new,) + c.steps[i + 1 :])
+
+        return mutate
+
+    @at_random_step
+    def outer_k(c, s):
         top = list(s.top)
         top[s.k] = top[0 if s.k != 0 else 1]
         top[0] = None
-        new = CertStep(s.n, 0, tuple(top), s.attached)
-        return AnodyneCertificate(c.target, c.source_ids, c.steps[:i] + (new,) + c.steps[i + 1 :])
+        return CertStep(s.n, 0, tuple(top), s.attached)
 
-    def wrong_attached(c):
-        i = rng.randrange(len(c.steps))
-        s = c.steps[i]
-        wrong = min(c.source_ids)
-        new = CertStep(s.n, s.k, s.top, wrong)
-        return AnodyneCertificate(c.target, c.source_ids, c.steps[:i] + (new,) + c.steps[i + 1 :])
+    @at_random_step
+    def wrong_attached(c, s):
+        return CertStep(s.n, s.k, s.top, min(c.source_ids))
 
-    def corrupt_face(c):
-        i = rng.randrange(len(c.steps))
-        s = c.steps[i]
+    @at_random_step
+    def corrupt_face(c, s):
         slots = [j for j in range(s.n + 1) if j != s.k]
         j = rng.choice(slots)
         X, d = c.target, s.n - 1
@@ -171,8 +174,7 @@ def _mutations(cert: AnodyneCertificate, rng: random.Random):
                 alt = X.expr_at(d, 1)
         top = list(s.top)
         top[j] = alt
-        new = CertStep(s.n, s.k, tuple(top), s.attached)
-        return AnodyneCertificate(c.target, c.source_ids, c.steps[:i] + (new,) + c.steps[i + 1 :])
+        return CertStep(s.n, s.k, tuple(top), s.attached)
 
     def drop_last(c):
         return AnodyneCertificate(c.target, c.source_ids, c.steps[:-1])
@@ -384,12 +386,7 @@ def criterion_10_outer_horns() -> CriterionResult:
                 (n, (n - 1, n)),
             ):
                 for h in enumerate_horns(X, n, k):
-                    witness_face = 2 if k == 0 else 0
-                    lead = X.restrict(
-                        h.top[witness_face],
-                        _positions_in_face(witness_face, lead_positions),
-                    )
-                    invertible = lead in wits
+                    invertible = h.face_image(X, lead_positions) in wits
                     filled = find_filler(X, h) is not None
                     if invertible and not filled:
                         failures.append(f"{name}: invertible-edge horn ({n},{k}) unfilled")
@@ -402,10 +399,6 @@ def criterion_10_outer_horns() -> CriterionResult:
         not failures,
         f"failures: {failures[:5]}" if failures else "outer horns n<=4 over the certified corpus",
     )
-
-
-def _positions_in_face(i: int, positions) -> tuple:
-    return tuple(p if p < i else p - 1 for p in positions)
 
 
 RUNNERS = [

@@ -28,6 +28,7 @@ from .simplicial import (
     SimplexExpr,
     SimplicialError,
     SimplicialSet,
+    build_standard,
     closure_ids,
     make_subcomplex,
     product,
@@ -231,11 +232,10 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
     A, B = standard_simplex(n), standard_simplex(m)
     prod = product(A, B)
     X = prod.complex
-    # a cell lies outside Lambda^n_k x Delta^m exactly when its first
-    # component's base is Delta^n or its face d^k, and outside
-    # Delta^n x bd Delta^m exactly when its second component's base is Delta^m
-    top_a = A.nondegenerate[n][0]
-    not_horn = {top_a, A.faces[top_a][k].base}
+    # a cell lies in Lambda^n_k x Delta^m exactly when its first component's
+    # base is a cell of the horn, and in Delta^n x bd Delta^m exactly when
+    # its second component's base is not Delta^m
+    horn = {e.base for e in build_standard("horn", n, k)[1].assignment.values()}
     top_b = B.nondegenerate[m][0]
     vertices_a: dict[SimplexExpr, tuple[int, ...]] = {}
     vertices_b: dict[SimplexExpr, tuple[int, ...]] = {}
@@ -250,7 +250,7 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
             v2 = vertices_b[e2] = B.vertex_ids(e2)
         chain = tuple(zip(v1, v2))
         id_of_chain[chain] = s
-        if e1[1] not in not_horn or e2[1] != top_b:
+        if e1[1] in horn or e2[1] != top_b:
             source_chains.add(chain)
     source_ids = frozenset(id_of_chain[c] for c in source_chains)
     desc = f"(Lambda^{n}_{k} x Delta^{m}) u (Delta^{n} x bd Delta^{m})"

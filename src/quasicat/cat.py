@@ -280,29 +280,31 @@ class GroupoidEquivalenceWitness:
 
 
 def _iso_classes(C: FiniteCategory):
-    """Partition of objects by isomorphism, with sorted-stable representatives
-    (computed once per category)."""
+    """Partition of objects by isomorphism, computed once per category:
+    (classes, rep_of), each class keyed by its first member, the members
+    sorted by str, and rep_of sending each object to its class's key."""
     cached = getattr(C, "_iso_class_cache", None)
     if cached is not None:
         return cached
     uf = UnionFind(C.objects)
     for f in C.invertible_arrows():
         uf.union(C.src[f], C.tgt[f])
-    classes = {min(map(str, v)): sorted(v, key=str) for v in uf.groups().values()}
-    C._iso_class_cache = classes
-    return classes
+    classes = {}
+    rep_of = {}
+    for v in uf.groups().values():
+        members = sorted(v, key=str)
+        classes[members[0]] = members
+        rep_of.update(dict.fromkeys(members, members[0]))
+    C._iso_class_cache = classes, rep_of
+    return classes, rep_of
 
 
 def is_equivalence_of_groupoids(F: FiniteFunctor) -> tuple[bool, GroupoidEquivalenceWitness]:
     """Decidable criterion: F induces a bijection on isomorphism classes and
     a bijection Aut(x) -> Aut(Fx) for one representative per source class."""
     C, D = F.source, F.target
-    cls_C = _iso_classes(C)
-    cls_D = _iso_classes(D)
-    rep_of_D = {}
-    for key, members in cls_D.items():
-        for y in members:
-            rep_of_D[y] = key
+    cls_C, _ = _iso_classes(C)
+    cls_D, rep_of_D = _iso_classes(D)
     class_map = {}
     for key, members in cls_C.items():
         image_keys = {rep_of_D[F.object_map[x]] for x in members}
@@ -338,8 +340,7 @@ def is_equivalence_of_categories(F: FiniteFunctor) -> bool:
                 return False
             if set(images) != set(D.hom(F.object_map[x], F.object_map[y])):
                 return False
-    cls_D = _iso_classes(D)
-    rep_of_D = {y: key for key, members in cls_D.items() for y in members}
+    cls_D, rep_of_D = _iso_classes(D)
     hit_classes = {rep_of_D[F.object_map[x]] for x in C.objects}
     return hit_classes == set(cls_D)
 
@@ -349,22 +350,8 @@ def is_equivalence_of_categories(F: FiniteFunctor) -> bool:
 
 def poset_category(n: int) -> FiniteCategory:
     """The chain 0 <= 1 <= ... <= n as a category."""
-    objects = tuple(range(n + 1))
-    arrows = tuple((i, j) for i in objects for j in objects if i <= j)
-    compose = {}
-    for g in arrows:
-        for f in arrows:
-            if f[1] == g[0]:
-                compose[(g, f)] = (f[0], g[1])
-    return FiniteCategory(
-        objects,
-        arrows,
-        {a: a[0] for a in arrows},
-        {a: a[1] for a in arrows},
-        {i: (i, i) for i in objects},
-        compose,
-        name=f"chain{n}",
-    )
+    le = {(i, j) for i in range(n + 1) for j in range(i, n + 1)}
+    return preorder_category(range(n + 1), le, name=f"chain{n}")
 
 
 def preorder_category(objects, le, name=None) -> FiniteCategory:

@@ -20,6 +20,7 @@ from .anodyne import facet_certificate, shuffles, prism_certificate
 from .corpus import materialize_corpus
 from .equivalence import nerve_equivalence_criterion
 from .jsonio import (
+    _field,
     certificate_from_json,
     certificate_to_json,
     cat_to_json,
@@ -64,7 +65,7 @@ def _load_sset(path: str):
         if "core" in obj:
             obj = obj["core"]
         elif "saturation" in obj:
-            obj = obj["saturation"]["complex"]
+            obj = _field(obj["saturation"], "complex", "saturation report")
     return sset_from_json(obj)
 
 

@@ -34,8 +34,6 @@ from .simplicial import (
     build_standard,
     product,
     standard_simplex,
-    subcomplex_generated,
-    with_coskeletal,
 )
 
 RANDOM_SEED = 20260809
@@ -161,20 +159,10 @@ def corpus_complexes() -> dict[str, SimplicialSet]:
         out[f"horn_{n}_{k}"] = build_standard("horn", n, k)[0]
     out["square"] = product(standard_simplex(1), standard_simplex(1)).complex
     out["interval_nerve"] = interval_complex()
-    out["boundary3_minus_face"] = boundary3_minus_face()
+    # bd Delta^3 without the face {0,2,3} is the horn Lambda^3_1
+    out["boundary3_minus_face"] = out["horn_3_1"]
     out["walking_homotopy"] = walking_homotopy()
     return out
-
-
-@lru_cache(maxsize=1)
-def boundary3_minus_face() -> SimplicialSet:
-    """bd Delta^3 with the face {0,2,3} removed, flagged 3-coskeletal: a
-    complex that fails certification at a located inner horn."""
-    D3 = standard_simplex(3)
-    by_label = {D3.labels[s]: s for s in D3.cells()}
-    seeds = [by_label[(1, 2, 3)], by_label[(0, 1, 3)], by_label[(0, 1, 2)]]
-    sub, _ = subcomplex_generated(D3, seeds)
-    return with_coskeletal(sub, 3)
 
 
 def walking_homotopy(witnesses: str = "rrll") -> SimplicialSet:

@@ -211,7 +211,7 @@ def _induced_on_automorphisms(F: FiniteFunctor, GC: Groupoid, GD: Groupoid) -> F
 
     object_map = {H: push_functor(H) for H in GC.objects}
     arrow_map = {}
-    for members in _iso_classes(GC).values():
+    for members in _iso_classes(GC)[0].values():
         x = members[0]
         fx = object_map[x]
         for a in GC.hom(x, x):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .cat import FiniteCategory
 from .simplicial import (
+    GLOBAL_DIM_BOUND,
     SimplexExpr,
     SimplicialError,
     SimplicialMap,
@@ -59,6 +60,15 @@ class HornMap:
                 positions = tuple(v if v < i else v - 1 for v in vs)
                 return X.restrict(self.top[i], positions)
         raise SimplicialError(f"{vs} is not a simplex of the horn")
+
+    def missing_face_boundary(self, X: SimplicialSet) -> tuple[SimplexExpr, ...]:
+        """(d_0, ..., d_{n-1}) of the missing face d_k, read off the horn:
+        d_m d_k = d_{k-1} d_m for m < k, and d_k d_{m+1} otherwise."""
+        k = self.k
+        return tuple(
+            X.face(self.top[m], k - 1) if m < k else X.face(self.top[m + 1], k)
+            for m in range(self.n)
+        )
 
     def validate(self, X: SimplicialSet) -> "HornMap":
         if not 0 <= self.k <= self.n or self.n < 2:
@@ -138,12 +148,7 @@ def _has_shell_filler(X: SimplicialSet, h: HornMap) -> bool:
     determined by a compatible boundary, so the horn fills iff some stored
     expr can serve as the missing k-th face.
     """
-    d = h.n - 1
-    needed = tuple(
-        X.face(h.top[m], h.k - 1) if m < h.k else X.face(h.top[m + 1], h.k)
-        for m in range(d + 1)
-    )
-    return needed in X.face_index(d, tuple(range(d + 1)))
+    return h.missing_face_boundary(X) in X.face_index(h.n - 1, tuple(range(h.n)))
 
 
 def certify_quasi_category(X: SimplicialSet) -> CertReport:
@@ -462,6 +467,8 @@ def saturation_step(X: SimplicialSet, max_dim: int) -> SaturationResult:
     """One stage of the inner-horn saturation: attach a fresh n-simplex
     along every inner horn map of X in dimensions 2..max_dim, fillable or
     not, mirroring the pushout construction exactly."""
+    if max_dim > GLOBAL_DIM_BOUND:
+        raise SimplicialError(f"saturation through dimension {max_dim} needs max_dim <= {GLOBAL_DIM_BOUND}")
     nondeg = [list(level) for level in X.nondegenerate]
     while len(nondeg) <= max(max_dim, X.dim_bound):
         nondeg.append([])
@@ -469,18 +476,13 @@ def saturation_step(X: SimplicialSet, max_dim: int) -> SaturationResult:
     labels = dict(X.labels)
     next_id = max(X.dim_of, default=-1) + 1
     horn_count = 0
-    added = 0
     for n in range(2, max_dim + 1):
         for k in range(1, n):
             for h in enumerate_horns(X, n, k):
                 horn_count += 1
-                missing_vs = tuple(v for v in range(n + 1) if v != k)
                 face_cell = next_id
                 next_id += 1
-                faces[face_cell] = tuple(
-                    h.face_image(X, missing_vs[:i] + missing_vs[i + 1 :])
-                    for i in range(n)
-                )
+                faces[face_cell] = h.missing_face_boundary(X)
                 nondeg[n - 1].append(face_cell)
                 labels[face_cell] = ("attached-face", n, k, horn_count)
                 top_cell = next_id
@@ -490,7 +492,6 @@ def saturation_step(X: SimplicialSet, max_dim: int) -> SaturationResult:
                 faces[top_cell] = tuple(top_faces)
                 nondeg[n].append(top_cell)
                 labels[top_cell] = ("attached-cell", n, k, horn_count)
-                added += 2
     Y = SimplicialSet(max(max_dim, X.dim_bound), nondeg, faces, None, labels, check=False)
     incl = SimplicialMap(X, Y, {s: SimplexExpr((), s, X.dim_of[s]) for s in X.cells()})
-    return SaturationResult(Y, incl, horn_count, added)
+    return SaturationResult(Y, incl, horn_count, 2 * horn_count)

@@ -226,6 +226,7 @@ class SimplicialSet:
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
         self._checked_source: frozenset[int] | None = None  # last source verify_certificate accepted
+        self._validated = False
         if check:
             self.validate()
 
@@ -358,9 +359,8 @@ class SimplicialSet:
 
     def ensure_validated(self):
         """Validate once; later calls are free (values are immutable)."""
-        if not getattr(self, "_validated", False):
+        if not self._validated:
             self.validate()
-            self._validated = True
         return self
 
     def validate(self):
@@ -401,6 +401,7 @@ class SimplicialSet:
                     for i in range(j):
                         if fj[i] != ffs[i][j - 1]:
                             raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
+        self._validated = True
 
     # -- indexes by faces (face closure, horn filling, boundary lookups) -----
 
@@ -468,19 +469,20 @@ def empty_complex() -> SimplicialSet:
     return SimplicialSet(0, [[]], {})
 
 
-def _subsets_complex(n: int, keep, coskeletal_at: int | None) -> SimplicialSet:
-    """Complex whose cells are the vertex subsets of {0..n} accepted by `keep`."""
+@lru_cache(maxsize=None)
+def standard_simplex(n: int) -> SimplicialSet:
+    # memoized: complexes are immutable, and callers rely on a single
+    # Delta^n instance so that maps into it compose by identity
     ids: dict[tuple[int, ...], int] = {}
     nondeg: list[list[int]] = [[] for _ in range(n + 1)]
     labels: dict[int, object] = {}
     next_id = 0
     for d in range(n + 1):
         for vs in combinations(range(n + 1), d + 1):
-            if keep(vs):
-                ids[vs] = next_id
-                nondeg[d].append(next_id)
-                labels[next_id] = vs
-                next_id += 1
+            ids[vs] = next_id
+            nondeg[d].append(next_id)
+            labels[next_id] = vs
+            next_id += 1
     faces = {}
     for vs, s in ids.items():
         d = len(vs) - 1
@@ -488,14 +490,7 @@ def _subsets_complex(n: int, keep, coskeletal_at: int | None) -> SimplicialSet:
             faces[s] = tuple(
                 SimplexExpr((), ids[vs[:i] + vs[i + 1 :]], d - 1) for i in range(d + 1)
             )
-    return SimplicialSet(n if n >= 0 else 0, nondeg, faces, coskeletal_at, labels)
-
-
-@lru_cache(maxsize=None)
-def standard_simplex(n: int) -> SimplicialSet:
-    # memoized: complexes are immutable, and callers rely on a single
-    # Delta^n instance so that maps into it compose by identity
-    return _subsets_complex(n, lambda vs: True, coskeletal_at=min(n, 1))
+    return SimplicialSet(n if n >= 0 else 0, nondeg, faces, min(n, 1), labels)
 
 
 def simplex_map(vertex_map, n: int) -> SimplicialMap:
@@ -517,8 +512,9 @@ def build_standard(kind: str, n: int, k: int | None = None):
     """Delta^n, its boundary, or the horn Lambda^n_k.
 
     Returns the complex for `simplex`, and (complex, inclusion into Delta^n)
-    for `boundary` and `horn`.  Ids are assigned along monotone injections
-    into {0..n}, dimension by dimension.
+    for `boundary` and `horn`: the subcomplex of Delta^n without its top
+    cell, and for a horn also without the face d_k of it, flagged
+    n-coskeletal.  Ids follow Delta^n's.
     """
     if kind == "simplex":
         if n < 0:
@@ -526,29 +522,19 @@ def build_standard(kind: str, n: int, k: int | None = None):
         return standard_simplex(n)
     if n < 1:
         raise SimplicialError("boundary/horn need n >= 1")
-    full = range(n + 1)
+    simplex = standard_simplex(n)
+    top = simplex.nondegenerate[n][0]
     if kind == "boundary":
-        sub = _subsets_complex(n, lambda vs: len(vs) <= n, coskeletal_at=n)
+        dropped = {top}
     elif kind == "horn":
         if k is None or not 0 <= k <= n:
             raise SimplicialError(f"horn index {k} outside 0..{n}")
-        missing = tuple(v for v in full if v != k)
-        sub = _subsets_complex(
-            n, lambda vs: len(vs) <= n and vs != missing, coskeletal_at=n
-        )
+        dropped = {top, simplex.faces[top][k].base}
     else:
         raise SimplicialError(f"unknown kind {kind!r}")
-    simplex = standard_simplex(n)
-    target_ids = {simplex.labels[s]: s for s in simplex.cells()}
-    incl = SimplicialMap(
-        sub,
-        simplex,
-        {
-            s: SimplexExpr((), target_ids[sub.labels[s]], sub.dim_of[s])
-            for s in sub.cells()
-        },
-    )
-    return sub, incl
+    sub, incl = make_subcomplex(simplex, (s for s in simplex.cells() if s not in dropped))
+    sub = with_coskeletal(sub, n)
+    return sub, SimplicialMap(sub, simplex, incl.assignment)
 
 
 def with_coskeletal(X: SimplicialSet, d: int | None) -> SimplicialSet:
@@ -693,7 +679,6 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     pair_id: dict[tuple[SimplexExpr, SimplexExpr], int] = {}
     pairs: dict[int, tuple[SimplexExpr, SimplexExpr]] = {}
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
-    labels = {}
     faces = {}
     # many faces share a pair, so each pair normal form is computed once
     # per build; the faces of a d-cell are pairs of lower ids, all known
@@ -723,7 +708,6 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
                                 pair_id[pair] = next_id
                                 pairs[next_id] = pair
                                 nondeg[d].append(next_id)
-                                labels[next_id] = pair
                                 if d:
                                     fs = []
                                     for face_pair in zip(f1, f2):
@@ -741,7 +725,7 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
         and dim_bound >= full
     ):
         flag = max(X.coskeletal_at, Y.coskeletal_at)
-    P = SimplicialSet(dim_bound, nondeg, faces, flag, labels, check=False)
+    P = SimplicialSet(dim_bound, nondeg, faces, flag, pairs, check=False)
     pr_left = SimplicialMap(P, X, {s: e1 for s, (e1, e2) in pairs.items()})
     pr_right = SimplicialMap(P, Y, {s: e2 for s, (e1, e2) in pairs.items()})
     return ProductComplex(P, X, Y, pr_left, pr_right, pairs, pair_id)

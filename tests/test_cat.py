@@ -3,6 +3,7 @@ import pytest
 from quasicat.cat import (
     CategoryError,
     FiniteFunctor,
+    Groupoid,
     cyclic_group_category,
     discrete_category,
     disjoint_union_category,
@@ -114,6 +115,25 @@ def test_discrete_two_to_point_fails():
     F = FiniteFunctor(D2, T, {0: "*", 1: "*"}, {a: "g0" for a in D2.arrows}).validate()
     ok, witness = is_equivalence_of_groupoids(F)
     assert not ok and "injective" in witness.reason
+
+
+def _discrete_groupoid(objects):
+    arrows = tuple(("id", x) for x in objects)
+    ends = {a: a[1] for a in arrows}
+    return Groupoid(objects, arrows, ends, ends, {x: ("id", x) for x in objects}, {(a, a): a for a in arrows})
+
+
+def test_objects_that_print_alike_stay_in_separate_classes():
+    # 1 and "1" print alike; their iso classes must not share a key
+    D = _discrete_groupoid((1, "1"))
+    T = cyclic_group_category(1)
+    F = FiniteFunctor(D, T, {1: "*", "1": "*"}, {a: "g0" for a in D.arrows}).validate()
+    ok, witness = is_equivalence_of_groupoids(F)
+    assert not ok and "injective" in witness.reason
+    assert not is_equivalence_of_categories(F)
+    back = FiniteFunctor(T, D, {"*": 1}, {"g0": ("id", 1)}).validate()
+    assert not is_equivalence_of_categories(back)
+    assert not is_equivalence_of_groupoids(back)[0]
 
 
 def test_z2_to_z3_fails():

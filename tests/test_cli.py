@@ -7,7 +7,15 @@ import pytest
 from quasicat.cli import main
 from quasicat.jsonio import dumps, functor_to_json, sset_to_json
 from quasicat.cat import cyclic_group_category, identity_functor, nerve, poset_category
-from quasicat.simplicial import SimplexExpr, SimplicialSet, build_standard, standard_simplex, truncate
+from quasicat.simplicial import (
+    GLOBAL_DIM_BOUND,
+    SimplexExpr,
+    SimplicialSet,
+    build_standard,
+    product,
+    standard_simplex,
+    truncate,
+)
 
 
 @pytest.fixture
@@ -147,6 +155,27 @@ def test_saturate_cli(capsys, horn21):
     code, rep = run(capsys, ["saturate", horn21, "--dim-bound", "2"])
     assert code == 0
     assert rep["saturation"]["horns_attached"] == 8
+
+
+@pytest.mark.parametrize("wrapper", [{"saturation": {}}, {"saturation": [3]}])
+def test_malformed_report_wrapper_exits_2(capsys, tmp_path, wrapper):
+    p = tmp_path / "wrapped.json"
+    p.write_text(json.dumps(wrapper))
+    assert main(["certify", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_saturate_refuses_dimension_above_the_global_bound(capsys, monkeypatch, tmp_path):
+    import quasicat.quasi
+
+    def no_horns(*args):
+        raise AssertionError("horns enumerated before the bound was checked")
+
+    monkeypatch.setattr(quasicat.quasi, "enumerate_horns", no_horns)
+    p = tmp_path / "square.sset.json"
+    p.write_text(dumps(sset_to_json(product(standard_simplex(1), standard_simplex(1)).complex)))
+    assert main(["saturate", str(p), "--dim-bound", str(GLOBAL_DIM_BOUND + 1)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_report_determinism(capsys, delta2, tmp_path):

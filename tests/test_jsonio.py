@@ -21,7 +21,7 @@ from quasicat.jsonio import (
     sset_to_json,
 )
 from quasicat.pathcat import hom_sets, path_category
-from quasicat.simplicial import build_standard, iso_check, standard_simplex
+from quasicat.simplicial import SimplicialSet, build_standard, iso_check, standard_simplex
 from quasicat.verify import verify_certificate
 
 
@@ -77,6 +77,22 @@ def test_certificate_roundtrip_and_verify():
         back = certificate_from_json(roundtrip(j))
         assert certificate_to_json(back) == j
         assert verify_certificate(back)
+
+
+def test_loaded_certificate_target_is_validated_once(monkeypatch):
+    # the loader's constructor validates the target; the verifier must not
+    # validate it again
+    calls = []
+    validate = SimplicialSet.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SimplicialSet, "validate", counting)
+    cert = certificate_from_json(roundtrip(certificate_to_json(prism_certificate(2, 1, 1))))
+    assert verify_certificate(cert) and verify_certificate(cert)
+    assert calls == [cert.target]
 
 
 def test_dumps_deterministic():
