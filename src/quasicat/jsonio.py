@@ -10,6 +10,10 @@ loader checks its input against the schema and raises MalformedInputError
 on a missing field, a wrong type, an unknown name or id, or a value that
 fails its own validation.  dump(load(x)) == load-parsed input for files
 produced here, which is what the round-trip invariant of the CLI checks.
+
+`sset_from_json` validates and builds each distinct face record once per
+load and shares the SimplexExpr (hash-consing); a negative `coskeletal_at`
+is refused.
 """
 
 from __future__ import annotations
@@ -83,6 +87,20 @@ def _expr(obj, dims: dict[int, int], where: str) -> SimplexExpr:
     return expr
 
 
+def _shared_expr(obj, dims: dict[int, int], where: str, shared: dict) -> SimplexExpr:
+    """`_expr`, built once per distinct (base, word) whose base and letters
+    are all exact ints and shared: 1.0, True and "1" never hit 1's entry."""
+    if type(obj) is dict:
+        base, word = obj.get("base"), obj.get("word")
+        if type(base) is int and type(word) is list and set(map(type, word)) <= {int}:
+            key = base, tuple(word)
+            e = shared.get(key)
+            if e is None:
+                e = shared[key] = _expr(obj, dims, where)
+            return e
+    return _expr(obj, dims, where)
+
+
 def expr_to_json(e: SimplexExpr) -> dict:
     return {"word": list(e.word), "base": e.base}
 
@@ -122,15 +140,19 @@ def sset_from_json(obj: dict) -> SimplicialSet:
             nondeg[d].append(s)
             dims[s] = d
     faces = {}
+    shared: dict[tuple, SimplexExpr] = {}
     for d, level in enumerate(levels):
         if d >= 1:
             for entry in level:
                 s = int(entry["id"])
                 where = f"face of {s}"
-                faces[s] = tuple(_expr(f, dims, where) for f in _list(_field(entry, "faces", where), where))
+                records = _list(_field(entry, "faces", where), where)
+                faces[s] = tuple(_shared_expr(f, dims, where, shared) for f in records)
     flag = obj.get("coskeletal_at")
+    if flag is not None and _int(flag, "coskeletal_at") < 0:
+        raise MalformedInputError(f"coskeletal_at {flag} is negative")
     try:
-        return SimplicialSet(dim_bound, nondeg, faces, None if flag is None else _int(flag, "coskeletal_at"))
+        return SimplicialSet(dim_bound, nondeg, faces, flag)
     except SimplicialError as exc:
         raise MalformedInputError(str(exc)) from exc
 

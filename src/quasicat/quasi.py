@@ -66,7 +66,7 @@ class HornMap:
         d_m d_k = d_{k-1} d_m for m < k, and d_k d_{m+1} otherwise."""
         k = self.k
         return tuple(
-            X.face(self.top[m], k - 1) if m < k else X.face(self.top[m + 1], k)
+            X.face_row(self.top[m])[k - 1] if m < k else X.face_row(self.top[m + 1])[k]
             for m in range(self.n)
         )
 
@@ -110,7 +110,7 @@ def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
         j = slots[pos]
         # slots ascend, so every earlier index i satisfies i < j and the
         # shared face of d^i and d^j sits at position j-1 of the former
-        key = tuple(X.face(chosen[i], j - 1) for i in slots[:pos])
+        key = tuple([X.face_row(chosen[i])[j - 1] for i in slots[:pos]])
         for e in index[pos].get(key, ()):
             chosen[j] = e
             assign(pos + 1)
@@ -158,7 +158,8 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
     complex, so the verdict is complete.  Horns one dimension above the
     stored truncation are decided by the shell criterion; a missing flag,
     or dim_bound below the flag, yields an inconclusive verdict rather
-    than a false certificate.
+    than a false certificate.  Through dim_bound fillers are counted, and
+    horns scanned for the first unfilled one only when the counts differ.
     """
     d = X.coskeletal_at
     if d is None:
@@ -171,7 +172,13 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
     top = d + 1
     for n in range(2, top + 1):
         for k in range(1, n):
-            for h in enumerate_horns(X, n, k):
+            horns = enumerate_horns(X, n, k)
+            # each key of the filler index restricts an n-expression to one
+            # of the distinct horns, so every horn fills iff the counts agree
+            slots = tuple(i for i in range(n + 1) if i != k)
+            if n <= X.dim_bound and len(X.face_index(n, slots)) == len(horns):
+                continue
+            for h in horns:
                 if n <= X.dim_bound:
                     filled = find_filler(X, h) is not None
                 else:

@@ -225,6 +225,7 @@ class SimplicialSet:
         self._vertex_cache: dict[int, tuple[int, ...]] = {}
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
+        self._rows: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}  # face rows of degenerate exprs
         self._checked_source: frozenset[int] | None = None  # last source verify_certificate accepted
         self._validated = False
         if check:
@@ -275,6 +276,16 @@ class SimplicialSet:
             return SimplexExpr(out, base, dim - 1)
         inner, fbase, fdim = self.faces[base][j]
         return SimplexExpr(_degenerate_word(out, inner, fdim), fbase, dim - 1)
+
+    def face_row(self, expr: SimplexExpr) -> tuple[SimplexExpr, ...]:
+        """(d_0 expr, ..., d_n expr): a non-degenerate expression's row of
+        the face table, a degenerate one's computed once and memoized."""
+        if not expr[0]:
+            return self.faces[expr[1]]
+        row = self._rows.get(expr)
+        if row is None:
+            row = self._rows[expr] = tuple(self.face(expr, i) for i in range(expr[2] + 1))
+        return row
 
     def vertex_ids(self, expr: SimplexExpr) -> tuple[int, ...]:
         """Vertex ids of an expression, in simplex order (length dim+1)."""
@@ -422,7 +433,8 @@ class SimplicialSet:
         if idx is None:
             groups: dict = {}
             for e in self.all_exprs(n):
-                groups.setdefault(tuple(self.face(e, i) for i in positions), []).append(e)
+                row = self.face_row(e) if positions else ()
+                groups.setdefault(tuple([row[i] for i in positions]), []).append(e)
             idx = self._face_index[n, positions] = {key: tuple(es) for key, es in groups.items()}
         return idx
 

@@ -1,0 +1,158 @@
+"""Certification by filler counts, and face rows, against the per-horn loop.
+
+`old_certify_quasi_category` is the certification loop that looked each
+horn up with `find_filler`; `old_enumerate_horns` and `old_has_shell_filler`
+compute horn keys and the missing face's boundary with `SimplicialSet.face`.
+The current certification counts the keys of the filler index against the
+horns and scans only on a mismatch, so every report must be equal: verdict,
+bound, counterexample and reason.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from quasicat.cat import cyclic_group_category, idempotent_monoid_category, nerve, poset_category
+from quasicat.corpus import corpus_complexes, corpus_nerves, quasi_category_corpus
+from quasicat.quasi import CertReport, HornMap, certify_quasi_category, find_filler
+from quasicat.simplicial import SimplexExpr, SimplicialError, SimplicialSet, make_subcomplex, with_coskeletal
+
+
+def old_enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
+    if n < 2:
+        raise SimplicialError("horns need n >= 2")
+    slots = tuple(i for i in range(n + 1) if i != k)
+    index = [X.face_index(n - 1, slots[:pos]) for pos in range(len(slots))]
+    results: list[HornMap] = []
+    chosen: dict[int, SimplexExpr] = {}
+
+    def assign(pos: int):
+        if pos == len(slots):
+            top = tuple(chosen.get(i) for i in range(n + 1))
+            results.append(HornMap(n, k, top))
+            return
+        j = slots[pos]
+        key = tuple(X.face(chosen[i], j - 1) for i in slots[:pos])
+        for e in index[pos].get(key, ()):
+            chosen[j] = e
+            assign(pos + 1)
+            del chosen[j]
+
+    assign(0)
+    return results
+
+
+def old_has_shell_filler(X: SimplicialSet, h: HornMap) -> bool:
+    k = h.k
+    boundary = tuple(
+        X.face(h.top[m], k - 1) if m < k else X.face(h.top[m + 1], k)
+        for m in range(h.n)
+    )
+    return boundary in X.face_index(h.n - 1, tuple(range(h.n)))
+
+
+def old_certify_quasi_category(X: SimplicialSet) -> CertReport:
+    d = X.coskeletal_at
+    if d is None:
+        return CertReport("inconclusive", None, None, reason="no coskeletal bound declared")
+    if X.dim_bound < d:
+        return CertReport(
+            "inconclusive", d, None,
+            reason=f"dim_bound {X.dim_bound} below coskeletal bound {d}",
+        )
+    top = d + 1
+    for n in range(2, top + 1):
+        for k in range(1, n):
+            for h in old_enumerate_horns(X, n, k):
+                if n <= X.dim_bound:
+                    filled = find_filler(X, h) is not None
+                else:
+                    filled = old_has_shell_filler(X, h)
+                if not filled:
+                    return CertReport("counterexample", d, n - 1, counterexample=h)
+    return CertReport("quasi-category", d, top)
+
+
+def assert_certify_matches_oracle(X: SimplicialSet):
+    # fresh copies, so neither side reads an index the other one built
+    new = certify_quasi_category(with_coskeletal(X, X.coskeletal_at))
+    old = old_certify_quasi_category(with_coskeletal(X, X.coskeletal_at))
+    assert (new.verdict, new.certified_up_to, new.counterexample) == (
+        old.verdict, old.certified_up_to, old.counterexample
+    )
+    assert new == old
+
+
+def every_flag(X: SimplicialSet):
+    for flag in [None, *range(X.dim_bound + 1)]:
+        yield with_coskeletal(X, flag)
+
+
+def test_corpus_complexes_and_nerves_match_oracle():
+    named = {**corpus_complexes(), **corpus_nerves(), **quasi_category_corpus(4)}
+    verdicts = set()
+    for name, X in named.items():
+        for Y in every_flag(X):
+            assert_certify_matches_oracle(Y)
+            verdicts.add(certify_quasi_category(Y).verdict)
+    assert verdicts == {"quasi-category", "counterexample", "inconclusive"}
+
+
+def test_nerves_minus_one_3_cell_match_oracle():
+    refuted = 0
+    for C in [poset_category(2), poset_category(3), cyclic_group_category(2), idempotent_monoid_category()]:
+        N = nerve(C, 3)
+        for cell in N.nondegenerate[3]:
+            sub, _ = make_subcomplex(N, set(N.cells()) - {cell})
+            X = with_coskeletal(sub, N.coskeletal_at)
+            assert_certify_matches_oracle(X)
+            refuted += certify_quasi_category(X).verdict == "counterexample"
+    assert refuted > 0
+
+
+def compatible_boundary(draw, exprs, face, n):
+    """A drawn (f_0, ..., f_n) of (n-1)-expressions with d_i f_j = d_{j-1} f_i
+    for i < j, or None when the draw runs out of candidates."""
+    chosen = []
+    for j in range(n + 1):
+        fits = [e for e in exprs if n < 2 or all(face(e, i) == face(chosen[i], j - 1) for i in range(j))]
+        if not fits:
+            return None
+        chosen.append(draw(st.sampled_from(fits)))
+    return tuple(chosen)
+
+
+@st.composite
+def tiny_complexes(draw):
+    """A complex of at most 12 cells through dimension 3, each cell on a
+    drawn compatible boundary, with a drawn dim_bound up to 3."""
+    n_v = draw(st.integers(1, 3))
+    nondeg = [list(range(n_v))]
+    faces = {}
+    X = SimplicialSet(0, [list(level) for level in nondeg], faces)
+    for d, most in ((1, 4), (2, 3), (3, 2)):
+        level = []
+        for _ in range(draw(st.integers(0, most))):
+            row = compatible_boundary(draw, X.all_exprs(d - 1), X.face, d)
+            if row is not None:
+                s = len(faces) + n_v
+                faces[s] = row
+                level.append(s)
+        nondeg.append(level)
+        X = SimplicialSet(d, [list(lv) for lv in nondeg], faces)
+    dim_bound = draw(st.integers(max(X.dim, 1), 3))
+    return SimplicialSet(dim_bound, [list(lv) for lv in nondeg], faces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_complexes())
+def test_drawn_complexes_match_oracle_at_every_flag(X):
+    for Y in every_flag(X):
+        assert_certify_matches_oracle(Y)
+
+
+def test_face_rows_match_faces():
+    for X in [*corpus_complexes().values(), *corpus_nerves().values()]:
+        for d in range(1, X.dim_bound + 2):
+            for e in X.all_exprs(d):
+                row = X.face_row(e)
+                assert row == tuple(X.face(e, i) for i in range(e.dim + 1))
+                assert X.face_row(e) is row

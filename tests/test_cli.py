@@ -196,6 +196,30 @@ def test_certify_inconclusive_exits_3(capsys, tmp_path):
     assert rep["certification"]["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("flag, code", [(-1, 2), (1, 1)])
+def test_certify_refuses_a_negative_coskeletal_flag(capsys, tmp_path, flag, code):
+    # two composable edges 0 -> 1 -> 2 and no composite: refuted at the
+    # (2,1)-horn, so a negative flag must not certify it
+    v = lambda i: {"word": [], "base": i}
+    doc = {
+        "dim_bound": 1,
+        "coskeletal_at": flag,
+        "simplices": [
+            [{"id": i, "faces": []} for i in range(3)],
+            [{"id": 3, "faces": [v(1), v(0)]}, {"id": 4, "faces": [v(2), v(1)]}],
+        ],
+    }
+    p = tmp_path / "chain.sset.json"
+    p.write_text(json.dumps(doc))
+    assert main(["certify", str(p)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert not captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    else:
+        assert json.loads(captured.out)["certification"]["verdict"] == "counterexample"
+
+
 def test_corpus_run_report_matches_expected(capsys, tmp_path):
     # the "same behaviour" bar: the battery report is byte-identical to the
     # one the benchmark compares against
