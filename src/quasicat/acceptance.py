@@ -193,10 +193,12 @@ def criterion_4_certificates(mutations: int = MUTATIONS_PER_CERTIFICATE) -> Crit
     certs = []
     for n, S in _all_facet_parameters(5):
         certs.append(facet_certificate(n, S))
+    targets = {}  # every k of one shape shares its Delta^n x Delta^m
     for n in range(2, 5):
         for k in range(1, n):
             for m in range(0, 4):
-                certs.append(prism_certificate(n, k, m))
+                certs.append(prism_certificate(n, k, m, targets.get((n, m))))
+                targets[n, m] = certs[-1].target
     bad_builds = [c.description for c in certs if not verify_certificate(c)]
     surviving = 0
     total_mutations = 0

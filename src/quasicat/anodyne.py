@@ -5,7 +5,10 @@ names the horn shape (n, k), the horn map into the current stage (stored on
 the horn's top faces, as exprs of the target), and the id of the simplex
 being attached.  Replaying the steps from the source subcomplex must
 reproduce the target exactly; the replay lives in `verify` and shares only
-the simplicial core with the builders here.
+the simplicial core with the builders here.  A step freezes its `top` into
+a tuple, so an accepted step stays the step it was.  `prism_certificate`
+takes the target Delta^n x Delta^m of an earlier certificate of the same
+shape, so a caller building every k of one shape builds the product once.
 
 The product certificate processes the maximal-dimension cells (shuffles) in
 a fixed linearization of the componentwise order -- ascending lexicographic
@@ -145,6 +148,10 @@ class CertStep:
     top: tuple  # length n+1, entry k is None, others exprs of the target
     attached: int  # target id of the simplex the step attaches
 
+    def __post_init__(self):
+        # frozen for good: the verifier skips a step it has accepted by identity
+        object.__setattr__(self, "top", tuple(self.top))
+
 
 @dataclass
 class AnodyneCertificate:
@@ -216,12 +223,15 @@ def facet_certificate(n: int, S) -> AnodyneCertificate:
     return AnodyneCertificate(D, source_ids, tuple(steps), f"<S> in Delta^{n}, S={sorted(S)}")
 
 
-def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
+def prism_certificate(n: int, k: int, m: int, target: SimplicialSet | None = None) -> AnodyneCertificate:
     """Certificate for (Lambda^n_k x Delta^m) u (Delta^n x bd Delta^m)
     inside Delta^n x Delta^m, 0 < k < n.
 
     Shuffles are attached in ascending order; each one contributes the
     facet decomposition of the subcomplex its boundary already meets.
+    `target`, if given, is the target of an earlier prism certificate of
+    the same (n, m), which the new certificate shares instead of building
+    the product again.
     """
     if not 0 < k < n:
         raise CertificateError("need an inner index 0 < k < n")
@@ -230,8 +240,14 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
     if n + m > GLOBAL_DIM_BOUND:
         raise CertificateError(f"prism certificate in Delta^{n} x Delta^{m} needs n + m <= {GLOBAL_DIM_BOUND}")
     A, B = standard_simplex(n), standard_simplex(m)
-    prod = product(A, B)
-    X = prod.complex
+    if target is None:
+        X = product(A, B).complex
+    elif target.dim_bound == n + m and {target.labels.get(v) for v in target.nondegenerate[0]} == {
+        (A.expr(a), B.expr(b)) for a in A.nondegenerate[0] for b in B.nondegenerate[0]
+    }:
+        X = target
+    else:
+        raise CertificateError(f"target is not Delta^{n} x Delta^{m}")
     # a cell lies in Lambda^n_k x Delta^m exactly when its first component's
     # base is a cell of the horn, and in Delta^n x bd Delta^m exactly when
     # its second component's base is not Delta^m
@@ -241,7 +257,7 @@ def prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
     vertices_b: dict[SimplexExpr, tuple[int, ...]] = {}
     id_of_chain = {}
     source_chains = set()
-    for s, (e1, e2) in prod.pairs.items():
+    for s, (e1, e2) in X.labels.items():
         v1 = vertices_a.get(e1)
         if v1 is None:
             v1 = vertices_a[e1] = A.vertex_ids(e1)

@@ -334,8 +334,10 @@ def certificate_from_json(obj: dict) -> AnodyneCertificate:
             i = _int(_field(f, "face", where), where)
             if not 0 <= i <= n:
                 raise MalformedInputError(f"{where}: face index {i} outside 0..{n}")
+            if top[i] is not None:
+                raise MalformedInputError(f"{where}: face {i} given twice")
             top[i] = _expr(f, target.dim_of, where)
-        steps.append(CertStep(n, k, tuple(top), attached))
+        steps.append(CertStep(n, k, top, attached))
     return AnodyneCertificate(
         target,
         frozenset(_int(s, "source_ids") for s in source_ids),

@@ -26,9 +26,10 @@ one face-table and one `_degenerate_word` read, and one `SimplexExpr`,
 whatever the length of its word.  With complexes as keys the tables would
 grow with the cells; with words they grow with the dimensions in use, 2^d
 words below d, and `jsonio`, `product` and the certificate builders stop
-at `GLOBAL_DIM_BOUND`.  `product` computes each component expression's
-faces once per dimension and each pair normal form once per distinct
-pair, in dicts local to one build.
+at `GLOBAL_DIM_BOUND`.  `product` reads each component expression's
+faces from its factor's `face_row`, so a factor used in many products
+pays for a degenerate row once, and computes each pair normal form once
+per distinct pair, in a dict local to one build.
 
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
@@ -226,7 +227,7 @@ class SimplicialSet:
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
         self._rows: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}  # face rows of degenerate exprs
-        self._checked_source: frozenset[int] | None = None  # last source verify_certificate accepted
+        self._replay: tuple = (None, (), ())  # verify_certificate's accepted prefix: source, steps, added ids
         self._validated = False
         if check:
             self.validate()
@@ -669,12 +670,9 @@ def product_cell_count(X: SimplicialSet, Y: SimplicialSet, dim_bound: int) -> in
 
 
 def _exprs_with_faces(X: SimplicialSet, x: int, words, d: int) -> list[tuple[SimplexExpr, tuple]]:
-    """(expression, its faces) for each word on the cell x, in dimension d."""
-    out = []
-    for w in words:
-        e = SimplexExpr(w, x, d)
-        out.append((e, tuple(X.face(e, i) for i in range(d + 1)) if d else ()))
-    return out
+    """(expression, its face row) for each word on the cell x, in dimension d."""
+    exprs = [SimplexExpr(w, x, d) for w in words]
+    return [(e, X.face_row(e) if d else ()) for e in exprs]
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:

@@ -14,12 +14,15 @@ simplicial identity d_i d_j tau = d_{j-1} d_i tau, which the target's
 validation has already checked on every cell; the verdict and the reason
 are the same either way.
 
-A target remembers the last source set it found to be a face-closed set
-of its cells.  The replays of criterion 4's mutants share their
-certificate's source set, so it is checked once; any other set, a source
-with one cell dropped included, differs in value and is checked in full.
-Only an accepted source is remembered, so a refusal always names the
-same id as a fresh check would.
+A target keeps one replay slot, the longest replay prefix accepted on it:
+a frozen copy of the source, the accepted step objects, and the ids they
+added.  A certificate with an equal source skips the source check and
+resumes after its leading steps that are the slot's very objects (steps
+are immutable, so they would be accepted again).  Criterion 4's mutants
+share their certificate's source and a prefix of its steps, so each
+replays from its change on; any other source is checked in full.  Only
+accepted prefixes are kept, so every verdict, failed step and reason is
+that of a fresh replay.
 """
 
 from __future__ import annotations
@@ -44,19 +47,41 @@ def verify_certificate(cert) -> VerifyResult:
     except Exception as exc:  # noqa: BLE001 - any malformed target is a refusal
         return VerifyResult(False, None, f"target complex invalid: {exc}")
     dim_of = X.dim_of
-    current = set(cert.source_ids)
-    checked = X._checked_source
+    steps = tuple(cert.steps)
+    source, done, added = X._replay
     # the identity test spares the set comparison for the very same set
-    if checked is not cert.source_ids and checked != cert.source_ids:
+    if source is not cert.source_ids and source != cert.source_ids:
+        current = set(cert.source_ids)
         if not current <= dim_of.keys():
             s = next(s for s in current if s not in dim_of)
             return VerifyResult(False, None, f"source id {s} not in target")
         s = X.first_unclosed(current)
         if s is not None:
             return VerifyResult(False, None, f"source not face-closed at {s}")
-        X._checked_source = frozenset(cert.source_ids)
-    for step_no, step in enumerate(cert.steps):
-        n, k, top, tau = step.n, step.k, tuple(step.top), step.attached
+        # a frozen source is kept as is, so its own mutants take the identity test
+        source, done, added = frozenset(cert.source_ids), (), ()
+    start = min(len(done), len(steps))
+    start = next((i for i in range(start) if done[i] is not steps[i]), start)
+    added = list(added[: 2 * start])
+    current = {*source, *added}
+    failure = _replay(X, steps, start, current, added)
+    accepted = len(steps) if failure is None else failure.failed_step
+    if accepted > len(done) or source is not X._replay[0]:
+        X._replay = (source, steps[:accepted], tuple(added))
+    if failure is not None:
+        return failure
+    if current != dim_of.keys():
+        return VerifyResult(False, None, "replay does not reach the declared target")
+    return VerifyResult(True)
+
+
+def _replay(X, steps, start, current, added):
+    """Replay steps[start:] on the stage `current`, adding each step's two
+    ids to it and to `added`; the refusal of the first step that fails."""
+    dim_of = X.dim_of
+    for step_no in range(start, len(steps)):
+        step = steps[step_no]
+        n, k, top, tau = step.n, step.k, step.top, step.attached
         if not 0 < k < n:
             return VerifyResult(False, step_no, f"horn index {k} not inner for n={n}")
         if len(top) != n + 1 or top[k] is not None:
@@ -94,6 +119,4 @@ def verify_certificate(cert) -> VerifyResult:
             return VerifyResult(False, step_no, "missing face already present: not a free pushout")
         current.add(missing.base)
         current.add(tau)
-    if current != dim_of.keys():
-        return VerifyResult(False, None, "replay does not reach the declared target")
-    return VerifyResult(True)
+        added += (missing.base, tau)

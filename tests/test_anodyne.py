@@ -18,7 +18,7 @@ from quasicat.anodyne import (
     prism_certificate,
 )
 from quasicat.cli import main
-from quasicat.simplicial import GLOBAL_DIM_BOUND, SimplicialError, iso_check, standard_simplex
+from quasicat.simplicial import GLOBAL_DIM_BOUND, SimplicialError, SimplicialSet, iso_check, standard_simplex
 from quasicat.verify import verify_certificate
 
 
@@ -246,6 +246,41 @@ def test_prism_cert_beyond_desk_scale(n, k, m):
     # the battery exercises
     cert = prism_certificate(n, k, m)
     assert verify_certificate(cert)
+
+
+def test_prism_certificates_of_one_shape_share_their_target(monkeypatch):
+    # Delta^4 x Delta^3 is built once for both k, so verifying two of its
+    # certificates validates it once
+    standard_simplex(4), standard_simplex(3)
+    calls = []
+    validate = SimplicialSet.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SimplicialSet, "validate", counting)
+    a = prism_certificate(4, 1, 3)
+    b = prism_certificate(4, 3, 3, a.target)
+    assert a.target is b.target
+    assert a.source_ids != b.source_ids
+    assert verify_certificate(a) and verify_certificate(b)
+    assert calls == [a.target]
+    assert b.steps == prism_certificate(4, 3, 3).steps
+
+
+def test_prism_certificates_of_distinct_calls_build_their_own_target():
+    # only a target passed in is shared: a lone call builds a fresh product
+    a, b = prism_certificate(3, 1, 2), prism_certificate(3, 2, 2)
+    assert a.target is not b.target
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 2), (2, 3)])
+def test_prism_certificate_refuses_a_target_of_another_shape(n, m):
+    # Delta^2 x Delta^3 has the dimension and the cell counts of Delta^3 x Delta^2
+    other = prism_certificate(3, 1, 2).target
+    with pytest.raises(CertificateError, match=f"target is not Delta\\^{n} x Delta\\^{m}"):
+        prism_certificate(n, 1, m, other)
 
 
 # -- shapes above the dimension bound ------------------------------------------------

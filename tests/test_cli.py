@@ -132,6 +132,25 @@ def test_cert_build_verify_roundtrip(capsys, tmp_path):
     assert code == 0 and rep["verification"]["ok"] is True
 
 
+def test_cert_verify_refuses_a_face_given_twice(capsys, tmp_path):
+    # step 0 lists face 0 twice, a wrong record first: keeping either record
+    # would let an ambiguous file verify, so the loader refuses it
+    out = tmp_path / "cert.cert.json"
+    assert main(["cert-build", "--prism", "2", "1", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    horn = doc["certificate"]["steps"][0]["horn"]
+    right = next(f for f in horn if f["face"] == 0)
+    wrong = next(f for f in horn if f["face"] != 0)
+    horn.insert(0, {**wrong, "face": 0})
+    assert wrong["base"] != right["base"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["cert-verify", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: step 0: face 0 given twice\n"
+
+
 def test_cert_build_facets(capsys):
     code, rep = run(capsys, ["cert-build", "--facets", "3", "0", "3", "--verify"])
     assert code == 0
@@ -228,6 +247,12 @@ def test_corpus_run_report_matches_expected(capsys, tmp_path):
     assert main(["corpus-run", "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert out.read_bytes() == expected.read_bytes()
+    # a second run in the same process reads warm caches (prism targets,
+    # replay slots, factor face rows) and must still write the same bytes
+    again = tmp_path / "again.json"
+    assert main(["corpus-run", "--out", str(again)]) == 0
+    capsys.readouterr()
+    assert again.read_bytes() == expected.read_bytes()
     # per-criterion wall times go to stderr only, one line each
     timed = [line for line in err if re.fullmatch(r"criterion \d+: \d+\.\d{3}s", line)]
     assert [line.split(":")[0] for line in timed] == [f"criterion {n}" for n in range(1, 11)]

@@ -9,7 +9,11 @@ cell), the `validate` identity loop (two full faces per pair (i, j)), the
 prism builder with its subset-by-subset intersection check, and the
 previous `verify_certificate` (face closure of the source tested cell by
 cell with a generator over its faces, and horn compatibility tested
-pairwise on every step).  The word tables are checked exhaustively
+pairwise on every step), which also checks replays that resume on a
+target's slot: criterion 4's own sequence, and interleaved certificates of
+one target with sources and step lists edited in place between calls.
+`product` is checked with one factor, and its memoized face rows, reused
+across several products.  The word tables are checked exhaustively
 through dimension 9 (pairs through 7), and the expressions of every corpus
 complex with degenerate faces one by one.  `SimplicialSet.expr_at`, the
 indexed draw of criterion 4's face corruption, is checked against
@@ -26,6 +30,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasicat import acceptance
 from quasicat.acceptance import MUTATION_SEED, _all_facet_parameters, _mutations
 from quasicat.anodyne import (
     AnodyneCertificate,
@@ -56,6 +61,7 @@ from quasicat.simplicial import (
     product,
     product_cell_count,
     standard_simplex,
+    with_coskeletal,
 )
 from quasicat.verify import VerifyResult, verify_certificate
 
@@ -375,6 +381,19 @@ def test_poset_nerve_products_match_oracle(X, Y, dim_bound):
         assert_product_matches_oracle(X, Y, dim_bound)
 
 
+def test_products_reusing_one_factor_match_oracle():
+    # a fresh copy of each factor has no face rows yet; the rows memoized
+    # by its first product serve the later ones
+    for name, Y in sorted(degenerate_faced_complexes().items()):
+        X = with_coskeletal(Y, Y.coskeletal_at)
+        assert not X._rows
+        for Z in (standard_simplex(1), standard_simplex(2), Y, X):
+            if product_cell_count(X, Z, 2) <= 3000:
+                assert_product_matches_oracle(X, Z, 2)
+                assert_product_matches_oracle(Z, X, 2)
+        assert X._rows, name
+
+
 def test_cell_count_matches_corpus_products():
     # every pair criterion 2 visits, at its dim_bound of 2
     for a, b in CORPUS_PAIRS:
@@ -490,6 +509,103 @@ def test_incompatible_horn_without_filler_reports_disagreement():
     step = CertStep(s.n, s.k, (s.top[2], None, s.top[2]), s.attached)
     want = assert_verify_matches_oracle(replace_step(cert, 0, step))
     assert (want.ok, want.failed_step, want.reason) == (False, 0, "horn faces disagree at (0,2)")
+
+
+# -- replays that resume after an accepted prefix ---------------------------------------
+
+
+def test_criterion_4_replays_match_oracle(monkeypatch):
+    # criterion 4's own sequence: its 50 builds, then 100 mutants of each in
+    # MUTATION_SEED order, each replay resuming on its target's slot
+    verdicts = []
+
+    def both(cert):
+        got, want = verify_certificate(cert), old_verify_certificate(cert)
+        verdicts.append(((got.ok, got.failed_step, got.reason), (want.ok, want.failed_step, want.reason)))
+        return got
+
+    monkeypatch.setattr(acceptance, "verify_certificate", both)
+    result = acceptance.criterion_4_certificates()
+    assert result.ok and len(verdicts) == 5050
+    assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+    assert len({want[2].split(" at")[0] for _, want in verdicts if want[2]}) > 4
+
+
+@lru_cache(maxsize=None)
+def shared_target_families() -> tuple:
+    """Certificates sharing one target: the k's of a prism shape, and the
+    facet certificates of one n."""
+    families = []
+    for n, m in [(3, 1), (3, 2), (4, 1)]:
+        first = prism_certificate(n, 1, m)
+        families.append((first, *(prism_certificate(n, k, m, first.target) for k in range(2, n))))
+    families += [tuple(facet_certificate(n, S) for n, S in _all_facet_parameters(4) if n == d) for d in (3, 4)]
+    return tuple(families)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_interleaved_replays_on_a_shared_target_match_oracle(data):
+    family = data.draw(st.sampled_from(shared_target_families()))
+    X = family[0].target
+    assert all(c.target is X for c in family)
+    family_steps = [s for c in family for s in c.steps]
+    # one mutable source set and one step list, edited in place between calls
+    base = data.draw(st.sampled_from(family))
+    source, steps = set(base.source_ids), list(base.steps)
+    live = AnodyneCertificate(X, source, steps)
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(["certificate", "restore", "step", "truncate", "duplicate", "source"]))
+        cert = live
+        if op == "certificate":
+            c = data.draw(st.sampled_from(family))
+            cert = c if data.draw(st.booleans()) else AnodyneCertificate(X, set(c.source_ids), list(c.steps))
+        elif op == "restore":
+            c = data.draw(st.sampled_from(family))
+            source.clear()
+            source.update(c.source_ids)
+            steps[:] = c.steps
+        elif op == "source":
+            source ^= {data.draw(st.sampled_from(sorted(X.dim_of)))}
+        elif steps:
+            i = data.draw(st.integers(0, len(steps) - 1))
+            if op == "truncate":
+                del steps[i:]
+            elif op == "duplicate":
+                steps.insert(i, steps[i])
+            else:
+                # a step of any certificate of the family, a copy of the
+                # step there, or that step with one horn face replaced
+                s = data.draw(st.sampled_from(family_steps + [steps[i]]))
+                top = list(s.top)
+                if data.draw(st.booleans()):
+                    j = data.draw(st.sampled_from([j for j in range(s.n + 1) if j != s.k]))
+                    top[j] = data.draw(st.sampled_from(X.all_exprs(s.n - 1)))
+                steps[i] = data.draw(st.sampled_from([s, CertStep(s.n, s.k, top, s.attached)]))
+        assert_verify_matches_oracle(cert)
+
+
+def test_step_edited_in_place_after_an_accepted_replay():
+    cert = prism_certificate(3, 2, 1)
+    X = cert.target
+    i = len(cert.steps) // 2
+    s = cert.steps[i]
+    top = list(s.top)
+    step = CertStep(s.n, s.k, top, s.attached)
+    steps = list(cert.steps)
+    steps[i] = step
+    edited = AnodyneCertificate(X, cert.source_ids, steps)
+    assert assert_verify_matches_oracle(edited).ok
+    # the caller's list changes after the accepted replay: the step keeps
+    # its own top, and is still accepted
+    j = next(j for j in range(s.n + 1) if j != s.k)
+    top[j] = next(e for e in X.all_exprs(s.n - 1) if e != s.top[j])
+    assert type(step.top) is tuple and step.top == s.top
+    assert assert_verify_matches_oracle(edited).ok
+    # a new step object in its place is replayed and refused there
+    steps[i] = CertStep(s.n, s.k, top, s.attached)
+    want = assert_verify_matches_oracle(edited)
+    assert (want.ok, want.failed_step) == (False, i)
 
 
 # -- the indexed expression draw -------------------------------------------------------
