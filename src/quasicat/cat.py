@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .simplicial import SimplexExpr, SimplicialSet, UnionFind, degeneracy_expr
+from .simplicial import SimplexExpr, SimplicialSet, UnionFind
 
 
 class CategoryError(ValueError):
@@ -201,16 +201,14 @@ def nerve(C: FiniteCategory, dim_bound: int) -> SimplicialSet:
         nondeg[0].append(next_id)
         labels[next_id] = ("object", x)
         next_id += 1
+    arrows = C.nonidentity_arrows()
+    identities = set(C.arrows) - set(arrows)
+    leaving = {x: [] for x in C.objects}  # object -> the non-identity arrows out of it, in order
+    for f in arrows:
+        leaving[C.src[f]].append(f)
     strings = [()]
     for d in range(1, dim_bound + 1):
-        new = []
-        for s in strings:
-            for f in C.nonidentity_arrows():
-                if s and C.src[f] != C.tgt[s[-1]]:
-                    continue
-                t = s + (f,)
-                new.append(t)
-        strings = new
+        strings = [s + (f,) for s in strings for f in (leaving[C.tgt[s[-1]]] if s else arrows)]
         for t in strings:
             string_id[t] = next_id
             nondeg[d].append(next_id)
@@ -218,13 +216,13 @@ def nerve(C: FiniteCategory, dim_bound: int) -> SimplicialSet:
             next_id += 1
 
     def string_to_expr(t: tuple, at) -> SimplexExpr:
-        # `at` anchors the source object once identities are stripped away
-        for j, a in enumerate(t):
-            if C.is_identity(a):
-                return degeneracy_expr(string_to_expr(t[:j] + t[j + 1 :], at), j)
-        if len(t) == 0:
-            return SimplexExpr((), obj_vertex[at], 0)
-        return SimplexExpr((), string_id[t], len(t))
+        # identities at positions j_0 < ... < j_m: s_{j_m} ... s_{j_0} on the
+        # string without them; `at` anchors the source once all are stripped
+        kept, word = t, ()
+        if not identities.isdisjoint(t):
+            kept = tuple(a for a in t if a not in identities)
+            word = tuple(j for j in range(len(t) - 1, -1, -1) if t[j] in identities)
+        return SimplexExpr(word, string_id[kept] if kept else obj_vertex[at], len(t))
 
     faces = {}
     for t, s in string_id.items():

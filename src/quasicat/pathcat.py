@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cat import FiniteCategory, nerve
-from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet, UnionFind, product
+from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet, UnionFind, product, product_cell_count
 
 
 class NotLoopFreeError(ValueError):
@@ -57,7 +57,12 @@ class PresentedCategory:
 
 
 def path_category(X: SimplicialSet) -> PresentedCategory:
-    """Presentation of P(X), read off sk_2(X) only."""
+    """Presentation of P(X), read off sk_2(X) only.
+
+    A relation runs between the ends of its triangle's d1 face: the
+    endpoints of that generator, or its base vertex twice when d1 is
+    degenerate.
+    """
     objects = X.vertices()
     generators = X.nondegenerate[1] if X.dim_bound >= 1 else ()
     gen_src = {}
@@ -72,8 +77,8 @@ def path_category(X: SimplicialSet) -> PresentedCategory:
             d0, d1, d2 = X.faces[s]
             lhs = tuple(e.base for e in (d2, d0) if not e.is_degenerate)
             rhs = (d1.base,) if not d1.is_degenerate else ()
-            verts = X.vertex_ids(X.expr(s))
-            relations.append(Relation(lhs, rhs, verts[0], verts[2]))
+            ends = (gen_src[d1.base], gen_tgt[d1.base]) if rhs else (d1.base, d1.base)
+            relations.append(Relation(lhs, rhs, *ends))
     return PresentedCategory(objects, tuple(generators), gen_src, gen_tgt, tuple(relations)).validate()
 
 
@@ -371,44 +376,45 @@ def product_comparison(X: SimplicialSet, Y: SimplicialSet, cell_limit: int = 400
     PX, PY = path_category(X), path_category(Y)
     if not is_loop_free(PX) or not is_loop_free(PY):
         raise NotLoopFreeError("product comparison needs loop-free factors")
-    prod = product(X, Y, dim_bound=2)
-    if prod.complex.n_cells > cell_limit:
-        raise ValueError(f"product too large ({prod.complex.n_cells} cells)")
-    return product_tables_agree(prod, hom_sets(PX), hom_sets(PY))
+    cells = product_cell_count(X, Y, 2)
+    if cells > cell_limit:
+        raise ValueError(f"product too large ({cells} cells)")
+    return product_tables_agree(product(X, Y, dim_bound=2), hom_sets(PX), hom_sets(PY))
 
 
 def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
     """`product_comparison` for a built product and the exact tables of its factors.
 
     Callers that compare many pairs build each product and each factor's
-    table once and pass them here.
+    table once and pass them here.  Each class of P(X x Y) costs O(1): a
+    rep's prefix is itself a rep, so the factor classes of its projections
+    are those of the prefix, memoized, advanced by the factor tables'
+    transitions along the components of its last generator.
     """
-    PXY = path_category(prod.complex)
-    TXY = hom_sets(PXY)
-    vertex_pair = {v: (prod.pairs[v][0].base, prod.pairs[v][1].base) for v in PXY.objects}
-
-    def project(word, side):
-        out = []
-        for e in word:
-            comp = prod.pairs[e][side]
-            if not comp.is_degenerate:
-                out.append(comp.base)
-        return tuple(out)
-
-    for a in PXY.objects:
-        for b in PXY.objects:
-            (x1, y1), (x2, y2) = vertex_pair[a], vertex_pair[b]
-            exy = TXY.entry(a, b)
-            ex = TX.entry(x1, x2)
-            ey = TY.entry(y1, y2)
-            if len(exy) != len(ex) * len(ey):
+    TXY = hom_sets(path_category(prod.complex))
+    pairs = prod.pairs
+    projected = {(): ((), ())}  # rep of P(X x Y) or a prefix -> reps of its projections in TX, TY
+    for (a, b), exy in TXY.entries.items():
+        (ea, fa), (eb, fb) = pairs[a], pairs[b]
+        ex, ey = TX.entries[ea.base, eb.base], TY.entries[fa.base, fb.base]
+        if len(exy.classes) != len(ex.classes) * len(ey.classes):
+            return False
+        seen = set()
+        for c in exy.classes:
+            rep = c.rep
+            i = len(rep)
+            while rep[:i] not in projected:  # entries come in object order, not topological
+                i -= 1
+            px, py = projected[rep[:i]]
+            for j in range(i, len(rep)):
+                (wx, gx, _), (wy, gy, _) = pairs[rep[j]]
+                px = px if wx else ex._step[px, gx]
+                py = py if wy else ey._step[py, gy]
+                projected[rep[: j + 1]] = px, py
+            pair = (ex._class_of[px], ey._class_of[py])
+            if pair in seen:
                 return False
-            seen = set()
-            for c in exy.classes:
-                pair = (ex.class_of(project(c.rep, 0)), ey.class_of(project(c.rep, 1)))
-                if pair in seen:
-                    return False
-                seen.add(pair)
+            seen.add(pair)
     return True
 
 
