@@ -15,7 +15,6 @@ from .anodyne import (
     LatticePath,
     facet_certificate,
     find_descending_segment,
-    is_interior,
     prism_certificate,
     shuffle_leq,
     shuffles,
@@ -62,10 +61,8 @@ from .simplicial import (
     SimplicialSet,
     build_standard,
     iso_check,
-    join,
     product,
     standard_simplex,
-    subcomplex_generated,
 )
 from .verify import verify_certificate
 
@@ -103,11 +100,9 @@ __all__ = [
     "homotopy_to_nat_transformation",
     "is_equivalence_of_categories",
     "is_equivalence_of_groupoids",
-    "is_interior",
     "is_loop_free",
     "iso_check",
     "iso_subgroupoid",
-    "join",
     "nerve",
     "nerve_equivalence_criterion",
     "path_category",
@@ -119,7 +114,6 @@ __all__ = [
     "shuffle_leq",
     "shuffles",
     "standard_simplex",
-    "subcomplex_generated",
     "tau0",
     "verify_certificate",
 ]

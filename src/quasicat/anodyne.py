@@ -33,7 +33,6 @@ from .simplicial import (
     SimplicialSet,
     build_standard,
     closure_ids,
-    make_subcomplex,
     product,
     standard_simplex,
 )
@@ -130,14 +129,6 @@ def corner_swap(sigma: LatticePath, t: int) -> LatticePath:
     return LatticePath(tuple(pts), sigma.r, sigma.s)
 
 
-def is_interior(points, r: int, s: int) -> bool:
-    """Both coordinate projections surjective: the simplex avoids
-    (bd Delta^r x Delta^s) u (Delta^r x bd Delta^s)."""
-    return {p[0] for p in points} == set(range(r + 1)) and {
-        p[1] for p in points
-    } == set(range(s + 1))
-
-
 # -- certificates ----------------------------------------------------------------
 
 
@@ -159,9 +150,6 @@ class AnodyneCertificate:
     source_ids: frozenset[int]
     steps: tuple[CertStep, ...]
     description: str = ""
-
-    def source_complex(self):
-        return make_subcomplex(self.target, self.source_ids)
 
 
 def _facet_decomposition(vertices: tuple[int, ...], S: frozenset[int]):

@@ -38,9 +38,6 @@ class FiniteCategory:
         tag = self.name or f"{len(self.objects)} objects, {len(self.arrows)} arrows"
         return f"FiniteCategory({tag})"
 
-    def compose(self, g, f):
-        return self.compose_table[(g, f)]
-
     def is_identity(self, f) -> bool:
         return self.identity.get(self.src[f]) == f
 
@@ -167,15 +164,6 @@ class FiniteFunctor:
             if self.target.compose_table[(self.arrow_map[g], self.arrow_map[f])] != self.arrow_map[gf]:
                 raise CategoryError(f"functor breaks composition at ({g}, {f})")
         return self
-
-    def compose(self, other: "FiniteFunctor") -> "FiniteFunctor":
-        """self after other."""
-        return FiniteFunctor(
-            other.source,
-            self.target,
-            {x: self.object_map[y] for x, y in other.object_map.items()},
-            {f: self.arrow_map[g] for f, g in other.arrow_map.items()},
-        )
 
 
 def identity_functor(C: FiniteCategory) -> FiniteFunctor:

@@ -1,5 +1,5 @@
-"""JSON serialization for complexes, maps, categories, functors,
-presentations, and certificates.
+"""JSON serialization for complexes, categories, functors and
+certificates, and the output-only form of path category presentations.
 
 `*.sset.json` uses the fixed schema
     {"dim_bound": n, "coskeletal_at": n|null,
@@ -8,8 +8,10 @@ presentations, and certificates.
 Names of objects, arrows and generators are strings, ids are ints.  Every
 loader checks its input against the schema and raises MalformedInputError
 on a missing field, a wrong type, an unknown name or id, or a value that
-fails its own validation.  dump(load(x)) == load-parsed input for files
-produced here, which is what the round-trip invariant of the CLI checks.
+fails its own validation.  For the formats that load (complexes,
+categories, functors, certificates), dump(load(x)) == x on files produced
+here.  A presentation (`*.pcat.json`) is written by `pathcat` and never
+read back.
 
 `sset_from_json` validates and builds each distinct face record once per
 load and shares the SimplexExpr (hash-consing); a negative `coskeletal_at`
@@ -22,8 +24,8 @@ import json
 
 from .anodyne import AnodyneCertificate, CertStep
 from .cat import CategoryError, FiniteCategory, FiniteFunctor
-from .pathcat import HomSetTable, PresentedCategory, Relation
-from .simplicial import GLOBAL_DIM_BOUND, SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
+from .pathcat import HomSetTable, PresentedCategory
+from .simplicial import GLOBAL_DIM_BOUND, SimplexExpr, SimplicialError, SimplicialSet
 
 
 class MalformedInputError(ValueError):
@@ -157,34 +159,6 @@ def sset_from_json(obj: dict) -> SimplicialSet:
         raise MalformedInputError(str(exc)) from exc
 
 
-def smap_to_json(f: SimplicialMap) -> dict:
-    return {
-        "source": sset_to_json(f.source),
-        "target": sset_to_json(f.target),
-        "assignment": [
-            {"id": s, "image": expr_to_json(e)} for s, e in sorted(f.assignment.items())
-        ],
-    }
-
-
-def smap_from_json(obj: dict) -> SimplicialMap:
-    source = sset_from_json(_field(obj, "source", "map"))
-    target = sset_from_json(_field(obj, "target", "map"))
-    assignment = {}
-    for rec in _list(_field(obj, "assignment", "map"), "assignment"):
-        s = _int(_field(rec, "id", "assignment"), "assignment")
-        if s not in source.dim_of:
-            raise MalformedInputError(f"assignment: unknown source id {s}")
-        assignment[s] = _expr(_field(rec, "image", f"image of {s}"), target.dim_of, f"image of {s}")
-    for s in source.cells():
-        if s not in assignment:
-            raise MalformedInputError(f"assignment: missing source id {s}")
-    try:
-        return SimplicialMap(source, target, assignment).validate()
-    except SimplicialError as exc:
-        raise MalformedInputError(str(exc)) from exc
-
-
 def cat_to_json(C: FiniteCategory) -> dict:
     name = {x: str(x) for x in C.objects}
     aname = {f: str(f) for f in C.arrows}
@@ -272,28 +246,6 @@ def presentation_to_json(P: PresentedCategory, table: HomSetTable | None = None)
             for (x, y), entry in sorted(table.entries.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
         ]
     return out
-
-
-def presentation_from_json(obj: dict) -> PresentedCategory:
-    objects = tuple(_name(x, "objects") for x in _list(_field(obj, "objects", "presentation"), "objects"))
-    gens, gen_src, gen_tgt = [], {}, {}
-    for rec in _list(_field(obj, "generators", "presentation"), "generators"):
-        g = _name(_field(rec, "id", "generators"), "generators")
-        gens.append(g)
-        gen_src[g] = _name(_field(rec, "src", f"generator {g}"), f"generator {g}", objects)
-        gen_tgt[g] = _name(_field(rec, "tgt", f"generator {g}"), f"generator {g}", objects)
-    relations = []
-    for rec in _list(_field(obj, "relations", "presentation"), "relations"):
-        lhs, rhs = (
-            tuple(_name(g, "relation", gen_src) for g in _list(_field(rec, side, "relation"), "relation"))
-            for side in ("lhs", "rhs")
-        )
-        src, tgt = (_name(_field(rec, end, "relation"), "relation", objects) for end in ("src", "tgt"))
-        relations.append(Relation(lhs, rhs, src, tgt))
-    try:
-        return PresentedCategory(objects, tuple(gens), gen_src, gen_tgt, tuple(relations)).validate()
-    except ValueError as exc:
-        raise MalformedInputError(str(exc)) from exc
 
 
 def certificate_to_json(cert: AnodyneCertificate) -> dict:

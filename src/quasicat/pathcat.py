@@ -204,9 +204,6 @@ class HomSetTable:
     def entry(self, x, y) -> HomEntry:
         return self.entries[(x, y)]
 
-    def class_count(self, x, y) -> int:
-        return len(self.entries[(x, y)].classes)
-
 
 def hom_sets(P: PresentedCategory) -> HomSetTable:
     """Exact hom-sets of a loop-free presentation.

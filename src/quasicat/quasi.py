@@ -346,6 +346,8 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
     assigned, so that a wrong vertex fails at the first edge it closes,
     not after every other vertex has been tried."""
     cells = [s for level in P.nondegenerate for s in level]
+    if not cells:
+        return [{}]
     vertex_rank = {v: r for r, v in enumerate(P.vertices())}
     order = sorted(
         cells, key=lambda s: (max(map(vertex_rank.__getitem__, P.vertex_ids(P.expr(s)))), P.dim_of[s])
@@ -354,18 +356,23 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
     results: list[dict] = []
     assignment: dict[int, SimplexExpr] = {}
 
-    def assign(i: int):
-        if i == len(order):
-            results.append({s: assignment[s] for s in cells})
-            return
-        s = order[i]
+    def candidates(s: int):
         want = tuple(degenerate(assignment[e.base], e.word) for e in P.faces.get(s, ()))
-        for e in index[P.dim_of[s]].get(want, ()):
-            assignment[s] = e
-            assign(i + 1)
-            del assignment[s]
+        return iter(index[P.dim_of[s]].get(want, ()))
 
-    assign(0)
+    # stack[i] holds the untried candidates for order[i]; an explicit stack,
+    # since P may have more cells than the recursion limit
+    stack = [candidates(order[0])]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        assignment[order[len(stack) - 1]] = e
+        if len(stack) == len(order):
+            results.append({s: assignment[s] for s in cells})
+        else:
+            stack.append(candidates(order[len(stack)]))
     rank = [{e: r for r, e in enumerate(X.all_exprs(d))} for d in range(P.dim_bound + 1)]
     cell_ranks = [(s, rank[P.dim_of[s]]) for s in cells]
     results.sort(key=lambda a: [r[a[s]] for s, r in cell_ranks])
@@ -449,6 +456,8 @@ def tau0(K: SimplicialSet, X: SimplicialSet, limit: int = 24):
     d = X.coskeletal_at
     if d is None:
         raise CertificationError("tau0 needs a coskeletal bound on X")
+    if X.dim_bound < d:
+        raise CertificationError(f"tau0 needs X's coskeletal_at {d} <= its dim_bound {X.dim_bound}")
     H = function_complex(K, X, d + 1, limit=limit)
     report = certify_quasi_category(H)
     witnesses = quasi_iso_edges(H, report)

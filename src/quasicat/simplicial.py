@@ -478,10 +478,6 @@ class SimplicialMap:
 # -- standard complexes ----------------------------------------------------
 
 
-def empty_complex() -> SimplicialSet:
-    return SimplicialSet(0, [[]], {})
-
-
 @lru_cache(maxsize=None)
 def standard_simplex(n: int) -> SimplicialSet:
     # memoized: complexes are immutable, and callers rely on a single
@@ -619,10 +615,6 @@ def make_subcomplex(X: SimplicialSet, cell_ids) -> tuple[SimplicialSet, Simplici
     return sub, incl
 
 
-def subcomplex_generated(X: SimplicialSet, seeds) -> tuple[SimplicialSet, SimplicialMap]:
-    return make_subcomplex(X, closure_ids(X, seeds))
-
-
 # -- products ----------------------------------------------------------------
 
 
@@ -753,72 +745,6 @@ def product_map(
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(X, X, {s: X.expr(s) for s in X.cells()})
-
-
-# -- joins -------------------------------------------------------------------
-
-
-def join(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
-    """Join X * Y: cells are pairs (sigma, tau) with sigma from X or absent,
-    tau from Y or absent, of total dimension p + q + 1."""
-    dim_bound = X.dim + Y.dim + 1 if X.dim >= 0 and Y.dim >= 0 else max(X.dim, Y.dim)
-    if dim_bound < 0:
-        return empty_complex()
-    ids: dict[tuple[int | None, int | None], int] = {}
-    nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
-    labels = {}
-    next_id = 0
-    for d in range(dim_bound + 1):
-        if d <= X.dim:
-            for x in X.nondegenerate[d]:
-                ids[(x, None)] = next_id
-                nondeg[d].append(next_id)
-                labels[next_id] = (x, None)
-                next_id += 1
-        if d <= Y.dim:
-            for y in Y.nondegenerate[d]:
-                ids[(None, y)] = next_id
-                nondeg[d].append(next_id)
-                labels[next_id] = (None, y)
-                next_id += 1
-        for p in range(d):
-            q = d - p - 1
-            if p > X.dim or q > Y.dim:
-                continue
-            for x in X.nondegenerate[p]:
-                for y in Y.nondegenerate[q]:
-                    ids[(x, y)] = next_id
-                    nondeg[d].append(next_id)
-                    labels[next_id] = (x, y)
-                    next_id += 1
-
-    def join_expr(e1: SimplexExpr | None, e2: SimplexExpr | None) -> SimplexExpr:
-        if e1 is None:
-            return degenerate(SimplexExpr((), ids[(None, e2.base)], Y.dim_of[e2.base]), e2.word)
-        if e2 is None:
-            return degenerate(SimplexExpr((), ids[(e1.base, None)], X.dim_of[e1.base]), e1.word)
-        p = X.dim_of[e1.base]
-        base = SimplexExpr((), ids[(e1.base, e2.base)], p + Y.dim_of[e2.base] + 1)
-        # the Y-word acts on the positions after the p + 1 vertices of e1
-        return degenerate(base, e1.word + tuple(j + p + 1 for j in e2.word))
-
-    faces = {}
-    for (x, y), s in ids.items():
-        p = X.dim_of[x] if x is not None else -1
-        q = Y.dim_of[y] if y is not None else -1
-        d = p + q + 1
-        if d < 1:
-            continue
-        fs = []
-        for i in range(d + 1):
-            if i <= p:
-                left = X.face(X.expr(x), i) if p >= 1 else None
-                fs.append(join_expr(left, Y.expr(y) if y is not None else None))
-            else:
-                right = Y.face(Y.expr(y), i - p - 1) if q >= 1 else None
-                fs.append(join_expr(X.expr(x) if x is not None else None, right))
-        faces[s] = tuple(fs)
-    return SimplicialSet(dim_bound, nondeg, faces, None, labels, check=False)
 
 
 # -- isomorphism search ------------------------------------------------------

@@ -11,7 +11,6 @@ from quasicat.anodyne import (
     LatticePath,
     corner_swap,
     find_descending_segment,
-    is_interior,
     facet_certificate,
     shuffle_leq,
     shuffles,
@@ -142,17 +141,6 @@ def test_corner_swap_monotone():
             swapped = corner_swap(p, t)
             assert shuffle_leq(swapped, p)
             assert swapped.points[: t + 1] == p.points[: t + 1]
-
-
-def test_is_interior():
-    for p in shuffles(2, 2):
-        assert is_interior(p.points, 2, 2)
-    assert not is_interior(((0, 0), (0, 1), (0, 2)), 1, 2)
-    # the shared face of a corner-swap pair stays interior
-    p = shuffles(2, 1)[0]
-    t = find_descending_segment(p, variant=1)
-    face = p.points[: t + 1] + p.points[t + 2 :]
-    assert is_interior(face, 2, 1)
 
 
 # -- facet certificates -------------------------------------------------------------

@@ -119,6 +119,29 @@ def test_tau0_cli(capsys, tmp_path, delta2):
     assert code == 0 and rep["counts"]["classes"] == 3
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def test_tau0_maps_from_delta3_into_b_chain1(capsys):
+    # Delta^3 x Delta^3 has 1007 cells, more than the recursion limit; the
+    # five classes are the five monotone maps [3] -> [1]
+    code, rep = run(capsys, ["tau0", str(CORPUS / "delta3.sset.json"), str(CORPUS / "B_chain1.sset.json")])
+    assert code == 0
+    assert rep["tau0"] == [[0], [1], [2], [3], [4]]
+
+
+def test_tau0_refuses_coskeletal_flag_above_dim_bound(capsys, tmp_path):
+    obj = json.loads((CORPUS / "B_chain1.sset.json").read_text())
+    assert obj["dim_bound"] == 3
+    obj["coskeletal_at"] = 4
+    x = tmp_path / "flag4.sset.json"
+    x.write_text(dumps(obj))
+    assert main(["tau0", str(CORPUS / "delta1.sset.json"), str(x)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tau0 needs X's coskeletal_at 4 <= its dim_bound 3\n"
+
+
 def test_shuffles_cli(capsys):
     code, rep = run(capsys, ["shuffles", "2", "2"])
     assert code == 0 and rep["counts"]["count"] == 6

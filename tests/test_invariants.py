@@ -13,7 +13,7 @@ from quasicat.quasi import (
     has_right_homotopy,
     right_homotopy_classes,
 )
-from quasicat.simplicial import SimplicialMap, build_standard, standard_simplex
+from quasicat.simplicial import SimplicialMap, build_standard, make_subcomplex, standard_simplex
 
 
 def pushforward_generator_word(f: SimplicialMap, e: int):
@@ -87,7 +87,7 @@ def test_prism_cert_source_inclusion_is_path_iso(n, k, m):
     # the composite property: the source inclusion of a product certificate
     # induces an isomorphism of path categories (inner-anodyne maps do)
     cert = prism_certificate(n, k, m)
-    sub, incl = cert.source_complex()
+    sub, incl = make_subcomplex(cert.target, cert.source_ids)
     Tsub = hom_sets(path_category(sub))
     Tamb = hom_sets(path_category(cert.target))
     vmap = {v: incl.assignment[v].base for v in sub.vertices()}

@@ -13,14 +13,9 @@ from quasicat.jsonio import (
     functor_from_json,
     functor_to_json,
     loads,
-    presentation_from_json,
-    presentation_to_json,
-    smap_from_json,
-    smap_to_json,
     sset_from_json,
     sset_to_json,
 )
-from quasicat.pathcat import hom_sets, path_category
 from quasicat.simplicial import SimplicialSet, build_standard, iso_check, standard_simplex
 from quasicat.verify import verify_certificate
 
@@ -39,13 +34,6 @@ def test_sset_roundtrip_fixpoint():
         Y.validate()
 
 
-def test_smap_roundtrip():
-    H, incl = build_standard("horn", 2, 1)
-    j = smap_to_json(incl)
-    f = smap_from_json(roundtrip(j))
-    assert smap_to_json(f) == j
-
-
 def test_cat_roundtrip():
     for C in [poset_category(2), cyclic_group_category(3)]:
         j = cat_to_json(C)
@@ -59,15 +47,6 @@ def test_functor_roundtrip():
     j = functor_to_json(F)
     G = functor_from_json(roundtrip(j))
     assert functor_to_json(G) == j
-
-
-def test_presentation_roundtrip_with_table():
-    X = standard_simplex(2)
-    P = path_category(X)
-    j = presentation_to_json(P, hom_sets(P))
-    Q = presentation_from_json(roundtrip(j))
-    assert presentation_to_json(Q) == presentation_to_json(Q)
-    assert len(Q.relations) == 1
 
 
 def test_certificate_roundtrip_and_verify():
@@ -200,16 +179,8 @@ def _functor_json():
     return roundtrip(functor_to_json(identity_functor(cyclic_group_category(2))))
 
 
-def _smap_json():
-    return roundtrip(smap_to_json(build_standard("horn", 2, 1)[1]))
-
-
 def _cert_json():
     return roundtrip(certificate_to_json(facet_certificate(3, {0, 3})))
-
-
-def _presentation_json():
-    return roundtrip(presentation_to_json(path_category(standard_simplex(2))))
 
 
 def _corrupt(make, edit):
@@ -221,9 +192,7 @@ def _corrupt(make, edit):
 LOADERS = {
     "cat": cat_from_json,
     "functor": functor_from_json,
-    "smap": smap_from_json,
     "cert": certificate_from_json,
-    "presentation": presentation_from_json,
 }
 
 MALFORMED_DOCUMENTS = {
@@ -238,23 +207,12 @@ MALFORMED_DOCUMENTS = {
         "functor", _functor_json, lambda o: o["arrow_map"].update({k: "zz" for k in o["arrow_map"]}), "unknown name 'zz'"
     ),
     "functor: missing arrow_map": ("functor", _functor_json, lambda o: o.pop("arrow_map"), "missing 'arrow_map'"),
-    "smap: missing assignment entry": ("smap", _smap_json, lambda o: o["assignment"].pop(), "missing source id"),
-    "smap: unknown source id": ("smap", _smap_json, lambda o: o["assignment"][0].update(id=99), "unknown source id 99"),
-    "smap: face not commuting": (
-        "smap", _smap_json, lambda o: o["assignment"][0]["image"].update(base=1), "does not commute"
-    ),
     "cert: face index out of range": (
         "cert", _cert_json, lambda o: o["steps"][0]["horn"][0].update(face=9), "face index 9"
     ),
     "cert: step above dim_bound": ("cert", _cert_json, lambda o: o["steps"][0].update(n=50), "dimension 50 outside"),
     "cert: source id not an integer": (
         "cert", _cert_json, lambda o: o["source_ids"].append("x"), "expected an integer"
-    ),
-    "presentation: unknown generator": (
-        "presentation", _presentation_json, lambda o: o["relations"][0]["lhs"].append("zz"), "unknown name 'zz'"
-    ),
-    "presentation: name not a string": (
-        "presentation", _presentation_json, lambda o: o["objects"].append([1]), "expected a name"
     ),
 }
 

@@ -96,17 +96,17 @@ def test_loop_free_deep_spine():
 def test_hom_sets_boundary2():
     B, _ = build_standard("boundary", 2)
     T = hom_sets(path_category(B))
-    assert T.class_count(0, 2) == 2  # {02} and {12 . 01} stay distinct
+    assert len(T.entry(0, 2).classes) == 2  # {02} and {12 . 01} stay distinct
     assert [c.size for c in T.entry(0, 2).classes] == [1, 1]
-    assert T.class_count(0, 1) == 1
-    assert T.class_count(0, 0) == 1  # identity only
+    assert len(T.entry(0, 1).classes) == 1
+    assert len(T.entry(0, 0).classes) == 1  # identity only
 
 
 def test_hom_sets_delta2():
     T = hom_sets(path_category(standard_simplex(2)))
     for x in range(3):
         for y in range(3):
-            assert T.class_count(x, y) == (1 if x <= y else 0)
+            assert len(T.entry(x, y).classes) == (1 if x <= y else 0)
     assert T.entry(0, 2).classes[0].size == 2  # 02 and 01 . 12
 
 
@@ -124,9 +124,9 @@ def test_class_of_reduces_paths_and_rejects_others():
 def test_hom_sets_horn20():
     H, _ = build_standard("horn", 2, 0)
     T = hom_sets(path_category(H))
-    assert T.class_count(1, 2) == 0
-    assert T.class_count(0, 2) == 1
-    assert T.class_count(0, 1) == 1
+    assert len(T.entry(1, 2).classes) == 0
+    assert len(T.entry(0, 2).classes) == 1
+    assert len(T.entry(0, 1).classes) == 1
 
 
 def test_hom_sets_refuses_loops():

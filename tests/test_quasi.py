@@ -29,10 +29,11 @@ from quasicat.quasi import (
 from quasicat.simplicial import (
     SimplexExpr,
     build_standard,
+    closure_ids,
     iso_check,
+    make_subcomplex,
     product,
     standard_simplex,
-    subcomplex_generated,
     with_coskeletal,
 )
 
@@ -157,7 +158,7 @@ def test_certify_boundary3_with_face_removed():
     D3 = standard_simplex(3)
     by_label = {D3.labels[s]: s for s in D3.cells()}
     seeds = [by_label[(1, 2, 3)], by_label[(0, 1, 3)], by_label[(0, 1, 2)]]
-    sub, _ = subcomplex_generated(D3, seeds)
+    sub, _ = make_subcomplex(D3, closure_ids(D3, seeds))
     sub = with_coskeletal(sub, 3)
     rep = certify_quasi_category(sub)
     assert rep.verdict == "counterexample"
@@ -352,7 +353,7 @@ def test_tau0_of_nerve_counts_iso_classes():
 
 def test_tau0_into_point():
     B, _ = build_standard("boundary", 1)
-    assert len(tau0(B, with_coskeletal(standard_simplex(0), 1))) == 1
+    assert len(tau0(B, with_coskeletal(standard_simplex(0), 0))) == 1
 
 
 def test_tau0_pairs_of_classes():

@@ -9,12 +9,10 @@ from quasicat.simplicial import (
     build_standard,
     closure_ids,
     degeneracy_expr,
-    empty_complex,
     iso_check,
-    join,
+    make_subcomplex,
     product,
     standard_simplex,
-    subcomplex_generated,
     truncate,
 )
 
@@ -184,58 +182,13 @@ def test_product_truncation_flag():
     assert Q.complex.coskeletal_at == 1
 
 
-# -- joins -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (1, 1), (1, 2), (0, 3)])
-def test_join_of_simplices_paper_identity(m, n):
-    J = join(standard_simplex(m), standard_simplex(n))
-    J.validate()
-    assert iso_check(J, standard_simplex(m + n + 1)) is not None
-
-
-def test_join_with_empty_is_identity():
-    Y, _ = build_standard("boundary", 2)
-    J = join(empty_complex(), Y)
-    assert iso_check(J, Y) is not None
-    J2 = join(Y, empty_complex())
-    assert iso_check(J2, Y) is not None
-
-
-def test_join_horn_identification():
-    # (Lambda^1_k * Delta^0) u (Delta^1 * bd Delta^0) inside Delta^1 * Delta^0
-    # is the horn Lambda^2_k, k = 0, 1 (bd Delta^0 is empty, so the second
-    # part contributes Delta^1 itself).
-    for k in (0, 1):
-        J = join(standard_simplex(1), standard_simplex(0))
-        horn_vertex = k  # Lambda^1_k is the face d^{1-k}, i.e. the vertex {k}
-        union = [
-            s
-            for s in J.cells()
-            if J.labels[s][1] is None  # Delta^1 * empty part
-            or J.labels[s][0] is None  # the bare point
-            or J.labels[s][0] == horn_vertex
-        ]
-        sub, _ = subcomplex_generated(J, union)
-        target, _ = build_standard("horn", 2, k)
-        assert iso_check(sub, target) is not None
-
-
-def test_join_associative_up_to_iso():
-    for a, b, c in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)]:
-        A, B, C = (standard_simplex(d) for d in (a, b, c))
-        left = join(join(A, B), C)
-        right = join(A, join(B, C))
-        assert iso_check(left, right) is not None
-
-
 # -- subcomplexes ------------------------------------------------------------
 
 
 def test_subcomplex_horn_from_faces():
     D2 = standard_simplex(2)
     by_label = {D2.labels[s]: s for s in D2.cells()}
-    sub, incl = subcomplex_generated(D2, [by_label[(1, 2)], by_label[(0, 1)]])
+    sub, incl = make_subcomplex(D2, closure_ids(D2, [by_label[(1, 2)], by_label[(0, 1)]]))
     incl.validate()
     H, _ = build_standard("horn", 2, 1)
     assert iso_check(sub, H) is not None
@@ -243,14 +196,14 @@ def test_subcomplex_horn_from_faces():
 
 def test_subcomplex_of_all_top_cells_is_whole():
     B, _ = build_standard("boundary", 3)
-    sub, _ = subcomplex_generated(B, list(B.nondegenerate[2]))
+    sub, _ = make_subcomplex(B, closure_ids(B, list(B.nondegenerate[2])))
     assert sub.counts() == B.counts()
 
 
 def test_subcomplex_delta3_two_faces_counts():
     D3 = standard_simplex(3)
     by_label = {D3.labels[s]: s for s in D3.cells()}
-    sub, _ = subcomplex_generated(D3, [by_label[(1, 2, 3)], by_label[(0, 1, 2)]])
+    sub, _ = make_subcomplex(D3, closure_ids(D3, [by_label[(1, 2, 3)], by_label[(0, 1, 2)]]))
     assert sub.counts() == (4, 5, 2, 0)
 
 

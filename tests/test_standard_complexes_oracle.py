@@ -34,8 +34,9 @@ from quasicat.simplicial import (
     SimplicialMap,
     SimplicialSet,
     build_standard,
+    closure_ids,
+    make_subcomplex,
     standard_simplex,
-    subcomplex_generated,
     with_coskeletal,
 )
 
@@ -101,7 +102,7 @@ def old_boundary3_minus_face() -> SimplicialSet:
     D3 = standard_simplex(3)
     by_label = {D3.labels[s]: s for s in D3.cells()}
     seeds = [by_label[(1, 2, 3)], by_label[(0, 1, 3)], by_label[(0, 1, 2)]]
-    sub, _ = subcomplex_generated(D3, seeds)
+    sub, _ = make_subcomplex(D3, closure_ids(D3, seeds))
     return with_coskeletal(sub, 3)
 
 
