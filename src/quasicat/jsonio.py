@@ -13,9 +13,10 @@ categories, functors, certificates), dump(load(x)) == x on files produced
 here.  A presentation (`*.pcat.json`) is written by `pathcat` and never
 read back.
 
-`sset_from_json` validates and builds each distinct face record once per
-load and shares the SimplexExpr (hash-consing); a negative `coskeletal_at`
-is refused.
+`sset_from_json` handles each face record inline: one of exact ints is
+validated and built once per distinct (base, word) per load and shares the
+SimplexExpr (hash-consing), any other goes through the full check; a
+negative `coskeletal_at` is refused.
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ def _expr(obj, dims: dict[int, int], where: str) -> SimplexExpr:
     return expr
 
 
-def _shared_expr(obj, dims: dict[int, int], where: str, shared: dict) -> SimplexExpr:
-    """`_expr`, built once per distinct (base, word) whose base and letters
-    are all exact ints and shared: 1.0, True and "1" never hit 1's entry."""
-    if type(obj) is dict:
-        base, word = obj.get("base"), obj.get("word")
-        if type(base) is int and type(word) is list and set(map(type, word)) <= {int}:
-            key = base, tuple(word)
-            e = shared.get(key)
-            if e is None:
-                e = shared[key] = _expr(obj, dims, where)
-            return e
-    return _expr(obj, dims, where)
-
-
 def expr_to_json(e: SimplexExpr) -> dict:
     return {"word": list(e.word), "base": e.base}
 
@@ -142,14 +129,26 @@ def sset_from_json(obj: dict) -> SimplicialSet:
             nondeg[d].append(s)
             dims[s] = d
     faces = {}
+    # one SimplexExpr per distinct (base, word) of exact ints; 1.0, True and "1" are not 1
     shared: dict[tuple, SimplexExpr] = {}
-    for d, level in enumerate(levels):
-        if d >= 1:
-            for entry in level:
-                s = int(entry["id"])
-                where = f"face of {s}"
-                records = _list(_field(entry, "faces", where), where)
-                faces[s] = tuple(_shared_expr(f, dims, where, shared) for f in records)
+    for level in levels[1:]:
+        for entry in level:
+            s = entry["id"]
+            records = entry.get("faces")
+            if type(records) is not list:
+                records = _list(_field(entry, "faces", f"face of {s}"), f"face of {s}")
+            row = []
+            for f in records:
+                base, word = (f.get("base"), f.get("word")) if type(f) is dict else (None, None)
+                if type(base) is int and type(word) is list and (not word or set(map(type, word)) <= {int}):
+                    key = base, tuple(word)
+                    e = shared.get(key)
+                    if e is None:
+                        e = shared[key] = _expr(f, dims, f"face of {s}")
+                else:
+                    e = _expr(f, dims, f"face of {s}")
+                row.append(e)
+            faces[s] = tuple(row)
     flag = obj.get("coskeletal_at")
     if flag is not None and _int(flag, "coskeletal_at") < 0:
         raise MalformedInputError(f"coskeletal_at {flag} is negative")

@@ -6,12 +6,14 @@ coskeletal bound: in a d-coskeletal complex an inner horn of dimension
 dimensions 2..d+1 suffices.  Horns one dimension above the stored
 truncation are decided by a shell criterion.  The verdict is never a false
 certificate: a missing flag, or a dim_bound below the declared coskeletal
-bound, yields "inconclusive".
+bound, yields "inconclusive".  Horns are (n, k, top) tuples, enumerated as
+a join over the face index and counted against the filler index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .cat import FiniteCategory
 from .simplicial import (
@@ -37,17 +39,28 @@ class CertificationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HornMap:
+class HornMap(tuple):
     """A map Lambda^n_k -> X, stored on the horn's top faces.
 
     `top[i]` is the image of the face d^i of Delta^n for i != k (entry k is
-    None); images of lower simplices are determined by restriction.
+    None); images of lower simplices are determined by restriction.  An
+    immutable (n, k, top) triple, like `SimplexExpr`.
     """
 
-    n: int
-    k: int
-    top: tuple
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, top: tuple):
+        return tuple.__new__(cls, (n, k, top))
+
+    n = property(itemgetter(0))
+    k = property(itemgetter(1))
+    top = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"HornMap(n={self[0]!r}, k={self[1]!r}, top={self[2]!r})"
 
     @property
     def is_inner(self) -> bool:
@@ -89,35 +102,23 @@ class HornMap:
 
 
 def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
-    """All simplicial maps Lambda^n_k -> X, by backtracking over face images.
-
-    Faces are assigned in index order.  The candidates for slot j are read
-    from `X.face_index(n - 1, earlier slots)` at the face values forced by
-    the earlier assignments, so the search is output-sensitive.
+    """All simplicial maps Lambda^n_k -> X, as a join over face images: every
+    partial horn is extended by slot j, in index order, with the candidates
+    `X.face_index(n - 1, earlier slots)` holds at the face values its earlier
+    slots force, so the search is output-sensitive and the order lexicographic.
     """
     if n < 2:
         raise SimplicialError("horns need n >= 2")
     slots = tuple(i for i in range(n + 1) if i != k)
-    index = [X.face_index(n - 1, slots[:pos]) for pos in range(len(slots))]
-    results: list[HornMap] = []
-    chosen: dict[int, SimplexExpr] = {}
-
-    def assign(pos: int):
-        if pos == len(slots):
-            top = tuple(chosen.get(i) for i in range(n + 1))
-            results.append(HornMap(n, k, top))
-            return
-        j = slots[pos]
+    row = X.face_row
+    partial = [()]
+    for pos, j in enumerate(slots):
+        index = X.face_index(n - 1, slots[:pos])
         # slots ascend, so every earlier index i satisfies i < j and the
         # shared face of d^i and d^j sits at position j-1 of the former
-        key = tuple([X.face_row(chosen[i])[j - 1] for i in slots[:pos]])
-        for e in index[pos].get(key, ()):
-            chosen[j] = e
-            assign(pos + 1)
-            del chosen[j]
-
-    assign(0)
-    return results
+        partial = [p + (e,) for p in partial for e in index.get(tuple([row(f)[j - 1] for f in p]), ())]
+    new = tuple.__new__
+    return [new(HornMap, (n, k, (*p[:k], None, *p[k:]))) for p in partial]
 
 
 def find_filler(X: SimplicialSet, h: HornMap) -> SimplexExpr | None:
@@ -176,11 +177,13 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
             # each key of the filler index restricts an n-expression to one
             # of the distinct horns, so every horn fills iff the counts agree
             slots = tuple(i for i in range(n + 1) if i != k)
-            if n <= X.dim_bound and len(X.face_index(n, slots)) == len(horns):
+            fillers = X.face_index(n, slots) if n <= X.dim_bound else {}
+            if n <= X.dim_bound and len(fillers) == len(horns):
                 continue
+            key = itemgetter(*slots)
             for h in horns:
                 if n <= X.dim_bound:
-                    filled = find_filler(X, h) is not None
+                    filled = key(h.top) in fillers
                 else:
                     filled = _has_shell_filler(X, h)
                 if not filled:

@@ -432,11 +432,17 @@ class SimplicialSet:
         positions are (), and a horn's free face is a missing position."""
         idx = self._face_index.get((n, positions))
         if idx is None:
-            groups: dict = {}
-            for e in self.all_exprs(n):
-                row = self.face_row(e) if positions else ()
-                groups.setdefault(tuple([row[i] for i in positions]), []).append(e)
-            idx = self._face_index[n, positions] = {key: tuple(es) for key, es in groups.items()}
+            exprs = self.all_exprs(n)
+            if not positions:
+                idx = {(): exprs} if exprs else {}
+            else:
+                # a one-position getter slices, so that it too returns a tuple
+                key = itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(positions[0], positions[0] + 1))
+                groups: dict = {}
+                for e in exprs:
+                    groups.setdefault(key(self.face_row(e)), []).append(e)
+                idx = {k: tuple(es) for k, es in groups.items()}
+            self._face_index[n, positions] = idx
         return idx
 
 

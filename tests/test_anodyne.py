@@ -8,7 +8,6 @@ from quasicat.anodyne import (
     AnodyneCertificate,
     CertStep,
     CertificateError,
-    LatticePath,
     corner_swap,
     find_descending_segment,
     facet_certificate,

@@ -8,11 +8,15 @@ horns and scans only on a mismatch, so every report must be equal: verdict,
 bound, counterexample and reason.
 """
 
+import pickle
+from dataclasses import make_dataclass
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import cyclic_group_category, idempotent_monoid_category, nerve, poset_category
 from quasicat.corpus import corpus_complexes, corpus_nerves, quasi_category_corpus
-from quasicat.quasi import CertReport, HornMap, certify_quasi_category, find_filler
+from quasicat.quasi import CertReport, HornMap, certify_quasi_category, enumerate_horns, find_filler
 from quasicat.simplicial import SimplexExpr, SimplicialError, SimplicialSet, make_subcomplex, with_coskeletal
 
 
@@ -38,6 +42,27 @@ def old_enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
 
     assign(0)
     return results
+
+
+# the dataclass HornMap was before it became a tuple
+OldHornMap = make_dataclass("HornMap", ["n", "k", "top"], frozen=True)
+
+
+def old_face_index(X: SimplicialSet, n: int, positions: tuple[int, ...]) -> dict:
+    groups: dict = {}
+    for e in X.all_exprs(n):
+        groups.setdefault(tuple(X.face(e, i) for i in positions), []).append(e)
+    return {key: tuple(es) for key, es in groups.items()}
+
+
+def assert_horns_match_oracle(X: SimplicialSet):
+    """Every horn shape through dim_bound + 1, outer ones too, in order."""
+    for n in range(2, X.dim_bound + 2):
+        for k in range(n + 1):
+            old = old_enumerate_horns(with_coskeletal(X, X.coskeletal_at), n, k)
+            new = enumerate_horns(with_coskeletal(X, X.coskeletal_at), n, k)
+            assert new == old, (n, k)
+            assert all(type(h) is HornMap for h in new)
 
 
 def old_has_shell_filler(X: SimplicialSet, h: HornMap) -> bool:
@@ -156,3 +181,42 @@ def test_face_rows_match_faces():
                 row = X.face_row(e)
                 assert row == tuple(X.face(e, i) for i in range(e.dim + 1))
                 assert X.face_row(e) is row
+
+
+def test_horn_join_matches_oracle_on_corpus():
+    for X in [*corpus_complexes().values(), *corpus_nerves().values()]:
+        assert_horns_match_oracle(X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_complexes())
+def test_horn_join_matches_oracle_on_drawn_complexes(X):
+    assert_horns_match_oracle(X)
+
+
+def test_face_index_matches_oracle_at_every_positions():
+    empty = SimplicialSet(1, [], {})
+    for X in [*corpus_complexes().values(), *corpus_nerves().values(), empty]:
+        X = with_coskeletal(X, X.coskeletal_at)
+        for n in range(4):
+            for size in range(n + 2 if n else 1):
+                for positions in combinations(range(n + 1), size):
+                    new, old = X.face_index(n, positions), old_face_index(X, n, positions)
+                    assert list(new.items()) == list(old.items()), (n, positions)
+            exprs = X.all_exprs(n)
+            assert X.face_index(n, ()) == ({(): exprs} if exprs else {})
+            assert not exprs or X.face_index(n, ())[()] is exprs
+
+
+def test_horn_map_keeps_the_dataclass_semantics():
+    X = corpus_nerves()["B(z3)"]
+    horns = enumerate_horns(X, 3, 1) + enumerate_horns(X, 2, 0)
+    assert horns
+    for h in horns:
+        old = OldHornMap(h.n, h.k, h.top)
+        assert repr(h) == repr(old)
+        assert hash(h) == hash(old)
+        copy = pickle.loads(pickle.dumps(h))
+        assert type(copy) is HornMap and copy == h and (copy.n, copy.k, copy.top) == (h.n, h.k, h.top)
+        twin = HornMap(h.n, h.k, tuple(list(h.top)))
+        assert twin == h and hash(twin) == hash(h)

@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 from quasicat.corpus import (

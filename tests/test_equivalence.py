@@ -25,8 +25,6 @@ from quasicat.equivalence import (
     functors_from_presentation,
     iso_functor_groupoid,
 )
-from quasicat.pathcat import path_category
-from quasicat.simplicial import build_standard, standard_simplex
 
 
 def shape(name):

@@ -16,7 +16,7 @@ from quasicat.jsonio import (
     sset_from_json,
     sset_to_json,
 )
-from quasicat.simplicial import SimplicialSet, build_standard, iso_check, standard_simplex
+from quasicat.simplicial import SimplicialSet, build_standard, standard_simplex
 from quasicat.verify import verify_certificate
 
 

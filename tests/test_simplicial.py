@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from quasicat.simplicial import (
-    SimplexExpr,
     SimplicialError,
     SizeLimitError,
     build_standard,

@@ -81,10 +81,17 @@ def later_copy(doc, accept):
 
 
 def corrupt(doc, place, change):
+    """A copy of doc with `change(entry, i)` applied at the place's entry
+    and face."""
     bad = copy.deepcopy(doc)
     d, e, i = place
-    change(bad["simplices"][d][e]["faces"][i])
+    change(bad["simplices"][d][e], i)
     return bad
+
+
+def on_record(change):
+    """The change of an entry that changes its i-th face record in place."""
+    return lambda entry, i: change(entry["faces"][i])
 
 
 def set_letter(value):
@@ -103,13 +110,40 @@ def first_letter_out_of_range(rec):
     rec["word"][0] = 9
 
 
+def word_as_string(rec):
+    rec["word"] = "".join(map(str, rec["word"]))
+
+
+def record_as_list(entry, i):
+    rec = entry["faces"][i]
+    entry["faces"][i] = [rec["word"], rec["base"]]
+
+
+def drop_faces(entry, i):
+    del entry["faces"]
+
+
+def faces_as_object(entry, i):
+    entry["faces"] = {str(j): rec for j, rec in enumerate(entry["faces"])}
+
+
+def empty_word_on(base):
+    return lambda rec: not rec["word"] and rec["base"] == base
+
+
 CORRUPTIONS = {
-    "letter 1.0": (lambda rec: 1 in rec["word"], set_letter(1.0)),
-    "letter true": (lambda rec: 1 in rec["word"], set_letter(True)),
-    "letter '1'": (lambda rec: 1 in rec["word"], set_letter("1")),
-    "base 1.0": (lambda rec: rec["base"] == 1, set_base(1.0)),
-    "base true": (lambda rec: rec["base"] == 1, set_base(True)),
-    "letter out of range": (lambda rec: bool(rec["word"]), first_letter_out_of_range),
+    "letter 1.0": (lambda rec: 1 in rec["word"], on_record(set_letter(1.0))),
+    "letter true": (lambda rec: 1 in rec["word"], on_record(set_letter(True))),
+    "letter '1'": (lambda rec: 1 in rec["word"], on_record(set_letter("1"))),
+    "base 1.0": (lambda rec: rec["base"] == 1, on_record(set_base(1.0))),
+    "base true": (lambda rec: rec["base"] == 1, on_record(set_base(True))),
+    "letter out of range": (lambda rec: bool(rec["word"]), on_record(first_letter_out_of_range)),
+    "word a string": (lambda rec: bool(rec["word"]), on_record(word_as_string)),
+    "empty word, base 1.0": (empty_word_on(1), on_record(set_base(1.0))),
+    "empty word, base true": (empty_word_on(1), on_record(set_base(True))),
+    "record a list": (lambda rec: bool(rec["word"]), record_as_list),
+    "faces missing": (lambda rec: bool(rec["word"]), drop_faces),
+    "faces an object": (lambda rec: bool(rec["word"]), faces_as_object),
 }
 
 
