@@ -17,6 +17,11 @@ closed.  The intermediate combinatorial facts the construction relies on
 (codimension-one generation of each intersection, the position of the
 missing face, the final horn being the original inner index) are asserted
 at runtime and fail loudly instead of being trusted.
+
+Both builders work on cell ids: a cell's faces, by the bitmask of the
+positions they keep, are read through the target's face rows by a plan
+cached per dimension, a step's horn is its cell's own face row, and the
+stage is a set of ids.  A shared target whose rows do not fit is refused.
 """
 
 from __future__ import annotations
@@ -24,11 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 
 from .simplicial import (
     GLOBAL_DIM_BOUND,
-    SimplexExpr,
     SimplicialError,
     SimplicialSet,
     build_standard,
@@ -175,18 +178,59 @@ def _facet_decomposition(vertices: tuple[int, ...], S: frozenset[int]):
     return steps
 
 
-def _steps_for_cells(X: SimplicialSet, id_of_vs, cell_steps):
-    """Materialize (vertex tuple, k) steps as CertSteps over the target."""
-    out = []
-    for vs, k in cell_steps:
-        d = len(vs) - 1
-        attached = id_of_vs[vs]
-        top = tuple(
-            None if i == k else X.expr(id_of_vs[vs[:i] + vs[i + 1 :]])
-            for i in range(d + 1)
+@lru_cache(maxsize=None)
+def _face_plan(N: int) -> tuple[tuple[int, int, int], ...]:
+    """(mask, parent, i) for every proper non-empty set `mask` of vertex
+    positions of an N-simplex, larger sets first: the face on `mask` is
+    face i of the face on `parent`, which also keeps the lowest position
+    that `mask` leaves out."""
+    plan = []
+    for mask in sorted(range(1, (1 << (N + 1)) - 1), key=lambda m: -m.bit_count()):
+        low = ~mask & (mask + 1)
+        plan.append((mask, mask | low, (mask & (low - 1)).bit_count()))
+    return tuple(plan)
+
+
+def _sub_faces(X: SimplicialSet, top: int, N: int) -> list:
+    """The id of every face of the N-cell `top`, indexed by the bitmask of
+    the vertex positions it keeps (None at the empty mask), read through
+    the target's face rows."""
+    faces = X.faces
+    sub = [None] * (1 << (N + 1))
+    sub[-1] = top
+    for mask, parent, i in _face_plan(N):
+        sub[mask] = faces[sub[parent]][i][1]
+    return sub
+
+
+def _assert_intersection_generated(sub: list, stage: set, faces_present: frozenset[int]):
+    """The part of the simplex already in the stage must be generated by its
+    codimension-one faces (the delicate claim of the product construction):
+    a proper face lies in the stage exactly when some present facet
+    contains it, that is, leaves out a position the face leaves out."""
+    present = sum(1 << i for i in faces_present)
+    inside = list(map(stage.__contains__, sub[1:-1]))
+    pattern = [bool(present & ~mask) for mask in range(1, len(sub) - 1)]
+    if inside != pattern:
+        mask = next(i for i, (a, b) in enumerate(zip(inside, pattern), 1) if a != b)
+        raise CertificateError(
+            f"intersection with the stage is not generated in codimension one at cell {sub[mask]}"
         )
-        out.append(CertStep(d, k, top, attached))
-    return out
+
+
+def _cell_steps(X: SimplicialSet, sub: list, N: int, faces_present: frozenset[int], stage: set) -> list[CertStep]:
+    """The steps decomposing <faces_present> inside the N-cell whose faces
+    `sub` lists, each adding its cell and the cell's face d_k to the stage;
+    a step's horn is the cell's own face row with slot k left empty."""
+    faces = X.faces
+    steps = []
+    for vs, k in _facet_decomposition(tuple(range(N + 1)), faces_present):
+        attached = sub[sum(1 << v for v in vs)]
+        row = faces[attached]
+        steps.append(CertStep(len(vs) - 1, k, row[:k] + (None,) + row[k + 1 :], attached))
+        stage.add(row[k][1])
+        stage.add(attached)
+    return steps
 
 
 def facet_certificate(n: int, S) -> AnodyneCertificate:
@@ -202,12 +246,10 @@ def facet_certificate(n: int, S) -> AnodyneCertificate:
     if len(S) > n:
         raise CertificateError("S must be a proper subset")
     D = standard_simplex(n)
-    id_of_vs = {D.labels[s]: s for s in D.cells()}
-    full = tuple(range(n + 1))
-    seeds = [id_of_vs[full[:i] + full[i + 1 :]] for i in sorted(S)]
-    source_ids = closure_ids(D, seeds)
-    cell_steps = _facet_decomposition(full, S)
-    steps = _steps_for_cells(D, id_of_vs, cell_steps)
+    sub = _sub_faces(D, D.nondegenerate[n][0], n)
+    full = len(sub) - 1
+    source_ids = closure_ids(D, [sub[full ^ 1 << i] for i in sorted(S)])
+    steps = _cell_steps(D, sub, n, S, set(source_ids))
     return AnodyneCertificate(D, source_ids, tuple(steps), f"<S> in Delta^{n}, S={sorted(S)}")
 
 
@@ -241,89 +283,40 @@ def prism_certificate(n: int, k: int, m: int, target: SimplicialSet | None = Non
     # its second component's base is not Delta^m
     horn = {e.base for e in build_standard("horn", n, k)[1].assignment.values()}
     top_b = B.nondegenerate[m][0]
-    vertices_a: dict[SimplexExpr, tuple[int, ...]] = {}
-    vertices_b: dict[SimplexExpr, tuple[int, ...]] = {}
-    id_of_chain = {}
-    source_chains = set()
-    for s, (e1, e2) in X.labels.items():
-        v1 = vertices_a.get(e1)
-        if v1 is None:
-            v1 = vertices_a[e1] = A.vertex_ids(e1)
-        v2 = vertices_b.get(e2)
-        if v2 is None:
-            v2 = vertices_b[e2] = B.vertex_ids(e2)
-        chain = tuple(zip(v1, v2))
-        id_of_chain[chain] = s
-        if e1[1] in horn or e2[1] != top_b:
-            source_chains.add(chain)
-    source_ids = frozenset(id_of_chain[c] for c in source_chains)
+    labels = X.labels
+    source_ids = frozenset(s for s, (e1, e2) in labels.items() if e1[1] in horn or e2[1] != top_b)
     desc = f"(Lambda^{n}_{k} x Delta^{m}) u (Delta^{n} x bd Delta^{m})"
-    stage = set(source_chains)
+    N = n + m
+    id_of_chain = {
+        tuple(zip(A.vertex_ids(labels[s][0]), B.vertex_ids(labels[s][1]))): s for s in X.nondegenerate[N]
+    }
+    full = (1 << (N + 1)) - 1
+    stage = set(source_ids)
     all_steps = []
     order = shuffles(n, m)
-    for idx, sigma in enumerate(order):
-        chain = sigma.points
-        N = n + m
-        faces_present = frozenset(
-            i for i in range(N + 1) if chain[:i] + chain[i + 1 :] in stage
-        )
-        _assert_intersection_generated(chain, stage, faces_present)
-        if not {0, N} <= faces_present:
-            raise CertificateError("outer faces of a shuffle must already be present")
-        if idx == len(order) - 1:
-            # the maximal shuffle: exactly the face d^k is missing
-            if faces_present != frozenset(range(N + 1)) - {k}:
-                raise CertificateError(
-                    f"maximal shuffle should be missing exactly d^{k}, got {sorted(faces_present)}"
-                )
-        else:
-            t = find_descending_segment(sigma, variant=1)
-            if t is None:
-                raise CertificateError("non-maximal shuffle without an up-right corner")
-            if t + 1 in faces_present:
-                raise CertificateError(f"face d^{t + 1} unexpectedly present")
-        cell_steps = _facet_decomposition(tuple(range(N + 1)), faces_present)
-        chain_steps = [(tuple(chain[v] for v in vs), kk) for vs, kk in cell_steps]
-        all_steps += _steps_for_cells(X, id_of_chain, chain_steps)
-        for sub_chain, kk in chain_steps:
-            stage.add(sub_chain[:kk] + sub_chain[kk + 1 :])
-            stage.add(sub_chain)
-    if len(stage) != len(id_of_chain):
+    try:
+        for idx, sigma in enumerate(order):
+            sub = _sub_faces(X, id_of_chain[sigma.points], N)
+            faces_present = frozenset(i for i in range(N + 1) if sub[full ^ 1 << i] in stage)
+            _assert_intersection_generated(sub, stage, faces_present)
+            if not {0, N} <= faces_present:
+                raise CertificateError("outer faces of a shuffle must already be present")
+            if idx == len(order) - 1:
+                # the maximal shuffle: exactly the face d^k is missing
+                if faces_present != frozenset(range(N + 1)) - {k}:
+                    raise CertificateError(
+                        f"maximal shuffle should be missing exactly d^{k}, got {sorted(faces_present)}"
+                    )
+            else:
+                t = find_descending_segment(sigma, variant=1)
+                if t is None:
+                    raise CertificateError("non-maximal shuffle without an up-right corner")
+                if t + 1 in faces_present:
+                    raise CertificateError(f"face d^{t + 1} unexpectedly present")
+            all_steps += _cell_steps(X, sub, N, faces_present, stage)
+    except (KeyError, IndexError):
+        # only a shared target can get here: one the library built has these faces
+        raise CertificateError(f"target is not Delta^{n} x Delta^{m}: its face rows do not fit") from None
+    if len(stage) != X.n_cells:
         raise CertificateError("certificate does not exhaust the product")
     return AnodyneCertificate(X, source_ids, tuple(all_steps), desc)
-
-
-def _vertex_subsets(n: int):
-    out = []
-    for d in range(n + 1):
-        out.extend(combinations(range(n + 1), d + 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _proper_faces(N: int) -> tuple:
-    """(getter of the sub-tuple at the positions, bitmask of the positions
-    left out) for every proper vertex subset of an N-simplex, in
-    `_vertex_subsets` order."""
-    full = (1 << (N + 1)) - 1
-    return tuple(
-        # a one-position getter slices, so that it too returns a tuple
-        (itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(positions[0], positions[0] + 1)),
-         full & ~sum(1 << v for v in positions))
-        for positions in _vertex_subsets(N)
-        if len(positions) <= N
-    )
-
-
-def _assert_intersection_generated(chain, stage, faces_present):
-    """The part of the simplex already in the stage must be generated by its
-    codimension-one faces (the delicate claim of the product construction):
-    a proper face lies in the stage exactly when some present facet
-    contains it, that is, leaves out a position the face leaves out."""
-    present = sum(1 << i for i in faces_present)
-    for getter, outside in _proper_faces(len(chain) - 1):
-        sub = getter(chain)
-        if (sub in stage) != bool(present & outside):
-            raise CertificateError(
-                f"intersection with the stage is not generated in codimension one at {sub}"
-            )

@@ -193,6 +193,9 @@ def cmd_shuffles(args) -> tuple[dict, dict]:
 def cmd_cert_build(args) -> tuple[dict, dict]:
     if args.facets is not None:
         n, *faces = args.facets
+        repeated = next((i for i in faces if faces.count(i) > 1), None)
+        if repeated is not None:
+            raise UsageError(f"--facets: face index {repeated} given twice")
         cert = facet_certificate(n, set(faces))
     else:
         n, k, m = args.prism

@@ -272,11 +272,12 @@ class SimplicialSet:
             raise SimplicialError(f"face index {i} out of range for dim {dim}")
         if not word:
             return self.faces[base][i]
+        # the word tables return normal words, so the result skips the check
         out, j = _face_word(word, i, dim)
         if j is None:
-            return SimplexExpr(out, base, dim - 1)
+            return tuple.__new__(SimplexExpr, (out, base, dim - 1))
         inner, fbase, fdim = self.faces[base][j]
-        return SimplexExpr(_degenerate_word(out, inner, fdim), fbase, dim - 1)
+        return tuple.__new__(SimplexExpr, (_degenerate_word(out, inner, fdim), fbase, dim - 1))
 
     def face_row(self, expr: SimplexExpr) -> tuple[SimplexExpr, ...]:
         """(d_0 expr, ..., d_n expr): a non-degenerate expression's row of
@@ -318,8 +319,10 @@ class SimplicialSet:
         cached = self._expr_cache.get(d)
         if cached is not None:
             return cached
+        # combinations of a descending range are descending words
+        new = tuple.__new__
         result = tuple(
-            SimplexExpr(w, s, d)
+            new(SimplexExpr, (w, s, d))
             for p, bases in self._expr_blocks(d)
             for s in bases
             for w in combinations(range(d - 1, -1, -1), d - p)

@@ -180,6 +180,14 @@ def test_cert_build_facets(capsys):
     assert rep["counts"]["steps"] == 2
 
 
+def test_cert_build_refuses_a_face_index_given_twice(capsys):
+    # read as a set, the repeated 3 would build <{0, 3}> without a word
+    assert main(["cert-build", "--facets", "3", "0", "3", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --facets: face index 3 given twice\n"
+
+
 def test_equiv40_cli(capsys, tmp_path):
     F = identity_functor(cyclic_group_category(2))
     p = tmp_path / "f.fun.json"

@@ -6,8 +6,9 @@ The oracles are the previous per-letter `degenerate`, `SimplicialSet.face`
 and `ProductComplex.pair_expr` (one expression per degeneracy letter),
 `product` (every component face and pair normal form recomputed for every
 cell), the `validate` identity loop (two full faces per pair (i, j)), the
-prism builder with its subset-by-subset intersection check, and the
-previous `verify_certificate` (face closure of the source tested cell by
+prism and facet builders on vertex chains, with the prism's
+subset-by-subset intersection check, which the builders' id check must
+match, and the previous `verify_certificate` (face closure of the source tested cell by
 cell with a generator over its faces, and horn compatibility tested
 pairwise on every step), which also checks replays that resume on a
 target's slot: criterion 4's own sequence, and interleaved certificates of
@@ -17,7 +18,11 @@ across several products.  The word tables are checked exhaustively
 through dimension 9 (pairs through 7), and the expressions of every corpus
 complex with degenerate faces one by one.  `SimplicialSet.expr_at`, the
 indexed draw of criterion 4's face corruption, is checked against
-`all_exprs`.
+`all_exprs`, and the expressions `face` and `all_exprs` build without the
+word check against the checked constructor.  The prism builder is checked
+on its own product and on a target shared by every k of a shape, and on
+corrupted shared targets, which it must refuse or turn into certificates
+that do not verify.
 """
 
 import copy
@@ -38,8 +43,7 @@ from quasicat.anodyne import (
     CertStep,
     _assert_intersection_generated,
     _facet_decomposition,
-    _steps_for_cells,
-    _vertex_subsets,
+    _sub_faces,
     facet_certificate,
     find_descending_segment,
     prism_certificate,
@@ -55,6 +59,7 @@ from quasicat.simplicial import (
     SimplicialError,
     SimplicialMap,
     SimplicialSet,
+    closure_ids,
     degeneracy_expr,
     degenerate,
     make_subcomplex,
@@ -245,9 +250,41 @@ def old_validate(X: SimplicialSet):
                         raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
 
 
+def vertex_subsets(n: int):
+    out = []
+    for d in range(n + 1):
+        out.extend(combinations(range(n + 1), d + 1))
+    return out
+
+
+def old_steps_for_cells(X: SimplicialSet, id_of_vs, cell_steps):
+    """Materialize (vertex tuple, k) steps as CertSteps over the target."""
+    out = []
+    for vs, k in cell_steps:
+        d = len(vs) - 1
+        attached = id_of_vs[vs]
+        top = tuple(
+            None if i == k else X.expr(id_of_vs[vs[:i] + vs[i + 1 :]])
+            for i in range(d + 1)
+        )
+        out.append(CertStep(d, k, top, attached))
+    return out
+
+
+def old_facet_certificate(n: int, S) -> AnodyneCertificate:
+    S = frozenset(S)
+    D = standard_simplex(n)
+    id_of_vs = {D.labels[s]: s for s in D.cells()}
+    full = tuple(range(n + 1))
+    seeds = [id_of_vs[full[:i] + full[i + 1 :]] for i in sorted(S)]
+    source_ids = closure_ids(D, seeds)
+    steps = old_steps_for_cells(D, id_of_vs, _facet_decomposition(full, S))
+    return AnodyneCertificate(D, source_ids, tuple(steps), f"<S> in Delta^{n}, S={sorted(S)}")
+
+
 def old_assert_intersection_generated(chain, stage, faces_present):
     N = len(chain) - 1
-    for positions in _vertex_subsets(N):
+    for positions in vertex_subsets(N):
         if len(positions) == N + 1:
             continue
         sub = tuple(chain[v] for v in positions)
@@ -288,8 +325,8 @@ def old_prism_certificate(n: int, k: int, m: int) -> AnodyneCertificate:
     source_ids = frozenset(id_of_chain[c] for c in source_chains)
     desc = f"(Lambda^{n}_{k} x Delta^{m}) u (Delta^{n} x bd Delta^{m})"
     if m == 0:
-        steps = _steps_for_cells(
-            X, {vs: id_of_chain[tuple((i, 0) for i in vs)] for vs in _vertex_subsets(n)},
+        steps = old_steps_for_cells(
+            X, {vs: id_of_chain[tuple((i, 0) for i in vs)] for vs in vertex_subsets(n)},
             [(tuple(range(n + 1)), k)],
         )
         return AnodyneCertificate(X, source_ids, tuple(steps), desc)
@@ -657,6 +694,17 @@ def test_simplex_expr_value_semantics():
     assert not SimplexExpr((), 5, 2).is_degenerate
 
 
+
+def test_face_and_all_exprs_build_checked_expressions():
+    # face and all_exprs build their words unchecked; each must pass the check
+    for X in {**corpus_complexes(), **corpus_nerves()}.values():
+        for d in range(X.dim_bound + 2):
+            for e in X.all_exprs(d):
+                assert type(e) is SimplexExpr and e == SimplexExpr(*e)
+                for i in range(d + 1 if d else 0):
+                    f = X.face(e, i)
+                    assert type(f) is SimplexExpr and f == SimplexExpr(*f), (e, i)
+
 # -- the word tables, exhaustively through dimension 9 -------------------------------
 
 MAX_WORD_DIM = 9
@@ -837,43 +885,58 @@ def test_validate_matches_oracle_on_c4_prism_corruptions():
     assert failures > 24
 
 
-# -- the prism builder ---------------------------------------------------------------------
+# -- the builders ---------------------------------------------------------------------
 
 INTERSECTION_SHAPES = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2), (4, 2, 1)]
 
 
 @lru_cache(maxsize=None)
 def intersection_calls() -> tuple:
-    """Every (chain, stage, faces_present) the old builder checks on a few
-    prisms, the stage frozen as it stood."""
+    """Every (shape, chain, stage, faces_present) the old builder checks on
+    a few prisms, the stage frozen as it stood."""
     module = sys.modules[__name__]
     check = module.old_assert_intersection_generated
     calls = []
+    for shape in INTERSECTION_SHAPES:
 
-    def record(chain, stage, faces_present):
-        calls.append((chain, frozenset(stage), faces_present))
-        check(chain, stage, faces_present)
+        def record(chain, stage, faces_present):
+            calls.append((shape, chain, frozenset(stage), faces_present))
+            check(chain, stage, faces_present)
 
-    module.old_assert_intersection_generated = record
-    try:
-        for shape in INTERSECTION_SHAPES:
+        module.old_assert_intersection_generated = record
+        try:
             old_prism_certificate(*shape)
-    finally:
-        module.old_assert_intersection_generated = check
+        finally:
+            module.old_assert_intersection_generated = check
     return tuple(calls)
 
 
 def test_intersection_check_matches_oracle_with_one_chain_changed():
+    # the id check reads the shuffle's faces through the target's face rows
+    # and the stage by id; it must raise exactly when the chain check does
+    products = {}
     raised = passed = 0
-    for chain, stage, present in intersection_calls():
+    for (n, _, m), chain, stage, present in intersection_calls():
+        if (n, m) not in products:
+            prod = old_product(standard_simplex(n), standard_simplex(m))
+            products[n, m] = prod.complex, {old_vertex_pair_chain(prod, s): s for s in prod.complex.cells()}
+        X, id_of_chain = products[n, m]
         N = len(chain) - 1
-        assert _assert_intersection_generated(chain, stage, present) is None
-        for positions in _vertex_subsets(N):
-            changed = stage ^ {tuple(chain[v] for v in positions)}
+        sub = _sub_faces(X, id_of_chain[chain], N)
+        assert [sub[sum(1 << v for v in positions)] for positions in vertex_subsets(N)] == [
+            id_of_chain[tuple(chain[v] for v in positions)] for positions in vertex_subsets(N)
+        ]
+        stage_ids = {id_of_chain[c] for c in stage}
+        assert _assert_intersection_generated(sub, stage_ids, present) is None
+        for positions in vertex_subsets(N):
+            cell = tuple(chain[v] for v in positions)
+            changed, changed_ids = stage ^ {cell}, stage_ids ^ {id_of_chain[cell]}
             refreshed = frozenset(i for i in range(N + 1) if chain[:i] + chain[i + 1 :] in changed)
             for faces_present in (present, refreshed):
                 want = outcome(old_assert_intersection_generated, chain, changed, faces_present)
-                assert outcome(_assert_intersection_generated, chain, changed, faces_present) == want
+                got = outcome(_assert_intersection_generated, sub, changed_ids, faces_present)
+                assert (got is None) == (want is None)
+                assert got is None or got[0] is CertificateError
                 raised += want is not None
                 passed += want is None
     assert raised and passed
@@ -894,9 +957,52 @@ def benchmark_band_prisms():
 C4_PRISMS = [(n, k, m) for n in range(2, 5) for k in range(1, n) for m in range(4)]
 
 
-@pytest.mark.parametrize("n, k, m", C4_PRISMS + benchmark_band_prisms())
+@lru_cache(maxsize=1)
+def shared_target(n: int, m: int) -> SimplicialSet:
+    """The target that every k of the shape shares, as criterion 4 shares
+    it: the one the certificate for k = 1 built."""
+    return prism_certificate(n, 1, m).target
+
+
+# ordered by shape, so that each shared target is built once
+@pytest.mark.parametrize("n, k, m", sorted(C4_PRISMS + benchmark_band_prisms(), key=lambda p: (p[0], p[2], p[1])))
 def test_prism_certificate_matches_old_builder(n, k, m):
-    got, want = prism_certificate(n, k, m), old_prism_certificate(n, k, m)
-    assert dumps(certificate_to_json(got)) == dumps(certificate_to_json(want))
-    # the same set, built in the same order
-    assert list(got.source_ids) == list(want.source_ids)
+    want = old_prism_certificate(n, k, m)
+    expected = dumps(certificate_to_json(want))
+    # built on its own product, and on the target shared by every k of the shape
+    for got in (prism_certificate(n, k, m), prism_certificate(n, k, m, shared_target(n, m))):
+        assert dumps(certificate_to_json(got)) == expected
+        # the same set, built in the same order
+        assert list(got.source_ids) == list(want.source_ids)
+
+
+def test_facet_certificates_match_old_builder():
+    for n, S in _all_facet_parameters(7):
+        got, want = facet_certificate(n, S), old_facet_certificate(n, S)
+        assert dumps(certificate_to_json(got)) == dumps(certificate_to_json(want)), (n, S)
+        assert list(got.source_ids) == list(want.source_ids)
+
+
+def test_prism_certificate_on_a_corrupted_shared_target_is_refused():
+    # a target given to the builder is read, not trusted: with one face entry
+    # replaced, it is refused, or the certificate built on it does not verify
+    rng = random.Random(MUTATION_SEED)
+    X = prism_certificate(3, 1, 2).target
+    refused = rejected = 0
+    for _ in range(60):
+        d = rng.randrange(1, X.dim + 1)
+        s = rng.choice(X.nondegenerate[d])
+        t = rng.randrange(d + 1)
+        e = X.faces[s][t]
+        while e == X.faces[s][t]:
+            e = X.expr_at(d - 1, rng.randrange(X.n_exprs(d - 1)))
+        Y = with_face(X, s, t, e)
+        for k in (1, 2):
+            try:
+                cert = prism_certificate(3, k, 2, Y)
+            except CertificateError:
+                refused += 1
+                continue
+            assert not verify_certificate(cert)
+            rejected += 1
+    assert refused and rejected
