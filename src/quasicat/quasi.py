@@ -27,6 +27,7 @@ from .simplicial import (
     degenerate,
     identity_map,
     make_subcomplex,
+    map_search,
     product,
     product_map,
     simplex_map,
@@ -337,7 +338,8 @@ def ho_category(X: SimplicialSet, report: CertReport | None = None) -> FiniteCat
 
 
 def _map_key(assignment: dict) -> tuple:
-    return tuple(sorted(assignment.items(), key=lambda kv: kv[0]))
+    # the cell ids are distinct, so the images are never compared
+    return tuple(sorted(assignment.items()))
 
 
 def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
@@ -345,111 +347,95 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
     as a backtracking search over the cells in dimension order would give
     them: lexicographically by each image's rank in `X.all_exprs`.
 
-    The search itself assigns each cell as soon as its last vertex is
-    assigned, so that a wrong vertex fails at the first edge it closes,
-    not after every other vertex has been tried."""
-    cells = [s for level in P.nondegenerate for s in level]
-    if not cells:
-        return [{}]
-    vertex_rank = {v: r for r, v in enumerate(P.vertices())}
-    order = sorted(
-        cells, key=lambda s: (max(map(vertex_rank.__getitem__, P.vertex_ids(P.expr(s)))), P.dim_of[s])
-    )
-    index = [X.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(P.dim_bound + 1)]
-    results: list[dict] = []
-    assignment: dict[int, SimplexExpr] = {}
-
-    def candidates(s: int):
-        want = tuple(degenerate(assignment[e.base], e.word) for e in P.faces.get(s, ()))
-        return iter(index[P.dim_of[s]].get(want, ()))
-
-    # stack[i] holds the untried candidates for order[i]; an explicit stack,
-    # since P may have more cells than the recursion limit
-    stack = [candidates(order[0])]
-    while stack:
-        e = next(stack[-1], None)
-        if e is None:
-            stack.pop()
-            continue
-        assignment[order[len(stack) - 1]] = e
-        if len(stack) == len(order):
-            results.append({s: assignment[s] for s in cells})
-        else:
-            stack.append(candidates(order[len(stack)]))
+    `map_search` chooses the cells from the top dimension down, with
+    candidates from X's face index, so the lower cells of a map are read
+    off the images of the cells above them instead of being guessed.  On
+    Delta^1 x Delta^n the top cells, in id order, meet the cells before
+    them in one facet each, so every choice extends to a map."""
+    cells = list(P.cells())
+    order = sorted(cells, key=lambda s: -P.dim_of[s])
+    lookup = lambda d, positions, key: X.face_index(d, positions).get(key, ())
+    results = [{s: img[s] for s in cells} for img in map_search(P, X, order, lookup)]
     rank = [{e: r for r, e in enumerate(X.all_exprs(d))} for d in range(P.dim_bound + 1)]
     cell_ranks = [(s, rank[P.dim_of[s]]) for s in cells]
     results.sort(key=lambda a: [r[a[s]] for s, r in cell_ranks])
     return results
 
 
+def _precompose(f: dict, along: dict) -> dict:
+    """f . g for maps given as assignment dicts, g's images `along`."""
+    return {s: degenerate(f[b], w) if w else f[b] for s, (w, b, _) in along.items()}
+
+
 def function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: int = 24) -> SimplicialSet:
     """hom(K, X) through dimension dim_bound: n-simplices are maps
-    K x Delta^n -> X, with faces and degeneracies by precomposition with
-    1_K x delta, each such map built once."""
+    K x Delta^n -> X, with faces by precomposition with 1_K x d^i.
+
+    A map f is s_j g exactly when f . (1_K x d^j s^j) = f, and then
+    g = f . (1_K x d^j).  That test reads only the cells the collapse
+    d^j s^j moves, listed once per (n, j), and stops at the first one whose
+    image differs; g is built only for a map that passes.  Maps are found
+    by `_enumerate_maps`, degenerate ones included, in the rank order that
+    fixes the ids."""
     if K.n_cells > limit:
         raise SizeLimitError(f"function complex needs |K| <= {limit}")
     prods = [product(K, standard_simplex(n)) for n in range(dim_bound + 1)]
     id_K = identity_map(K)
 
-    def along(vertex_map, n: int) -> SimplicialMap:
+    def along(vertex_map, n: int) -> dict:
         # 1_K x delta for delta: Delta^m -> Delta^n given on vertices
-        return product_map(prods[len(vertex_map) - 1], prods[n], id_K, simplex_map(vertex_map, n))
+        return product_map(prods[len(vertex_map) - 1], prods[n], id_K, simplex_map(vertex_map, n)).assignment
 
-    # d^i skips vertex i of Delta^n; s^j repeats vertex j of Delta^n
+    # d^i skips vertex i of Delta^n; d^j s^j sends vertex j to j + 1
     face = {
         (n, i): along([v + (v >= i) for v in range(n)], n)
         for n in range(1, dim_bound + 1)
         for i in range(n + 1)
     }
-    degeneracy = {
-        (n, j): along([v - (v > j) for v in range(n + 2)], n)
-        for n in range(dim_bound)
-        for j in range(n + 1)
+    moved = {
+        (n, j): [(s, e) for s, e in along([v + (v == j) for v in range(n + 1)], n).items() if e[0] or e[1] != s]
+        for n in range(1, dim_bound + 1)
+        for j in range(n)
     }
 
-    # degeneracy detection: f is s_j(g) iff precomposing with the collapse
-    # reproduces f, where g = f . (1 x d^{j})
-    def im_sj(n: int, f: SimplicialMap, j: int) -> SimplicialMap | None:
-        g = f.compose(face[n, j])
-        return g if g.compose(degeneracy[n - 1, j]).assignment == f.assignment else None
+    def is_sj(f: dict, n: int, j: int) -> bool:
+        for s, (w, b, _) in moved[n, j]:
+            if f[s] != (degenerate(f[b], w) if w else f[b]):
+                return False
+        return True
 
-    # non-degenerate n-simplices: maps not of the form g . (1 x s_j)
-    nondeg_maps: list[list[SimplicialMap]] = [[] for _ in range(dim_bound + 1)]
+    nondeg_maps: list[list[dict]] = [[] for _ in range(dim_bound + 1)]
     nondeg_ids: list[dict] = [{} for _ in range(dim_bound + 1)]
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     labels = {}
     next_id = 0
     for n, p in enumerate(prods):
-        for assignment in _enumerate_maps(p.complex, X):
-            f = SimplicialMap(p.complex, X, assignment)
-            if any(im_sj(n, f, j) is not None for j in range(n)):
+        for f in _enumerate_maps(p.complex, X):
+            if any(is_sj(f, n, j) for j in range(n)):
                 continue
-            k = _map_key(assignment)
+            k = _map_key(f)
             nondeg_ids[n][k] = next_id
             nondeg[n].append(next_id)
             nondeg_maps[n].append(f)
             labels[next_id] = ("map", n, k)
             next_id += 1
 
-    def normalize(n: int, f: SimplicialMap) -> SimplexExpr:
+    def normalize(n: int, f: dict) -> SimplexExpr:
         word = []
         while n >= 1:
-            for j in range(n - 1, -1, -1):
-                g = im_sj(n, f, j)
-                if g is not None:
-                    break
-            else:
+            j = next((j for j in range(n - 1, -1, -1) if is_sj(f, n, j)), None)
+            if j is None:
                 break
             word.append(j)
-            f = g
+            f = _precompose(f, face[n, j])
             n -= 1
-        return degenerate(SimplexExpr((), nondeg_ids[n][_map_key(f.assignment)], n), word)
+        return degenerate(SimplexExpr((), nondeg_ids[n][_map_key(f)], n), word)
 
     faces = {}
     for n in range(1, dim_bound + 1):
         for f in nondeg_maps[n]:
-            s = nondeg_ids[n][_map_key(f.assignment)]
-            faces[s] = tuple(normalize(n - 1, f.compose(face[n, i])) for i in range(n + 1))
+            s = nondeg_ids[n][_map_key(f)]
+            faces[s] = tuple(normalize(n - 1, _precompose(f, face[n, i])) for i in range(n + 1))
     return SimplicialSet(dim_bound, nondeg, faces, X.coskeletal_at, labels, check=False)
 
 

@@ -109,7 +109,8 @@ def degenerate(expr: SimplexExpr, word) -> SimplexExpr:
         return expr
     inner, base, dim = expr
     word = tuple(word)
-    return SimplexExpr(_degenerate_word(word, inner, dim), base, dim + len(word))
+    # the word table returns normal words, so the result skips the check
+    return tuple.__new__(SimplexExpr, (_degenerate_word(word, inner, dim), base, dim + len(word)))
 
 
 # -- word tables: pure functions of words and dimensions, memoized -------------
@@ -473,16 +474,6 @@ class SimplicialMap:
                         raise SimplicialError(f"map does not commute with d_{i} at {s}")
         return self
 
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other (other.target must be self.source)."""
-        if other.target is not self.source:
-            raise SimplicialError("maps not composable")
-        return SimplicialMap(
-            other.source,
-            self.target,
-            {s: self.push(img) for s, img in other.assignment.items()},
-        )
-
 
 # -- standard complexes ----------------------------------------------------
 
@@ -612,13 +603,12 @@ def make_subcomplex(X: SimplicialSet, cell_ids) -> tuple[SimplicialSet, Simplici
             nondeg[d].append(next_id)
             labels[next_id] = X.labels.get(s, s)
             next_id += 1
+    # the words come from X's own face table, so they are already normal
+    trusted = tuple.__new__
     faces = {}
     for s, new in new_of_old.items():
-        d = X.dim_of[s]
-        if d >= 1:
-            faces[new] = tuple(
-                SimplexExpr(e.word, new_of_old[e.base], e.dim) for e in X.faces[s]
-            )
+        if X.dim_of[s] >= 1:
+            faces[new] = tuple(trusted(SimplexExpr, (w, new_of_old[b], d)) for w, b, d in X.faces[s])
     sub = SimplicialSet(X.dim_bound, nondeg, faces, None, labels, check=False)
     incl = SimplicialMap(sub, X, {new: X.expr(s) for s, new in new_of_old.items()})
     return sub, incl
@@ -629,13 +619,11 @@ def make_subcomplex(X: SimplicialSet, cell_ids) -> tuple[SimplicialSet, Simplici
 
 @dataclass(frozen=True)
 class ProductComplex:
-    """X x Y with projections; `pairs` records each cell's component exprs."""
+    """X x Y; `pairs` records each cell's component exprs, the projections."""
 
     complex: SimplicialSet
     left: SimplicialSet
     right: SimplicialSet
-    pr_left: SimplicialMap
-    pr_right: SimplicialMap
     pairs: dict[int, tuple[SimplexExpr, SimplexExpr]] = field(compare=False)
     pair_id: dict[tuple[SimplexExpr, SimplexExpr], int] = field(compare=False)
 
@@ -737,9 +725,7 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     ):
         flag = max(X.coskeletal_at, Y.coskeletal_at)
     P = SimplicialSet(dim_bound, nondeg, faces, flag, pairs, check=False)
-    pr_left = SimplicialMap(P, X, {s: e1 for s, (e1, e2) in pairs.items()})
-    pr_right = SimplicialMap(P, Y, {s: e2 for s, (e1, e2) in pairs.items()})
-    return ProductComplex(P, X, Y, pr_left, pr_right, pairs, pair_id)
+    return ProductComplex(P, X, Y, pairs, pair_id)
 
 
 def product_map(
@@ -756,16 +742,105 @@ def identity_map(X: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(X, X, {s: X.expr(s) for s in X.cells()})
 
 
-# -- isomorphism search ------------------------------------------------------
+# -- map search ----------------------------------------------------------------
+
+
+def _search_plan(P: SimplicialSet, order) -> list[tuple]:
+    """One step per cell of `order` not covered by an earlier step: (dim,
+    positions, key faces, ops, new cells).  An op (c, i, w, b, fresh)
+    derives a fresh b from d_i of c's image, or checks it against b's."""
+    covered: set[int] = set()
+    steps = []
+    for s in order:
+        if s in covered:
+            continue
+        covered.add(s)
+        faces = P.faces.get(s, ())
+        positions = tuple([i for i, e in enumerate(faces) if e[1] in covered])
+        if len(positions) == len(faces):  # looked up whole
+            steps.append((P.dim_of[s], positions, faces, (), (s,)))
+            continue
+        new, ops = [s], []
+        for c in new:  # grows as faces are derived
+            for i, (w, b, _) in enumerate(P.faces.get(c, ())):
+                if c == s and i in positions:
+                    continue
+                fresh = b not in covered
+                if fresh:
+                    covered.add(b)
+                    new.append(b)
+                ops.append((c, i, w, b, fresh))
+        steps.append((P.dim_of[s], positions, tuple([faces[i] for i in positions]), ops, new))
+    return steps
+
+
+def map_search(P: SimplicialSet, Y: SimplicialSet, order, lookup, injective: bool = False):
+    """Every simplicial map P -> Y, each yielded as the live assignment dict,
+    which the search goes on to change.
+
+    Backtracking with arc consistency, on an explicit stack (P may have
+    more cells than the recursion limit).  Cells are chosen in `order`,
+    skipping those already assigned.  A chosen d-cell tries the candidates
+    `lookup(d, positions, key)`, `key` being the images of its faces already
+    assigned at `positions`.  Its other faces, and theirs, are read off the
+    candidate (d_i of it, degeneracies stripped) or checked against the
+    image there, and undone on backtrack: a triangle whose two legs are
+    assigned fixes its third edge.  `injective` refuses an image in use.
+    """
+    steps = _search_plan(P, order)
+    if not steps:
+        yield {}
+        return
+    face, face_row = Y.face, Y.face_row
+    img: dict[int, SimplexExpr] = {}
+    used: set[SimplexExpr] = set()  # read only when injective, where images are distinct
+
+    def candidates(t: int):
+        d, positions, faces, _ops, _new = steps[t]
+        return iter(lookup(d, positions, tuple([degenerate(img[b], w) if w else img[b] for w, b, _ in faces])))
+
+    stack = [candidates(0)]
+    while stack:
+        _d, _positions, _faces, ops, new = steps[len(stack) - 1]
+        for b in new:
+            if b in img:
+                used.discard(img.pop(b))
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        if injective and e in used:
+            continue
+        img[new[0]] = e
+        used.add(e)
+        for c, i, w, b, fresh in ops:
+            y = face_row(img[c])[i]
+            if not fresh:
+                if (degenerate(img[b], w) if w else img[b]) != y:
+                    break
+                continue
+            x = y
+            for j in w:
+                x = face(x, j)
+            if (w and degenerate(x, w) != y) or (injective and x in used):
+                break
+            img[b] = x
+            used.add(x)
+        else:
+            if len(stack) == len(steps):
+                yield img
+            else:
+                stack.append(candidates(len(stack)))
 
 
 def iso_check(X: SimplicialSet, Y: SimplicialSet, limit: int = 64) -> SimplicialMap | None:
-    """Exact isomorphism search by backtracking over cells in dimension order.
-
-    A cell's candidates are the unused non-degenerate cells of Y whose
-    faces are the images of its faces.  Returns a dimension-preserving,
-    face-commuting bijection as a SimplicialMap, or None.  Both complexes
-    must have at most `limit` non-degenerate simplices in total.
+    """Exact isomorphism search: an injective `map_search` over the cells
+    of X in dimension order, so every face of a cell is assigned first,
+    each cell's candidates read from an index of Y's non-degenerate cells
+    keyed by their own face rows, in `nondegenerate` order.  Returns the
+    first face-commuting bijection in that order, or None; the cell counts
+    per dimension are compared first.  Both complexes must have at most
+    `limit` non-degenerate simplices in total.
     """
     if X.n_cells > limit or Y.n_cells > limit:
         raise SizeLimitError(f"iso_check limit {limit} exceeded")
@@ -774,29 +849,9 @@ def iso_check(X: SimplicialSet, Y: SimplicialSet, limit: int = 64) -> Simplicial
     cy = tuple(len(Y.nondegenerate[d]) if d <= Y.dim_bound else 0 for d in range(top + 1))
     if cx != cy:
         return None
-    order = list(X.cells())
-    index = [Y.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(X.dim + 1)]
-    phi: dict[int, int] = {}
-    used: set[int] = set()
-
-    def candidates(s: int):
-        want = tuple(SimplexExpr(e.word, phi[e.base], e.dim) for e in X.faces.get(s, ()))
-        return iter([e.base for e in index[X.dim_of[s]].get(want, ()) if not e.word and e.base not in used])
-
-    # stack[i] holds the untried candidates for order[i]; an explicit stack,
-    # since a complex may have more cells than the recursion limit
-    stack = [candidates(order[0])] if order else []
-    while len(phi) < len(order):
-        if not stack:
-            return None
-        s = order[len(stack) - 1]
-        used.discard(phi.pop(s, None))
-        t = next(stack[-1], None)
-        if t is None:
-            stack.pop()
-            continue
-        phi[s] = t
-        used.add(t)
-        if len(stack) < len(order):
-            stack.append(candidates(order[len(stack)]))
-    return SimplicialMap(X, Y, {s: Y.expr(t) for s, t in phi.items()})
+    index: dict[tuple, list[SimplexExpr]] = {}
+    for d, level in enumerate(Y.nondegenerate):
+        for t in level:
+            index.setdefault(Y.faces.get(t, ()), []).append(tuple.__new__(SimplexExpr, ((), t, d)))
+    phi = next(map_search(X, Y, X.cells(), lambda _d, _positions, key: index.get(key, ()), True), None)
+    return None if phi is None else SimplicialMap(X, Y, {s: phi[s] for s in X.cells()})

@@ -57,7 +57,6 @@ from quasicat.simplicial import (
     ProductComplex,
     SimplexExpr,
     SimplicialError,
-    SimplicialMap,
     SimplicialSet,
     closure_ids,
     degeneracy_expr,
@@ -139,7 +138,7 @@ def old_product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None
                                 labels[next_id] = (e1, e2)
                                 next_id += 1
     P = SimplicialSet(dim_bound, nondeg, {}, None, labels, check=False)
-    prod = ProductComplex(P, X, Y, None, None, pairs, pair_id)
+    prod = ProductComplex(P, X, Y, pairs, pair_id)
     faces = {}
     for s, (e1, e2) in pairs.items():
         d = e1.dim
@@ -156,9 +155,7 @@ def old_product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None
     ):
         flag = max(X.coskeletal_at, Y.coskeletal_at)
     P = SimplicialSet(dim_bound, nondeg, faces, flag, labels, check=False)
-    pr_left = SimplicialMap(P, X, {s: e1 for s, (e1, e2) in pairs.items()})
-    pr_right = SimplicialMap(P, Y, {s: e2 for s, (e1, e2) in pairs.items()})
-    return ProductComplex(P, X, Y, pr_left, pr_right, pairs, pair_id)
+    return ProductComplex(P, X, Y, pairs, pair_id)
 
 
 def old_verify_certificate(cert) -> VerifyResult:
@@ -384,8 +381,6 @@ def assert_product_matches_oracle(X, Y, dim_bound=None):
     assert got.pairs == want.pairs
     assert got.pair_id == want.pair_id
     assert got.complex.labels == want.complex.labels
-    assert got.pr_left.assignment == want.pr_left.assignment
-    assert got.pr_right.assignment == want.pr_right.assignment
 
 
 def test_corpus_products_match_oracle():

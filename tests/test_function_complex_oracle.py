@@ -1,9 +1,12 @@
-"""`function_complex` against the implementation it replaced.
+"""`function_complex` and its map search against the implementations they
+replaced.
 
 The oracle below is the earlier code: it scans every n-expr of X for each
 candidate cell of a map, and rebuilds the product map 1_K x delta on each
 precomposition.  Its output must match the current `function_complex` byte
-for byte (`sset_to_json`) and label for label.
+for byte (`sset_to_json`) and label for label.  The explicit-stack
+backtracker that `map_search` replaced is kept as the oracle of
+`_enumerate_maps`.
 """
 
 from itertools import combinations
@@ -19,7 +22,8 @@ from quasicat.cat import (
     preorder_category,
     product_category,
 )
-from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
+from quasicat import quasi
+from quasicat.corpus import corpus_categories, corpus_complexes, loop_free_corpus_complexes
 from quasicat.jsonio import dumps, sset_to_json
 from quasicat.quasi import function_complex
 from quasicat.simplicial import (
@@ -28,10 +32,13 @@ from quasicat.simplicial import (
     SimplicialSet,
     SizeLimitError,
     build_standard,
+    degenerate,
     product,
     standard_simplex,
     with_coskeletal,
 )
+
+from helpers import tiny_complexes
 
 
 # -- the oracle, as it stood before function_complex was rebuilt on compose -----
@@ -268,6 +275,126 @@ def test_size_limit():
         function_complex(standard_simplex(2), standard_simplex(0), 1, limit=3)
     with pytest.raises(SizeLimitError):
         oracle_function_complex(standard_simplex(2), standard_simplex(0), 1, limit=3)
+
+
+# -- the map search ------------------------------------------------------------------
+
+
+def backtrack_enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
+    """The explicit-stack backtracker `_enumerate_maps` ran before
+    `map_search`, verbatim: each cell is assigned right after its last
+    vertex, its candidates read from X's face index at all positions."""
+    cells = [s for level in P.nondegenerate for s in level]
+    if not cells:
+        return [{}]
+    vertex_rank = {v: r for r, v in enumerate(P.vertices())}
+    order = sorted(
+        cells, key=lambda s: (max(map(vertex_rank.__getitem__, P.vertex_ids(P.expr(s)))), P.dim_of[s])
+    )
+    index = [X.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(P.dim_bound + 1)]
+    results: list[dict] = []
+    assignment: dict[int, SimplexExpr] = {}
+
+    def candidates(s: int):
+        want = tuple(degenerate(assignment[e.base], e.word) for e in P.faces.get(s, ()))
+        return iter(index[P.dim_of[s]].get(want, ()))
+
+    stack = [candidates(order[0])]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        assignment[order[len(stack) - 1]] = e
+        if len(stack) == len(order):
+            results.append({s: assignment[s] for s in cells})
+        else:
+            stack.append(candidates(order[len(stack)]))
+    rank = [{e: r for r, e in enumerate(X.all_exprs(d))} for d in range(P.dim_bound + 1)]
+    cell_ranks = [(s, rank[P.dim_of[s]]) for s in cells]
+    results.sort(key=lambda a: [r[a[s]] for s, r in cell_ranks])
+    return results
+
+
+def assert_same_maps(P, X):
+    got = quasi._enumerate_maps(P, X)
+    assert got == backtrack_enumerate_maps(P, X)
+    assert [list(a) for a in got] == [list(P.cells())] * len(got)
+
+
+def non_poset_nerve(name):
+    return nerve(corpus_categories()[name], 3)
+
+
+SOURCES = {"delta0": lambda: standard_simplex(0), "delta1": lambda: standard_simplex(1), "boundary1": _boundary1}
+NON_POSETS = ("idempotent", "z2", "z3")
+
+
+@pytest.mark.parametrize("x_name", NON_POSETS)
+@pytest.mark.parametrize("k_name", sorted(SOURCES))
+def test_map_search_matches_backtracker_on_non_poset_nerves(k_name, x_name):
+    X = non_poset_nerve(x_name)
+    for n in range(3):
+        assert_same_maps(product(SOURCES[k_name](), standard_simplex(n)).complex, X)
+
+
+@st.composite
+def tiny(draw):
+    counts = (draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    return draw(tiny_complexes(counts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(SOURCES)).map(lambda name: SOURCES[name]()), tiny()),
+    st.integers(0, 2),
+    st.one_of(tiny(), st.sampled_from(NON_POSETS).map(non_poset_nerve)),
+)
+def test_map_search_matches_backtracker_on_tiny_complexes(K, n, X):
+    # drawn sources have loops, parallel edges and degenerate faces, whose
+    # bases the search derives through their degeneracies
+    if K.dim > 0:
+        n = min(n, 1)
+    assert_same_maps(product(K, standard_simplex(n)).complex, X)
+
+
+def test_map_search_refuses_a_loop_for_a_degenerate_face():
+    # K: an edge a: 0 -> 1 and a triangle (s0 1, a, a).  X has the same and
+    # also a loop l at 1 and a triangle (l, a, a): d_0 of that triangle is
+    # not s0 of any vertex, so no map sends K's triangle to it
+    v = lambda i: SimplexExpr((), i, 0)
+    a = SimplexExpr((), 2, 1)
+    s0 = SimplexExpr((0,), 1, 1)
+    K = SimplicialSet(2, [[0, 1], [2], [3]], {2: (v(1), v(0)), 3: (s0, a, a)})
+    loop = SimplexExpr((), 3, 1)
+    X = SimplicialSet(2, [[0, 1], [2, 3], [4, 5]], {2: (v(1), v(0)), 3: (v(1), v(1)), 4: (s0, a, a), 5: (loop, a, a)})
+    assert_same_maps(K, X)
+    images = {m[3] for m in quasi._enumerate_maps(K, X)}
+    assert SimplexExpr((), 4, 2) in images and SimplexExpr((), 5, 2) not in images
+
+
+def test_map_search_tries_a_small_multiple_of_the_maps(monkeypatch):
+    # the backtracker guessed every composite edge of Delta^1 x Delta^n and
+    # refused a wrong guess only at the triangle above it: 3,589,966
+    # candidates for the 1,436 maps of function_complex(Delta^1, B(rand06), 3)
+    counts = {"tries": 0, "maps": 0}
+    search = quasi.map_search
+
+    def counting_search(P, Y, order, lookup, injective=False):
+        def counted(*args):
+            found = lookup(*args)
+            counts["tries"] += len(found)
+            return found
+
+        for img in search(P, Y, order, counted, injective):
+            counts["maps"] += 1
+            yield img
+
+    monkeypatch.setattr(quasi, "map_search", counting_search)
+    H = function_complex(standard_simplex(1), nerve(corpus_categories()["rand06"], 3), 3)
+    assert H.counts() == (3, 24, 192, 512)
+    assert counts["maps"] == 1436
+    assert counts["tries"] * 20 <= 3_589_966, counts
 
 
 # -- the face index ----------------------------------------------------------------

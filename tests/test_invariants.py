@@ -15,6 +15,8 @@ from quasicat.quasi import (
 )
 from quasicat.simplicial import SimplicialMap, build_standard, make_subcomplex, standard_simplex
 
+from helpers import compose
+
 
 def pushforward_generator_word(f: SimplicialMap, e: int):
     img = f.push(f.source.expr(e))
@@ -50,7 +52,7 @@ def test_path_functoriality_on_generators():
     D2 = standard_simplex(2)
     D1 = standard_simplex(1)
     g = collapse_map(D2, D1)
-    gf = g.compose(incl)
+    gf = compose(g, incl)
     for e in H.nondegenerate[1]:
         word_direct = pushforward_generator_word(gf, e)
         step = pushforward_generator_word(incl, e)

@@ -1,8 +1,10 @@
 """The two isomorphism searches against brute force and the code they replaced.
 
-`iso_check` backtracks over cells, each candidate read from the target's
-face index; it is checked against a search over every per-dimension
-bijection on tiny drawn complexes, and on relabelled corpus complexes.
+`iso_check` runs `map_search` over the cells in dimension order, each
+candidate read from an index of the target's non-degenerate cells; it is
+checked against a search over every per-dimension bijection on tiny drawn
+complexes, and against the explicit-stack backtracker it replaced (kept
+below) on relabelled corpus complexes and on drawn pairs.
 `category_iso` filters `enumerate_functors`; the backtracker it replaced
 is kept below as an oracle.
 """
@@ -15,26 +17,57 @@ from hypothesis import given, settings, strategies as st
 from quasicat.cat import CategoryError, FiniteFunctor
 from quasicat.corpus import corpus_categories, corpus_complexes, corpus_nerves
 from quasicat.equivalence import category_iso
-from quasicat.simplicial import SimplexExpr, SimplicialSet, iso_check
+from quasicat.simplicial import SimplexExpr, SimplicialMap, SimplicialSet, SizeLimitError, iso_check
+
+from helpers import relabel, tiny_complexes
 
 
 # -- iso_check ----------------------------------------------------------------------
 
 
-def relabel(X, rng):
-    """X with fresh ids, and each level listed in a shuffled order."""
-    new = list(range(100, 100 + X.n_cells))
-    rng.shuffle(new)
-    m = dict(zip(X.cells(), new))
-    levels = [[m[s] for s in level] for level in X.nondegenerate]
-    for level in levels:
-        rng.shuffle(level)
-    faces = {
-        m[s]: tuple(SimplexExpr(e.word, m[e.base], e.dim) for e in X.faces[s])
-        for s in X.cells()
-        if X.dim_of[s]
-    }
-    return SimplicialSet(X.dim_bound, levels, faces, X.coskeletal_at)
+def backtrack_iso_check(X: SimplicialSet, Y: SimplicialSet, limit: int = 64) -> SimplicialMap | None:
+    """The explicit-stack backtracker `iso_check` replaced, verbatim: each
+    cell's candidates are filtered from Y's face index over every
+    expression, degenerate ones included."""
+    if X.n_cells > limit or Y.n_cells > limit:
+        raise SizeLimitError(f"iso_check limit {limit} exceeded")
+    top = max(X.dim, Y.dim, 0)
+    cx = tuple(len(X.nondegenerate[d]) if d <= X.dim_bound else 0 for d in range(top + 1))
+    cy = tuple(len(Y.nondegenerate[d]) if d <= Y.dim_bound else 0 for d in range(top + 1))
+    if cx != cy:
+        return None
+    order = list(X.cells())
+    index = [Y.face_index(d, tuple(range(d + 1)) if d else ()) for d in range(X.dim + 1)]
+    phi: dict[int, int] = {}
+    used: set[int] = set()
+
+    def candidates(s: int):
+        want = tuple(SimplexExpr(e.word, phi[e.base], e.dim) for e in X.faces.get(s, ()))
+        return iter([e.base for e in index[X.dim_of[s]].get(want, ()) if not e.word and e.base not in used])
+
+    stack = [candidates(order[0])] if order else []
+    while len(phi) < len(order):
+        if not stack:
+            return None
+        s = order[len(stack) - 1]
+        used.discard(phi.pop(s, None))
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            continue
+        phi[s] = t
+        used.add(t)
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+    return SimplicialMap(X, Y, {s: Y.expr(t) for s, t in phi.items()})
+
+
+def assert_same_answer(X, Y):
+    got, want = iso_check(X, Y, limit=512), backtrack_iso_check(X, Y, limit=512)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.assignment.items()) == list(want.assignment.items())
+    return got
 
 
 def assert_isomorphism(phi, X, Y):
@@ -77,6 +110,22 @@ def test_relabelled_corpus_complexes_are_isomorphic(seed):
         assert_isomorphism(iso_check(X, Y, limit=X.n_cells), X, Y)
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_iso_check_matches_backtracker_on_corpus(seed):
+    # each corpus complex against a relabelling of itself, which is
+    # isomorphic, and of every other complex with its cell counts, which
+    # mostly is not; the same bijection, or None on both sides
+    rng = random.Random(seed)
+    fixtures = corpus_fixtures()
+    answers = set()
+    for X in fixtures.values():
+        for Z in fixtures.values():
+            if Z is X or Z.counts() == X.counts():
+                answers.add(assert_same_answer(X, relabel(Z, rng)) is None)
+    assert answers == {False, True}
+
+
 def brute_force_isomorphic(X, Y) -> bool:
     """Is some bijection per dimension face-commuting?"""
     if X.counts() != Y.counts():
@@ -93,28 +142,6 @@ def brute_force_isomorphic(X, Y) -> bool:
 
 
 @st.composite
-def tiny_complexes(draw, counts):
-    """A 2-dimensional complex with the given numbers of vertices, edges and
-    at most the given number of triangles, drawn from the compatible shells."""
-    n_v, n_e, n_t = counts
-    v = lambda i: SimplexExpr((), i, 0)
-    ends = draw(st.lists(st.tuples(st.integers(0, n_v - 1), st.integers(0, n_v - 1)), min_size=n_e, max_size=n_e))
-    edges = list(range(n_v, n_v + n_e))
-    faces = {s: (v(b), v(a)) for s, (a, b) in zip(edges, ends)}
-    X1 = SimplicialSet(1, [list(range(n_v)), edges], faces)
-    d = X1.face
-    shells = [
-        (f0, f1, f2)
-        for f0, f1, f2 in product(X1.all_exprs(1), repeat=3)
-        if d(f1, 0) == d(f0, 0) and d(f2, 0) == d(f0, 1) and d(f2, 1) == d(f1, 1)
-    ]
-    chosen = draw(st.lists(st.sampled_from(shells), max_size=n_t)) if shells else []
-    triangles = list(range(n_v + n_e, n_v + n_e + len(chosen)))
-    faces.update(zip(triangles, chosen))
-    return SimplicialSet(2, [list(range(n_v)), edges, triangles], faces)
-
-
-@st.composite
 def tiny_pairs(draw):
     counts = (draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2)))
     X = draw(tiny_complexes(counts))
@@ -127,7 +154,7 @@ def tiny_pairs(draw):
 @given(tiny_pairs())
 def test_iso_check_matches_brute_force(pair):
     X, Y = pair
-    phi = iso_check(X, Y)
+    phi = assert_same_answer(X, Y)
     assert (phi is not None) == brute_force_isomorphic(X, Y)
     if phi is not None:
         assert_isomorphism(phi, X, Y)

@@ -26,6 +26,8 @@ from quasicat.simplicial import (
     truncate,
 )
 
+from helpers import compose, projections
+
 
 # -- presentations ------------------------------------------------------------
 
@@ -250,7 +252,7 @@ def test_constant_homotopy_gives_identity_components():
     X = standard_simplex(1)
     I = standard_simplex(1)
     prod = product(X, I)
-    h = prod.pr_left  # projection: constant homotopy from id to id
+    h = projections(prod)[0]  # constant homotopy from id to id
     data = homotopy_to_nat_transformation(h, prod)
     assert data.natural
     for x, comp in data.components.items():
@@ -266,7 +268,7 @@ def test_projection_homotopy_components():
     N = nerve(poset_category(1), 2)
     edge = N.nondegenerate[1][0]
     to_N = SimplicialMap(I, N, {0: N.expr(0), 1: N.expr(1), I.nondegenerate[1][0]: N.expr(edge)}).validate()
-    h = to_N.compose(prod.pr_right)
+    h = compose(to_N, projections(prod)[1])
     data = homotopy_to_nat_transformation(h, prod)
     assert data.natural
     assert all(c.base == edge for c in data.components.values())

@@ -15,6 +15,8 @@ from quasicat.simplicial import (
     truncate,
 )
 
+from helpers import projections
+
 
 # -- independent oracles -----------------------------------------------------
 
@@ -138,8 +140,8 @@ def test_product_square_counts_derived():
     assert P.complex.counts() == (4, 5, 2)
     assert P.complex.counts() == oracle_chain_counts(1, 1, 2)
     P.complex.validate()
-    P.pr_left.validate()
-    P.pr_right.validate()
+    for pr in projections(P):
+        pr.validate()
 
 
 def test_product_delta2_delta2_counts_derived():
