@@ -166,10 +166,6 @@ class FiniteFunctor:
         return self
 
 
-def identity_functor(C: FiniteCategory) -> FiniteFunctor:
-    return FiniteFunctor(C, C, {x: x for x in C.objects}, {f: f for f in C.arrows})
-
-
 # -- nerve -------------------------------------------------------------------
 
 
@@ -262,7 +258,6 @@ class GroupoidEquivalenceWitness:
     ok: bool
     reason: str | None = None
     class_map: dict | None = None  # source component rep -> target component rep
-    aut_isos: dict | None = None  # source component rep -> {arrow: image arrow}
 
 
 def _iso_classes(C: FiniteCategory):
@@ -301,8 +296,7 @@ def is_equivalence_of_groupoids(F: FiniteFunctor) -> tuple[bool, GroupoidEquival
         return False, GroupoidEquivalenceWitness(False, "not injective on iso classes")
     if set(class_map.values()) != set(cls_D):
         return False, GroupoidEquivalenceWitness(False, "not surjective on iso classes")
-    aut_isos = {}
-    for key, members in cls_C.items():
+    for members in cls_C.values():
         x = members[0]
         fx = F.object_map[x]
         aut_src = C.hom(x, x)
@@ -312,8 +306,7 @@ def is_equivalence_of_groupoids(F: FiniteFunctor) -> tuple[bool, GroupoidEquival
             return False, GroupoidEquivalenceWitness(False, f"Aut({x}) not faithful")
         if set(images.values()) != set(aut_tgt):
             return False, GroupoidEquivalenceWitness(False, f"Aut({x}) not full")
-        aut_isos[key] = images
-    return True, GroupoidEquivalenceWitness(True, None, class_map, aut_isos)
+    return True, GroupoidEquivalenceWitness(True, None, class_map)
 
 
 def is_equivalence_of_categories(F: FiniteFunctor) -> bool:

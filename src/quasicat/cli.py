@@ -340,19 +340,19 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     started = time.monotonic()
-    try:
-        payload, (verdicts, counts) = HANDLERS[args.command](args)
-    except (UsageError, FileNotFoundError, NotLoopFreeError, CertificationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in {"command", "out"} and value is not None
     }
-    report = _report(args.command, inputs, verdicts, counts)
-    report.update(payload)
-    _emit(report, args.out)
+    try:
+        payload, (verdicts, counts) = HANDLERS[args.command](args)
+        report = _report(args.command, inputs, verdicts, counts)
+        report.update(payload)
+        _emit(report, args.out)
+    except (UsageError, OSError, NotLoopFreeError, CertificationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.command}: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return _exit_code(verdicts)
 

@@ -137,11 +137,6 @@ def small_corpus_categories() -> dict[str, FiniteCategory]:
 
 
 @lru_cache(maxsize=1)
-def corpus_nerves(dim_bound: int = 3) -> dict[str, SimplicialSet]:
-    return {f"B({name})": nerve(C, dim_bound) for name, C in corpus_categories().items()}
-
-
-@lru_cache(maxsize=1)
 def interval_complex() -> SimplicialSet:
     """I = B(pi(Delta^1))."""
     return nerve(free_iso_groupoid(), 4)

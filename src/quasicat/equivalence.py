@@ -265,19 +265,6 @@ def enumerate_functors(C: FiniteCategory, D: FiniteCategory) -> list[FiniteFunct
     return results
 
 
-def category_iso(C: FiniteCategory, D: FiniteCategory) -> FiniteFunctor | None:
-    """An isomorphism of categories C -> D, or None: the first enumerated
-    functor that is bijective on objects and on arrows."""
-    if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
-        return None
-    for F in enumerate_functors(C, D):
-        if len(set(F.object_map.values())) == len(D.objects) and (
-            len(set(F.arrow_map.values())) == len(D.arrows)
-        ):
-            return F
-    return None
-
-
 def nerve_equivalence_criterion(F: FiniteFunctor, verbose: bool = False):
     """True iff Iso(C^P) -> Iso(D^P) is an equivalence of groupoids for all
     five criterion shapes; decides whether the nerve map is a categorical

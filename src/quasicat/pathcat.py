@@ -316,20 +316,16 @@ class CounitReport:
     ok: bool
     inconclusive: bool
     reason: str | None
-    eps_generators: dict  # nerve edge id -> arrow of C
-    section_arrows: dict  # arrow of C -> word in the presentation
 
 
-def counit_check(C: FiniteCategory, dim_bound: int = 2) -> CounitReport:
+def counit_check(C: FiniteCategory) -> CounitReport:
     """Verify that the evaluation functor P(BC) -> C is an isomorphism.
 
-    Materializes the quotient through bounded_hom_classes with bound
-    |arrows| + 1 and checks that classes biject with hom-sets of C; with
-    dim_bound < 2 the relations are not all visible and the verdict is
-    inconclusive.
+    Materializes the quotient of P(nerve(C, 2)), which carries every
+    relation, through bounded_hom_classes with bound |arrows| + 1, and
+    checks that classes biject with hom-sets of C.  A class count that
+    differs is inconclusive: the bound may have missed a merge.
     """
-    if dim_bound < 2:
-        return CounitReport(False, True, "dim_bound < 2: relations not materialized", {}, {})
     N = nerve(C, 2)
     P = path_category(N)
     label_of = {s: N.labels[s] for s in N.cells()}
@@ -350,19 +346,16 @@ def counit_check(C: FiniteCategory, dim_bound: int = 2) -> CounitReport:
             arrows = C.hom(eps_obj[x], eps_obj[y])
             images = [eps_word(c.rep, x) for c in entry.classes]
             if len(set(images)) != len(images):
-                return CounitReport(False, False, f"eps not injective on hom({x},{y})", eps_gen, section)
+                return CounitReport(False, False, f"eps not injective on hom({x},{y})")
             if len(entry.classes) != len(arrows):
                 # classes can only over-count when merges were missed
-                return CounitReport(
-                    False, True, f"class count {len(entry.classes)} != {len(arrows)} at ({x},{y})",
-                    eps_gen, section,
-                )
+                return CounitReport(False, True, f"class count {len(entry.classes)} != {len(arrows)} at ({x},{y})")
             # section followed by eps must land back in the same class
             for c in entry.classes:
                 arrow = eps_word(c.rep, x)
                 if entry.class_of(section[arrow]) != c.rep:
-                    return CounitReport(False, False, f"section misses class {c.rep}", eps_gen, section)
-    return CounitReport(True, False, None, eps_gen, section)
+                    return CounitReport(False, False, f"section misses class {c.rep}")
+    return CounitReport(True, False, None)
 
 
 # -- product comparison ----------------------------------------------------------

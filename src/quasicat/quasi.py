@@ -24,13 +24,11 @@ from .simplicial import (
     SimplicialSet,
     SizeLimitError,
     UnionFind,
+    closure_ids,
     degenerate,
-    identity_map,
     make_subcomplex,
     map_search,
     product,
-    product_map,
-    simplex_map,
     standard_simplex,
     with_coskeletal,
 )
@@ -83,23 +81,6 @@ class HornMap(tuple):
             X.face_row(self.top[m])[k - 1] if m < k else X.face_row(self.top[m + 1])[k]
             for m in range(self.n)
         )
-
-    def validate(self, X: SimplicialSet) -> "HornMap":
-        if not 0 <= self.k <= self.n or self.n < 2:
-            raise SimplicialError("bad horn shape")
-        for i, e in enumerate(self.top):
-            if i == self.k:
-                if e is not None:
-                    raise SimplicialError("slot k must be empty")
-            elif e is None or e.dim != self.n - 1:
-                raise SimplicialError(f"face {i} missing or of wrong dimension")
-        for j in range(self.n + 1):
-            for i in range(j):
-                if i == self.k or j == self.k:
-                    continue
-                if X.face(self.top[j], i) != X.face(self.top[i], j - 1):
-                    raise SimplicialError(f"horn faces disagree at ({i},{j})")
-        return self
 
 
 def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
@@ -256,12 +237,10 @@ def core(X: SimplicialSet, report: CertReport | None = None):
 def right_homotopy_classes(X: SimplicialSet):
     """Partition of edge exprs under the symmetrized right-homotopy relation."""
     uf = UnionFind(X.all_exprs(1))
-    triangles = X.face_index(2, (0, 1, 2))
-    for (y, _x), group in X.face_index(1, (0, 1)).items():
-        sy = SimplexExpr((0,), y.base, 1)
+    for group in X.face_index(1, (0, 1)).values():
         for alpha in group:
             for beta in group:
-                if (sy, beta, alpha) in triangles:
+                if has_right_homotopy(X, alpha, beta):
                     uf.union(alpha, beta)
     return uf.groups(), uf.find
 
@@ -286,7 +265,6 @@ def _edge_sort_key(e: SimplexExpr):
 class HoData:
     category: FiniteCategory
     edge_class: dict = field(repr=False)  # edge expr -> homotopy class rep
-    arrow_of_rep: dict = field(repr=False)
     rep_of_arrow: dict = field(repr=False)
 
 
@@ -327,7 +305,7 @@ def ho_category_data(X: SimplicialSet, report: CertReport | None = None) -> HoDa
             composite = X.face(filler, 1)
             compose[(arrow_of_rep[rb], arrow_of_rep[ra])] = arrow_of_rep[rep_of[composite]]
     cat = FiniteCategory(objects, arrows, src, tgt, identity, compose, name="ho")
-    return HoData(cat, rep_of, arrow_of_rep, dict(zip(arrows, reps)))
+    return HoData(cat, rep_of, dict(zip(arrows, reps)))
 
 
 def ho_category(X: SimplicialSet, report: CertReport | None = None) -> FiniteCategory:
@@ -349,11 +327,20 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
 
     `map_search` chooses the cells from the top dimension down, with
     candidates from X's face index, so the lower cells of a map are read
-    off the images of the cells above them instead of being guessed.  On
-    Delta^1 x Delta^n the top cells, in id order, meet the cells before
-    them in one facet each, so every choice extends to a map."""
+    off the images of the cells above them instead of being guessed.  Of
+    the cells of the top dimension left, the one with the most faces
+    already covered goes first, so that its candidates are fewest: on
+    Delta^1 x Delta^n that is id order, where each top cell meets the ones
+    before it in a facet."""
     cells = list(P.cells())
-    order = sorted(cells, key=lambda s: -P.dim_of[s])
+    order, covered = [], set()
+    for level in reversed(P.nondegenerate):
+        left = [s for s in level if s not in covered]
+        while left:
+            s = max(left, key=lambda c: sum(e[1] in covered for e in P.faces.get(c, ())))
+            left.remove(s)
+            order.append(s)
+            covered |= closure_ids(P, (s,))
     lookup = lambda d, positions, key: X.face_index(d, positions).get(key, ())
     results = [{s: img[s] for s in cells} for img in map_search(P, X, order, lookup)]
     rank = [{e: r for r, e in enumerate(X.all_exprs(d))} for d in range(P.dim_bound + 1)]
@@ -374,17 +361,27 @@ def function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: 
     A map f is s_j g exactly when f . (1_K x d^j s^j) = f, and then
     g = f . (1_K x d^j).  That test reads only the cells the collapse
     d^j s^j moves, listed once per (n, j), and stops at the first one whose
-    image differs; g is built only for a map that passes.  Maps are found
+    image differs; g is built only for a map that passes.  Each 1_K x delta
+    is read off the product's `pairs`: a cell's Delta-component goes to
+    delta of its vertices, and the pair is renormalized.  Maps are found
     by `_enumerate_maps`, degenerate ones included, in the rank order that
     fixes the ids."""
     if K.n_cells > limit:
         raise SizeLimitError(f"function complex needs |K| <= {limit}")
     prods = [product(K, standard_simplex(n)) for n in range(dim_bound + 1)]
-    id_K = identity_map(K)
 
     def along(vertex_map, n: int) -> dict:
-        # 1_K x delta for delta: Delta^m -> Delta^n given on vertices
-        return product_map(prods[len(vertex_map) - 1], prods[n], id_K, simplex_map(vertex_map, n)).assignment
+        # 1_K x delta for delta: Delta^m -> Delta^n given on vertices (the
+        # vertex ids of Delta^m are 0..m); a repeated vertex at positions
+        # j, j+1 of a component's image is s_j
+        source, target = standard_simplex(len(vertex_map) - 1), standard_simplex(n)
+        ids = {target.labels[t]: t for t in target.cells()}
+        out = {}
+        for s, (e1, e2) in prods[len(vertex_map) - 1].pairs.items():
+            vs = [vertex_map[v] for v in source.vertex_ids(e2)]
+            word = tuple(j for j in range(len(vs) - 2, -1, -1) if vs[j] == vs[j + 1])
+            out[s] = prods[n].pair_expr(e1, SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1))
+        return out
 
     # d^i skips vertex i of Delta^n; d^j s^j sends vertex j to j + 1
     face = {

@@ -461,19 +461,6 @@ class SimplicialMap:
     def push(self, expr: SimplexExpr) -> SimplexExpr:
         return degenerate(self.assignment[expr.base], expr.word)
 
-    def validate(self):
-        for s, img in self.assignment.items():
-            if img.dim != self.source.dim_of[s]:
-                raise SimplicialError(f"map changes dimension at {s}")
-        for d in range(1, self.source.dim_bound + 1):
-            for s in self.source.nondegenerate[d]:
-                e = self.source.expr(s)
-                img = self.assignment[s]
-                for i in range(d + 1):
-                    if self.target.face(img, i) != self.push(self.source.face(e, i)):
-                        raise SimplicialError(f"map does not commute with d_{i} at {s}")
-        return self
-
 
 # -- standard complexes ----------------------------------------------------
 
@@ -502,33 +489,12 @@ def standard_simplex(n: int) -> SimplicialSet:
     return SimplicialSet(n if n >= 0 else 0, nondeg, faces, min(n, 1), labels)
 
 
-def simplex_map(vertex_map, n: int) -> SimplicialMap:
-    """Delta^m -> Delta^n sending vertex v to vertex_map[v] (monotone), with
-    m = len(vertex_map) - 1: a face inclusion, degeneracy or composite."""
-    source, target = standard_simplex(len(vertex_map) - 1), standard_simplex(n)
-    ids = {target.labels[t]: t for t in target.cells()}
-    assignment = {}
-    for s in source.cells():
-        vs = tuple(vertex_map[v] for v in source.labels[s])
-        # a repeated vertex at positions j, j+1 is s_j, applied to the
-        # simplex on the distinct vertices
-        word = tuple(j for j in range(len(vs) - 2, -1, -1) if vs[j] == vs[j + 1])
-        assignment[s] = SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1)
-    return SimplicialMap(source, target, assignment)
-
-
 def build_standard(kind: str, n: int, k: int | None = None):
-    """Delta^n, its boundary, or the horn Lambda^n_k.
-
-    Returns the complex for `simplex`, and (complex, inclusion into Delta^n)
-    for `boundary` and `horn`: the subcomplex of Delta^n without its top
-    cell, and for a horn also without the face d_k of it, flagged
+    """The boundary of Delta^n, or the horn Lambda^n_k, with its inclusion
+    into Delta^n: (complex, inclusion), the subcomplex of Delta^n without
+    its top cell, and for a horn also without the face d_k of it, flagged
     n-coskeletal.  Ids follow Delta^n's.
     """
-    if kind == "simplex":
-        if n < 0:
-            raise SimplicialError("n must be >= 0")
-        return standard_simplex(n)
     if n < 1:
         raise SimplicialError("boundary/horn need n >= 1")
     simplex = standard_simplex(n)
@@ -556,15 +522,6 @@ def with_coskeletal(X: SimplicialSet, d: int | None) -> SimplicialSet:
         X.labels,
         check=False,
     )
-
-
-def truncate(X: SimplicialSet, d: int) -> SimplicialSet:
-    """Dimension truncation sk_d; drops the coskeletal flag."""
-    nondeg = [list(level) for level in X.nondegenerate[: d + 1]]
-    keep = {s for level in nondeg for s in level}
-    faces = {s: fs for s, fs in X.faces.items() if s in keep}
-    labels = {s: l for s, l in X.labels.items() if s in keep}
-    return SimplicialSet(d, nondeg, faces, None, labels, check=False)
 
 
 # -- subcomplexes ------------------------------------------------------------
@@ -728,20 +685,6 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     return ProductComplex(P, X, Y, pairs, pair_id)
 
 
-def product_map(
-    prodA: ProductComplex, prodB: ProductComplex, f: SimplicialMap, g: SimplicialMap
-) -> SimplicialMap:
-    """f x g : A1 x A2 -> B1 x B2 on materialized products."""
-    assignment = {}
-    for s, (e1, e2) in prodA.pairs.items():
-        assignment[s] = prodB.pair_expr(f.push(e1), g.push(e2))
-    return SimplicialMap(prodA.complex, prodB.complex, assignment)
-
-
-def identity_map(X: SimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, {s: X.expr(s) for s in X.cells()})
-
-
 # -- map search ----------------------------------------------------------------
 
 
@@ -757,7 +700,7 @@ def _search_plan(P: SimplicialSet, order) -> list[tuple]:
         covered.add(s)
         faces = P.faces.get(s, ())
         positions = tuple([i for i, e in enumerate(faces) if e[1] in covered])
-        if len(positions) == len(faces):  # looked up whole
+        if len(positions) == len(faces):  # looked up whole, as every cell of iso_check
             steps.append((P.dim_of[s], positions, faces, (), (s,)))
             continue
         new, ops = [s], []

@@ -1,10 +1,83 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures and oracles shared by several test modules."""
 
+from functools import lru_cache
 from itertools import product as cartesian
 
 from hypothesis import strategies as st
 
-from quasicat.simplicial import ProductComplex, SimplexExpr, SimplicialMap, SimplicialSet
+from quasicat.cat import FiniteCategory, FiniteFunctor, nerve
+from quasicat.corpus import corpus_categories
+from quasicat.equivalence import enumerate_functors
+from quasicat.simplicial import ProductComplex, SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
+
+
+def truncate(X: SimplicialSet, d: int) -> SimplicialSet:
+    """Dimension truncation sk_d; drops the coskeletal flag."""
+    nondeg = [list(level) for level in X.nondegenerate[: d + 1]]
+    keep = {s for level in nondeg for s in level}
+    faces = {s: fs for s, fs in X.faces.items() if s in keep}
+    labels = {s: l for s, l in X.labels.items() if s in keep}
+    return SimplicialSet(d, nondeg, faces, None, labels, check=False)
+
+
+@lru_cache(maxsize=1)
+def corpus_nerves(dim_bound: int = 3) -> dict[str, SimplicialSet]:
+    return {f"B({name})": nerve(C, dim_bound) for name, C in corpus_categories().items()}
+
+
+def identity_functor(C: FiniteCategory) -> FiniteFunctor:
+    return FiniteFunctor(C, C, {x: x for x in C.objects}, {f: f for f in C.arrows})
+
+
+def identity_map(X: SimplicialSet) -> SimplicialMap:
+    return SimplicialMap(X, X, {s: X.expr(s) for s in X.cells()})
+
+
+def category_iso(C: FiniteCategory, D: FiniteCategory) -> FiniteFunctor | None:
+    """An isomorphism of categories C -> D, or None: the first enumerated
+    functor that is bijective on objects and on arrows."""
+    if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
+        return None
+    for F in enumerate_functors(C, D):
+        if len(set(F.object_map.values())) == len(D.objects) and (
+            len(set(F.arrow_map.values())) == len(D.arrows)
+        ):
+            return F
+    return None
+
+
+def validate_map(f: SimplicialMap) -> SimplicialMap:
+    """f, once every image has its cell's dimension and commutes with faces."""
+    for s, img in f.assignment.items():
+        if img.dim != f.source.dim_of[s]:
+            raise SimplicialError(f"map changes dimension at {s}")
+    for d in range(1, f.source.dim_bound + 1):
+        for s in f.source.nondegenerate[d]:
+            e = f.source.expr(s)
+            img = f.assignment[s]
+            for i in range(d + 1):
+                if f.target.face(img, i) != f.push(f.source.face(e, i)):
+                    raise SimplicialError(f"map does not commute with d_{i} at {s}")
+    return f
+
+
+def validate_horn(h, X: SimplicialSet):
+    """h, once it has a horn's shape and its faces agree pairwise in X."""
+    if not 0 <= h.k <= h.n or h.n < 2:
+        raise SimplicialError("bad horn shape")
+    for i, e in enumerate(h.top):
+        if i == h.k:
+            if e is not None:
+                raise SimplicialError("slot k must be empty")
+        elif e is None or e.dim != h.n - 1:
+            raise SimplicialError(f"face {i} missing or of wrong dimension")
+    for j in range(h.n + 1):
+        for i in range(j):
+            if i == h.k or j == h.k:
+                continue
+            if X.face(h.top[j], i) != X.face(h.top[i], j - 1):
+                raise SimplicialError(f"horn faces disagree at ({i},{j})")
+    return h
 
 
 def projections(prod: ProductComplex) -> tuple[SimplicialMap, SimplicialMap]:

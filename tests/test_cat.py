@@ -8,7 +8,6 @@ from quasicat.cat import (
     discrete_category,
     disjoint_union_category,
     free_iso_groupoid,
-    identity_functor,
     idempotent_monoid_category,
     is_equivalence_of_categories,
     is_equivalence_of_groupoids,
@@ -17,8 +16,9 @@ from quasicat.cat import (
     poset_category,
     product_category,
 )
-from quasicat.equivalence import category_iso
-from quasicat.simplicial import build_standard, iso_check, product, truncate
+from quasicat.simplicial import iso_check, product, standard_simplex
+
+from helpers import category_iso, identity_functor, truncate
 
 
 def test_constructors_validate():
@@ -41,7 +41,7 @@ def test_nerve_of_chain_is_simplex():
     N = nerve(poset_category(2), 3)
     N.validate()
     assert N.coskeletal_at == 2
-    D2 = build_standard("simplex", 2)
+    D2 = standard_simplex(2)
     assert iso_check(truncate(N, 2), truncate(D2, 2)) is not None
     assert N.counts() == (3, 3, 1, 0)
 

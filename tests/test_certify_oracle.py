@@ -15,9 +15,11 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import cyclic_group_category, idempotent_monoid_category, nerve, poset_category
-from quasicat.corpus import corpus_complexes, corpus_nerves, quasi_category_corpus
+from quasicat.corpus import corpus_complexes, quasi_category_corpus
 from quasicat.quasi import CertReport, HornMap, certify_quasi_category, enumerate_horns, find_filler
 from quasicat.simplicial import SimplexExpr, SimplicialError, SimplicialSet, make_subcomplex, with_coskeletal
+
+from helpers import corpus_nerves
 
 
 def old_enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:

@@ -6,7 +6,7 @@ import pytest
 
 from quasicat.cli import main
 from quasicat.jsonio import dumps, functor_to_json, sset_to_json
-from quasicat.cat import cyclic_group_category, identity_functor, nerve, poset_category
+from quasicat.cat import cyclic_group_category, nerve, poset_category
 from quasicat.simplicial import (
     GLOBAL_DIM_BOUND,
     SimplexExpr,
@@ -14,8 +14,9 @@ from quasicat.simplicial import (
     build_standard,
     product,
     standard_simplex,
-    truncate,
 )
+
+from helpers import identity_functor, truncate
 
 
 @pytest.fixture
@@ -199,6 +200,24 @@ def test_equiv40_cli(capsys, tmp_path):
 def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["certify", "/nonexistent/file.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "{dir}"], ["tau0", "{file}", "{dir}"], ["cert-verify", "{dir}"]],
+)
+def test_directory_input_exits_2_with_one_line(capsys, tmp_path, delta2, argv):
+    assert main([a.format(dir=tmp_path, file=delta2) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_out_into_missing_directory_exits_2_with_one_line(capsys, tmp_path, delta2):
+    assert main(["certify", delta2, "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_saturate_cli(capsys, horn21):

@@ -10,7 +10,6 @@ from quasicat.cat import (
     cyclic_group_category,
     discrete_category,
     free_iso_groupoid,
-    identity_functor,
     idempotent_monoid_category,
     is_equivalence_of_categories,
     iso_subgroupoid,
@@ -25,6 +24,8 @@ from quasicat.equivalence import (
     functors_from_presentation,
     iso_functor_groupoid,
 )
+
+from helpers import identity_functor
 
 
 def shape(name):

@@ -50,7 +50,7 @@ from quasicat.anodyne import (
     shuffles,
 )
 from quasicat.cat import nerve, preorder_category
-from quasicat.corpus import corpus_complexes, corpus_nerves, loop_free_corpus_complexes
+from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
 from quasicat.jsonio import certificate_to_json, dumps, sset_to_json
 from quasicat.simplicial import (
     GLOBAL_DIM_BOUND,
@@ -68,6 +68,8 @@ from quasicat.simplicial import (
     with_coskeletal,
 )
 from quasicat.verify import VerifyResult, verify_certificate
+
+from helpers import corpus_nerves
 
 # -- oracles: the previous code, unchanged but for being module functions ------
 

@@ -28,7 +28,6 @@ from quasicat.cat import (
 )
 from quasicat.corpus import (
     corpus_categories,
-    corpus_nerves,
     quasi_category_corpus,
     small_corpus_categories,
     walking_homotopy,
@@ -43,6 +42,8 @@ from quasicat.equivalence import (
 from quasicat.jsonio import sset_to_json
 from quasicat.quasi import certify_quasi_category, core, quasi_iso_edges
 from quasicat.simplicial import SimplicialMap, SimplicialSet, make_subcomplex
+
+from helpers import corpus_nerves
 
 # -- oracle: the previous code -----------------------------------------------------
 

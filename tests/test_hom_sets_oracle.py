@@ -20,7 +20,7 @@ from quasicat.cat import (
     preorder_category,
     product_category,
 )
-from quasicat.corpus import corpus_complexes, corpus_nerves, loop_free_corpus_complexes
+from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
 from quasicat.jsonio import dumps, presentation_to_json
 from quasicat.pathcat import (
     HomClass,
@@ -35,6 +35,8 @@ from quasicat.pathcat import (
     path_category,
 )
 from quasicat.simplicial import UnionFind, make_subcomplex, product
+
+from helpers import corpus_nerves
 
 PRODUCT_CELL_LIMIT = 400
 

@@ -1,10 +1,11 @@
 """Every import in the package is at module level, every import of the
-package and of its tests is used, and every module-level definition is
-reached by the system itself.
+package and of its tests is used, and every function, class and method of
+the package is reached by the system itself.
 
 An import inside a function runs on each call, and hides a module's
-dependencies from a reader of its header.  A function or class that only
-tests name is dead code, unless `KEPT` gives the paper's reason to keep it.
+dependencies from a reader of its header.  A function, class or method that
+only tests reach is dead code, unless `KEPT` gives the paper's reason to
+keep it.
 """
 
 import ast
@@ -22,13 +23,7 @@ KEPT = {
     "iso_functor_groupoid": "the complete Iso(C^P), the paper's system of groupoids",
     "homotopy_to_nat_transformation": "homotopies as natural transformations, as in the paper",
     "has_left_homotopy": "the paper's left homotopy relation; agrees with the right one on quasi-categories",
-    "has_right_homotopy": "the paper's right homotopy relation; agrees with the left one on quasi-categories",
-    "product_comparison": "a span target of perfbench/spans.py, which names it as a string",
-    "truncate": "test fixture: skeleta of corpus complexes",
-    "identity_functor": "test fixture: the identity functors of the equivalence tests",
-    "corpus_nerves": "test fixture: the corpus nerves at a chosen dimension",
     "functor_to_json": "writes the *.fun.json that nerve-equiv reads",
-    "category_iso": "test oracle: isomorphism of finite categories",
 }
 
 
@@ -64,54 +59,163 @@ def test_every_module_level_import_is_used():
     assert not unused, unused
 
 
-def _names_by_statement(tree: ast.Module) -> list[tuple[ast.stmt, set[str]]]:
-    """The names each top-level statement reads.  An attribute counts only
-    when read off an imported module, so `"".join` does not name a `join`."""
-    modules = {
-        alias.asname or alias.name.split(".")[0]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-    }
-    out = []
-    for stmt in tree.body:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        out.append((stmt, names))
-    return out
+def reachability(package: Path, perfbench: Path, kept) -> tuple[list, list, list]:
+    """(unreached, stale, undefined) for the functions, classes and methods
+    of the package's modules other than `__init__`, whose exports are not
+    roots.
 
-
-def test_every_module_level_definition_is_referenced():
-    # reached: named by another top-level statement of a package module
-    # other than __init__, or by the benchmark's code; tests do not count
-    statements = {
-        path: _names_by_statement(ast.parse(path.read_text(), filename=str(path)))
-        for path in sorted(PACKAGE.glob("*.py"))
+    The roots are the module-level statements of those modules other than
+    definitions and imports (`HANDLERS`, `RUNNERS`, the `__main__` guard),
+    every name in the benchmark's code, its strings included (the span
+    targets are strings), and `kept`.  A definition reaches the names it
+    reads: a bare name resolves through its module's definitions and
+    imports, and a method reference `x.m` resolves to the enclosing class
+    for `self.m`, to `Cls` for `Cls.m` and `Cls(...).m`, and otherwise to
+    the one class defining `m`, or, when several do, to those the referring
+    module defines or imports.  A reached class reaches its bases, its body
+    outside methods and its dunder methods.  `stale` lists the `kept`
+    entries reached without `kept`, and `undefined` those naming nothing.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
     }
+    defs, methods, where = {}, {}, {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+                where[mod, node.name] = f"{mod}.py:{node.lineno} {node.name}"
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[mod, node.name, m.name] = m
+                        where[mod, node.name, m.name] = f"{mod}.py:{m.lineno} {node.name}.{m.name}"
+    # the package definitions each module can name: its own and its imports
+    bound = {}
+    for mod, tree in trees.items():
+        names = {name: (m, name) for m, name in defs if m == mod}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if (node.module, alias.name) in defs:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+        bound[mod] = names
+    owners = {}
+    for key in methods:
+        owners.setdefault(key[2], []).append(key)
+
+    def reads(mod: str, cls: str | None, roots) -> set:
+        names, out = bound[mod], set()
+        for root in roots:
+            for node in ast.walk(root):
+                if isinstance(node, ast.Name) and node.id in names:
+                    out.add(names[node.id])
+                elif isinstance(node, ast.Attribute):
+                    v = node.value.func if isinstance(node.value, ast.Call) else node.value
+                    if isinstance(v, ast.Name) and v.id == "self" and cls is not None:
+                        owner = (mod, cls)
+                    elif isinstance(v, ast.Name) and isinstance(defs.get(names.get(v.id)), ast.ClassDef):
+                        owner = names[v.id]
+                    else:
+                        found = owners.get(node.attr, [])
+                        if len(found) > 1:
+                            found = [k for k in found if names.get(k[1]) == k[:2]]
+                        out.update(found)
+                        continue
+                    if (*owner, node.attr) in methods:
+                        out.add((*owner, node.attr))
+        return out
+
+    def edges(key) -> set:
+        if key in methods:
+            return reads(key[0], key[1], [methods[key]])
+        mod, name = key
+        node = defs[key]
+        if not isinstance(node, ast.ClassDef):
+            return reads(mod, None, [node])
+        body = [s for s in node.body if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        out = reads(mod, name, [*node.bases, *node.keywords, *node.decorator_list, *body])
+        out.update(k for k in methods if k[:2] == key and k[2].startswith("__") and k[2].endswith("__"))
+        return out
+
+    def walk(roots) -> set:
+        seen, stack = set(), list(roots)
+        while stack:
+            key = stack.pop()
+            if key not in seen:
+                seen.add(key)
+                stack.extend(edges(key) - seen)
+        return seen
+
+    skip = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+    roots = set()
+    for mod, tree in trees.items():
+        roots |= reads(mod, None, [s for s in tree.body if not isinstance(s, skip)])
     benchmark = set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        for _, names in _names_by_statement(ast.parse(path.read_text(), filename=str(path))):
-            benchmark |= names
-    unreached, stale, defined = [], [], set()
-    for path, stmts in statements.items():
-        for node, _ in stmts:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            defined.add(node.name)
-            reached = node.name in benchmark or any(
-                node.name in names for ss in statements.values() for stmt, names in ss if stmt is not node
-            )
-            if reached and node.name in KEPT:
-                stale.append(f"{path.name}:{node.lineno} {node.name}")
-            elif not reached and node.name not in KEPT:
-                unreached.append(f"{path.name}:{node.lineno} {node.name}")
+    for path in sorted(perfbench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                benchmark.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                benchmark.add(node.attr)
+            elif isinstance(node, ast.alias):
+                benchmark.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                benchmark.add(node.value)
+    roots |= {key for key in [*defs, *methods] if key[-1] in benchmark}
+    kept_keys = {key for key in defs if key[1] in kept}
+    reached = walk(roots)
+    stale = sorted(where[key] for key in kept_keys & reached)
+    reached |= walk(kept_keys)
+    unreached = sorted(where[key] for key in [*defs, *methods] if key not in reached)
+    undefined = sorted(set(kept) - {name for _mod, name in defs})
+    return unreached, stale, undefined
+
+
+def test_every_definition_is_reached():
+    # tests do not count as reaching anything
+    unreached, stale, undefined = reachability(PACKAGE, PERFBENCH, KEPT)
     assert not unreached, unreached
     assert not stale, f"reached anyway, drop from KEPT: {stale}"
-    assert not KEPT.keys() - defined, f"KEPT names no definition: {sorted(KEPT.keys() - defined)}"
+    assert not undefined, f"KEPT names no definition: {undefined}"
+
+
+def test_reachability_sees_methods_chains_and_stale_entries(tmp_path):
+    package, benchmark = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    benchmark.mkdir()
+    (package / "a.py").write_text(
+        "class A:\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def only_tests(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "def head():\n"
+        "    return tail()\n"
+        "\n"
+        "\n"
+        "def tail():\n"
+        "    return A().used()\n"
+        "\n"
+        "\n"
+        "ROOTS = [A]\n"
+    )
+    (benchmark / "spans.py").write_text('TARGETS = [("pkg.a", "head")]\n')
+    # head, named as a string by the benchmark, reaches tail and two methods
+    unreached, stale, undefined = reachability(package, benchmark, {"head": "", "gone": ""})
+    assert unreached == ["a.py:8 A.only_tests"]
+    assert stale == ["a.py:12 head"]
+    assert undefined == ["gone"]
+    # without that root the whole chain is unreached, though each link
+    # names the next; the class itself stays reached through ROOTS
+    (benchmark / "spans.py").write_text("TARGETS = []\n")
+    unreached, _, _ = reachability(package, benchmark, {})
+    assert unreached == ["a.py:12 head", "a.py:16 tail", "a.py:2 A.used", "a.py:5 A.helper", "a.py:8 A.only_tests"]

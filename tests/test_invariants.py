@@ -5,7 +5,7 @@ import pytest
 from quasicat.anodyne import prism_certificate
 from quasicat.cat import Groupoid, iso_subgroupoid, nerve
 from quasicat.corpus import corpus_categories, quasi_category_corpus
-from quasicat.equivalence import category_iso, criterion_presentations, functor_category
+from quasicat.equivalence import criterion_presentations, functor_category
 from quasicat.pathcat import hom_sets, path_category
 from quasicat.quasi import (
     certify_quasi_category,
@@ -15,7 +15,7 @@ from quasicat.quasi import (
 )
 from quasicat.simplicial import SimplicialMap, build_standard, make_subcomplex, standard_simplex
 
-from helpers import compose
+from helpers import category_iso, compose, validate_map
 
 
 def pushforward_generator_word(f: SimplicialMap, e: int):
@@ -30,7 +30,7 @@ def collapse_map(D2, D1):
     by_label2 = {D2.labels[s]: s for s in D2.cells()}
     by_label1 = {D1.labels[s]: s for s in D1.cells()}
     e01 = by_label1[(0, 1)]
-    return SimplicialMap(
+    return validate_map(SimplicialMap(
         D2,
         D1,
         {
@@ -42,7 +42,7 @@ def collapse_map(D2, D1):
             by_label2[(1, 2)]: D1.expr(e01),
             by_label2[(0, 1, 2)]: SimplexExpr((0,), e01, 2),
         },
-    ).validate()
+    ))
 
 
 def test_path_functoriality_on_generators():

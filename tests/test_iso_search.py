@@ -15,11 +15,10 @@ from itertools import permutations, product
 from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import CategoryError, FiniteFunctor
-from quasicat.corpus import corpus_categories, corpus_complexes, corpus_nerves
-from quasicat.equivalence import category_iso
+from quasicat.corpus import corpus_categories, corpus_complexes
 from quasicat.simplicial import SimplexExpr, SimplicialMap, SimplicialSet, SizeLimitError, iso_check
 
-from helpers import relabel, tiny_complexes
+from helpers import category_iso, corpus_nerves, relabel, tiny_complexes, validate_map
 
 
 # -- iso_check ----------------------------------------------------------------------
@@ -72,7 +71,7 @@ def assert_same_answer(X, Y):
 
 def assert_isomorphism(phi, X, Y):
     assert phi is not None
-    phi.validate()
+    validate_map(phi)
     images = [phi.assignment[s] for s in X.cells()]
     assert all(not e.is_degenerate for e in images)
     assert sorted(e.base for e in images) == sorted(Y.cells())

@@ -1,7 +1,7 @@
 import pytest
 
 from quasicat.anodyne import facet_certificate, prism_certificate
-from quasicat.cat import cyclic_group_category, identity_functor, poset_category, nerve
+from quasicat.cat import cyclic_group_category, poset_category, nerve
 from quasicat.cli import main
 from quasicat.jsonio import (
     MalformedInputError,
@@ -18,6 +18,8 @@ from quasicat.jsonio import (
 )
 from quasicat.simplicial import SimplicialSet, build_standard, standard_simplex
 from quasicat.verify import verify_certificate
+
+from helpers import identity_functor
 
 
 def roundtrip(obj):

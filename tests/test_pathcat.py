@@ -23,10 +23,9 @@ from quasicat.simplicial import (
     build_standard,
     product,
     standard_simplex,
-    truncate,
 )
 
-from helpers import compose, projections
+from helpers import compose, identity_map, projections, truncate, validate_map
 
 
 # -- presentations ------------------------------------------------------------
@@ -217,11 +216,6 @@ def test_counit_for_free_iso():
     assert counit_check(free_iso_groupoid()).ok
 
 
-def test_counit_bound_semantics():
-    rep = counit_check(cyclic_group_category(2), dim_bound=1)
-    assert rep.inconclusive and not rep.ok
-
-
 # -- product comparison ------------------------------------------------------------
 
 
@@ -267,7 +261,7 @@ def test_projection_homotopy_components():
     prod = product(X, I)
     N = nerve(poset_category(1), 2)
     edge = N.nondegenerate[1][0]
-    to_N = SimplicialMap(I, N, {0: N.expr(0), 1: N.expr(1), I.nondegenerate[1][0]: N.expr(edge)}).validate()
+    to_N = validate_map(SimplicialMap(I, N, {0: N.expr(0), 1: N.expr(1), I.nondegenerate[1][0]: N.expr(edge)}))
     h = compose(to_N, projections(prod)[1])
     data = homotopy_to_nat_transformation(h, prod)
     assert data.natural
@@ -277,8 +271,6 @@ def test_projection_homotopy_components():
 def test_prism_over_edge_instantiates_triangle_relation():
     X = standard_simplex(1)
     prod = product(X, standard_simplex(1))
-    from quasicat.simplicial import identity_map
-
     data = homotopy_to_nat_transformation(identity_map(prod.complex), prod)
     assert data.natural
     (e,) = X.nondegenerate[1]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasicat import acceptance, pathcat
 from quasicat.cat import nerve, preorder_category
-from quasicat.corpus import corpus_complexes, corpus_nerves, loop_free_corpus_complexes, quasi_category_corpus
+from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes, quasi_category_corpus
 from quasicat.pathcat import (
     PresentedCategory,
     Relation,
@@ -31,6 +31,8 @@ from quasicat.simplicial import (
     product_cell_count,
     standard_simplex,
 )
+
+from helpers import corpus_nerves
 
 CELL_LIMIT = 200  # criterion 2's default
 

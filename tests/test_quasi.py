@@ -8,7 +8,6 @@ from quasicat.cat import (
     nerve,
     poset_category,
 )
-from quasicat.equivalence import category_iso
 from quasicat.pathcat import bounded_hom_classes, path_category
 from quasicat.quasi import (
     CertificationError,
@@ -36,6 +35,8 @@ from quasicat.simplicial import (
     standard_simplex,
     with_coskeletal,
 )
+
+from helpers import category_iso, truncate, validate_horn, validate_map
 
 
 def composable_pair_oracle(X):
@@ -84,7 +85,7 @@ def test_enumerate_horns_boundary2():
 def test_horn_validation():
     X = standard_simplex(2)
     for h in enumerate_horns(X, 2, 1):
-        h.validate(X)
+        validate_horn(h, X)
 
 
 # -- fillers ---------------------------------------------------------------------
@@ -100,7 +101,7 @@ def test_fillers_in_nerve():
 def test_missing_filler_in_horn():
     H, _ = build_standard("horn", 2, 1)
     e01, e12 = (H.expr(s) for s in H.nondegenerate[1])
-    identity_horn = HornMap(2, 1, (e12, None, e01)).validate(H)
+    identity_horn = validate_horn(HornMap(2, 1, (e12, None, e01)), H)
     assert find_filler(H, identity_horn) is None
 
 
@@ -147,8 +148,6 @@ def test_certify_truncation_at_flag_uses_shell_check():
 
 
 def test_certify_below_flag_inconclusive():
-    from quasicat.simplicial import truncate
-
     X = with_coskeletal(truncate(nerve(poset_category(2), 2), 1), 2)
     rep = certify_quasi_category(X)
     assert rep.verdict == "inconclusive"
@@ -238,7 +237,7 @@ def test_core_of_nerve_is_iso_nerve():
     for C in [poset_category(1), poset_category(2), cyclic_group_category(2), idempotent_monoid_category(), free_iso_groupoid()]:
         N = nerve(C, 3)
         J, incl = core(N)
-        incl.validate()
+        validate_map(incl)
         target = nerve(iso_subgroupoid(C), 3)
         assert iso_check(J, target, limit=128) is not None
 
@@ -375,7 +374,7 @@ def test_saturation_of_horn_contains_simplex():
     H, _ = build_standard("horn", 2, 1)
     res = saturation_step(H, 2)
     res.complex.validate()
-    res.inclusion.validate()
+    validate_map(res.inclusion)
     assert res.horns_attached == 8  # one per composable pair of edge exprs
     assert res.cells_added == 16
     # the filler for the identity horn is among the attached cells
@@ -413,4 +412,4 @@ def test_saturation_through_dimension_three():
     assert res.horns_attached == expected
     # exhaustive simplicial-identity check over all attached cells
     res.complex.validate()
-    res.inclusion.validate()
+    validate_map(res.inclusion)

@@ -12,10 +12,9 @@ from quasicat.simplicial import (
     make_subcomplex,
     product,
     standard_simplex,
-    truncate,
 )
 
-from helpers import projections
+from helpers import projections, truncate, validate_map
 
 
 # -- independent oracles -----------------------------------------------------
@@ -60,13 +59,13 @@ def test_standard_simplex_counts():
 
 
 def test_simplex2_counts_trivial():
-    assert build_standard("simplex", 2).counts() == (3, 3, 1)
+    assert standard_simplex(2).counts() == (3, 3, 1)
 
 
 def test_horn21_counts_and_missing_edge():
     H, incl = build_standard("horn", 2, 1)
     assert H.counts() == (3, 2, 0)
-    incl.validate()
+    validate_map(incl)
     present = {H.labels[s] for s in H.nondegenerate[1]}
     assert present == {(0, 1), (1, 2)}  # {0,2} is the deleted face
 
@@ -75,7 +74,7 @@ def test_boundary3_counts_derived():
     B, incl = build_standard("boundary", 3)
     assert B.counts() == (4, 6, 4, 0)
     assert B.counts()[:3] == oracle_simplex_counts(3)[:3]
-    incl.validate()
+    validate_map(incl)
 
 
 def test_horn_errors():
@@ -141,7 +140,7 @@ def test_product_square_counts_derived():
     assert P.complex.counts() == oracle_chain_counts(1, 1, 2)
     P.complex.validate()
     for pr in projections(P):
-        pr.validate()
+        validate_map(pr)
 
 
 def test_product_delta2_delta2_counts_derived():
@@ -190,7 +189,7 @@ def test_subcomplex_horn_from_faces():
     D2 = standard_simplex(2)
     by_label = {D2.labels[s]: s for s in D2.cells()}
     sub, incl = make_subcomplex(D2, closure_ids(D2, [by_label[(1, 2)], by_label[(0, 1)]]))
-    incl.validate()
+    validate_map(incl)
     H, _ = build_standard("horn", 2, 1)
     assert iso_check(sub, H) is not None
 
@@ -220,7 +219,7 @@ def test_iso_check_identity():
     D2 = standard_simplex(2)
     phi = iso_check(D2, standard_simplex(2))
     assert phi is not None
-    phi.validate()
+    validate_map(phi)
 
 
 def test_iso_check_direction_sensitive():

@@ -25,7 +25,7 @@ from itertools import combinations
 import pytest
 
 from quasicat.cat import FiniteCategory, poset_category
-from quasicat.corpus import corpus_complexes, corpus_nerves, quasi_category_corpus
+from quasicat.corpus import corpus_complexes, quasi_category_corpus
 from quasicat.jsonio import cat_to_json, sset_to_json
 from quasicat.quasi import enumerate_horns, saturation_step
 from quasicat.simplicial import (
@@ -39,6 +39,8 @@ from quasicat.simplicial import (
     standard_simplex,
     with_coskeletal,
 )
+
+from helpers import corpus_nerves
 
 # -- oracle: the previous code -----------------------------------------------------
 

@@ -5,7 +5,6 @@ import pytest
 
 from quasicat.cat import poset_category
 from quasicat.corpus import walking_homotopy
-from quasicat.equivalence import category_iso
 from quasicat.pathcat import bounded_hom_classes, path_category
 from quasicat.quasi import (
     certify_quasi_category,
@@ -14,6 +13,8 @@ from quasicat.quasi import (
     ho_category_data,
     quasi_iso_edges,
 )
+
+from helpers import category_iso
 
 
 def test_full_witness_set_certifies():
