@@ -24,7 +24,6 @@ from .cat import (
     FiniteFunctor,
     Groupoid,
     is_equivalence_of_categories,
-    is_equivalence_of_groupoids,
     iso_subgroupoid,
     nerve,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "hom_sets",
     "homotopy_to_nat_transformation",
     "is_equivalence_of_categories",
-    "is_equivalence_of_groupoids",
     "is_loop_free",
     "iso_check",
     "iso_subgroupoid",

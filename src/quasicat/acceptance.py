@@ -46,6 +46,7 @@ from .verify import verify_certificate
 
 MUTATIONS_PER_CERTIFICATE = 100
 MUTATION_SEED = 20260809
+PRODUCT_CELL_LIMIT = 200  # criterion 2 skips larger products
 
 
 @dataclass
@@ -79,7 +80,7 @@ def _content_key(X):
     return X.dim_bound, X.nondegenerate, tuple(sorted(X.faces.items())), X.coskeletal_at
 
 
-def criterion_2_products(cell_limit: int = 200) -> CriterionResult:
+def criterion_2_products() -> CriterionResult:
     complexes = loop_free_corpus_complexes()
     names = sorted(complexes)
     key = {name: _content_key(X) for name, X in complexes.items()}
@@ -93,7 +94,7 @@ def criterion_2_products(cell_limit: int = 200) -> CriterionResult:
     failures = []
     for a in names:
         for b in names:
-            if product_cell_count(complexes[a], complexes[b], 2) > cell_limit:
+            if product_cell_count(complexes[a], complexes[b], 2) > PRODUCT_CELL_LIMIT:
                 skipped += 1
                 continue
             checked += 1

@@ -253,13 +253,6 @@ def iso_subgroupoid(C: FiniteCategory) -> Groupoid:
 # -- equivalence checks --------------------------------------------------------
 
 
-@dataclass
-class GroupoidEquivalenceWitness:
-    ok: bool
-    reason: str | None = None
-    class_map: dict | None = None  # source component rep -> target component rep
-
-
 def _iso_classes(C: FiniteCategory):
     """Partition of objects by isomorphism, computed once per category:
     (classes, rep_of), each class keyed by its first member, the members
@@ -278,35 +271,6 @@ def _iso_classes(C: FiniteCategory):
         rep_of.update(dict.fromkeys(members, members[0]))
     C._iso_class_cache = classes, rep_of
     return classes, rep_of
-
-
-def is_equivalence_of_groupoids(F: FiniteFunctor) -> tuple[bool, GroupoidEquivalenceWitness]:
-    """Decidable criterion: F induces a bijection on isomorphism classes and
-    a bijection Aut(x) -> Aut(Fx) for one representative per source class."""
-    C, D = F.source, F.target
-    cls_C, _ = _iso_classes(C)
-    cls_D, rep_of_D = _iso_classes(D)
-    class_map = {}
-    for key, members in cls_C.items():
-        image_keys = {rep_of_D[F.object_map[x]] for x in members}
-        if len(image_keys) != 1:
-            return False, GroupoidEquivalenceWitness(False, f"class {key} maps to several classes")
-        class_map[key] = image_keys.pop()
-    if len(set(class_map.values())) != len(class_map):
-        return False, GroupoidEquivalenceWitness(False, "not injective on iso classes")
-    if set(class_map.values()) != set(cls_D):
-        return False, GroupoidEquivalenceWitness(False, "not surjective on iso classes")
-    for members in cls_C.values():
-        x = members[0]
-        fx = F.object_map[x]
-        aut_src = C.hom(x, x)
-        aut_tgt = D.hom(fx, fx)
-        images = {a: F.arrow_map[a] for a in aut_src}
-        if len(set(images.values())) != len(aut_src):
-            return False, GroupoidEquivalenceWitness(False, f"Aut({x}) not faithful")
-        if set(images.values()) != set(aut_tgt):
-            return False, GroupoidEquivalenceWitness(False, f"Aut({x}) not full")
-    return True, GroupoidEquivalenceWitness(True, None, class_map)
 
 
 def is_equivalence_of_categories(F: FiniteFunctor) -> bool:
@@ -416,7 +380,7 @@ def idempotent_monoid_category() -> FiniteCategory:
     )
 
 
-def discrete_category(k: int, name=None) -> FiniteCategory:
+def discrete_category(k: int) -> FiniteCategory:
     objects = tuple(range(k))
     arrows = tuple(("id", x) for x in objects)
     return FiniteCategory(
@@ -426,7 +390,7 @@ def discrete_category(k: int, name=None) -> FiniteCategory:
         {a: a[1] for a in arrows},
         {x: ("id", x) for x in objects},
         {(a, a): a for a in arrows},
-        name=name or f"discrete{k}",
+        name=f"discrete{k}",
     )
 
 

@@ -16,14 +16,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .cat import (
-    CategoryError,
-    FiniteCategory,
-    FiniteFunctor,
-    Groupoid,
-    _iso_classes,
-    is_equivalence_of_groupoids,
-)
+from .cat import CategoryError, FiniteCategory, FiniteFunctor
 from .pathcat import PresentedCategory, Relation, path_category
 from .simplicial import build_standard, standard_simplex
 
@@ -97,20 +90,6 @@ def functors_from_presentation(P: PresentedCategory, C: FiniteCategory) -> list[
     return results
 
 
-def _objectwise_composition(C: FiniteCategory, arrows) -> dict:
-    """Composition table of natural transformations (F, G, components):
-    b after a, defined when a ends where b starts, composes componentwise."""
-    by_src: dict = {}
-    for a in arrows:
-        by_src.setdefault(a[0], []).append(a)
-    compose = {}
-    for a in arrows:
-        for b in by_src.get(a[1], ()):
-            comps = tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2]))
-            compose[(b, a)] = (a[0], b[1], comps)
-    return compose
-
-
 def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
     """C^P: objects are functors P -> C, arrows natural transformations,
     composition objectwise."""
@@ -139,84 +118,80 @@ def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
     identity = {
         F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors
     }
-    compose = _objectwise_composition(C, arrows)
+    # b after a, defined when a ends where b starts, composes componentwise
+    by_src: dict = {}
+    for a in arrows:
+        by_src.setdefault(a[0], []).append(a)
+    compose = {}
+    for a in arrows:
+        for b in by_src.get(a[1], ()):
+            compose[(b, a)] = (a[0], b[1], tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2])))
     return FiniteCategory(objects, tuple(arrows), src, tgt, identity, compose, check=False)
 
 
-def _iso_groupoid_without_composition(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
-    """Iso(C^P) with an empty composition table: objects, arrows, ends,
-    identities and inverses, which is all `is_equivalence_of_groupoids`
-    reads.  `iso_functor_groupoid` adds the composition.
+def _iso_summary(C: FiniteCategory, shape_name: str, P: PresentedCategory) -> tuple[dict, dict]:
+    """Iso(C^P) as the criterion reads it, built once per category and
+    shape and kept on C: (key, aut), where key sends each functor P -> C to
+    the key of its isomorphism class, the first of its class enumerated,
+    and aut sends each key to the invertible component tuples that fix it.
 
-    An invertible natural transformation has invertible components, and its
-    target functor is the conjugate of its source, so arrows are triples
-    (functor, conjugate, invertible component tuple).
+    An invertible natural transformation out of H has invertible
+    components, and its target is the conjugate of H by them.  Every member
+    of H's class is such a conjugate of H, so a class is read off its key's
+    conjugates alone, and the cost is the isomorphisms out of the keys.
     """
+    cache = getattr(C, "_iso_shape_cache", None)
+    if cache is None:
+        cache = C._iso_shape_cache = {}
+    hit = cache.get(shape_name)
+    if hit is not None:
+        return hit
     functors = functors_from_presentation(P, C)
+    functor_set = set(functors)
     inv = C.invertible_arrows()
     inv_out = {x: [f for f in inv if C.src[f] == x] for x in C.objects}
     obj_index = {x: i for i, x in enumerate(P.objects)}
-    gen_index = {g: i for i, g in enumerate(P.generators)}
-    functor_set = set(functors)
-    arrows = []
-    src = {}
-    tgt = {}
-    inverse = {}
-    for F in functors:
-        for comps in iproduct(*[inv_out[F.objects[i]] for i in range(len(P.objects))]):
-            g_objects = tuple(C.tgt[a] for a in comps)
-            g_generators = tuple(
-                C.compose_table[
-                    (
-                        C.compose_table[(comps[obj_index[P.gen_tgt[g]]], F.generators[gen_index[g]])],
-                        inv[comps[obj_index[P.gen_src[g]]]],
-                    )
-                ]
-                for g in P.generators
+    ends = [(obj_index[P.gen_src[g]], obj_index[P.gen_tgt[g]]) for g in P.generators]
+    compose = C.compose_table
+    key: dict = {}
+    aut: dict = {}
+    for H in functors:
+        if H in key:
+            continue
+        fixing = aut[H] = []
+        for comps in iproduct(*[inv_out[x] for x in H.objects]):
+            G = PresentedFunctor(
+                tuple(C.tgt[a] for a in comps),
+                tuple(compose[(compose[(comps[t], f)], inv[comps[s]])] for f, (s, t) in zip(H.generators, ends)),
             )
-            G = PresentedFunctor(g_objects, g_generators)
             if G not in functor_set:
                 raise CategoryError("conjugate functor escaped the enumeration")
-            a = (F, G, tuple(comps))
-            arrows.append(a)
-            src[a] = F
-            tgt[a] = G
-            inverse[a] = (G, F, tuple(inv[c] for c in comps))
-    identity = {F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors}
-    return Groupoid(
-        tuple(functors), tuple(arrows), src, tgt, identity, {}, inverse=inverse, check=False
-    )
+            key[G] = H
+            if G == H:
+                fixing.append(comps)
+    hit = cache[shape_name] = key, aut
+    return hit
 
 
-def iso_functor_groupoid(C: FiniteCategory, P: PresentedCategory) -> Groupoid:
-    """Iso(C^P) without materializing non-invertible transformations;
-    composition is objectwise."""
-    G = _iso_groupoid_without_composition(C, P)
-    compose = _objectwise_composition(C, G.arrows)
-    return Groupoid(
-        G.objects, G.arrows, G.src, G.tgt, G.identity, compose, inverse=G.inverse, check=False
-    )
-
-
-def _induced_on_automorphisms(F: FiniteFunctor, GC: Groupoid, GD: Groupoid) -> FiniteFunctor:
-    """Iso(C^P) -> Iso(D^P) by postcomposition with F, given on every
-    object and on the automorphisms of each iso-class representative:
-    the part `is_equivalence_of_groupoids` reads."""
-
-    def push_functor(H: PresentedFunctor) -> PresentedFunctor:
-        return PresentedFunctor(
-            tuple(F.object_map[x] for x in H.objects),
-            tuple(F.arrow_map[f] for f in H.generators),
-        )
-
-    object_map = {H: push_functor(H) for H in GC.objects}
-    arrow_map = {}
-    for members in _iso_classes(GC)[0].values():
-        x = members[0]
-        fx = object_map[x]
-        for a in GC.hom(x, x):
-            arrow_map[a] = (fx, fx, tuple(F.arrow_map[c] for c in a[2]))
-    return FiniteFunctor(GC, GD, object_map, arrow_map)
+def _induces_equivalence(F: FiniteFunctor, source: tuple[dict, dict], target: tuple[dict, dict]) -> bool:
+    """Iso(C^P) -> Iso(D^P), postcomposition with F, is an equivalence of
+    groupoids: it maps each class into one class, bijectively, and the
+    automorphisms of each class key H injectively onto those of FH, whose
+    group has as many elements as that of FH's key."""
+    (key_C, aut_C), (key_D, aut_D) = source, target
+    obj, arr = F.object_map, F.arrow_map
+    class_map: dict = {}
+    for H, k in key_C.items():
+        image = key_D[PresentedFunctor(tuple(obj[x] for x in H.objects), tuple(arr[f] for f in H.generators))]
+        if class_map.setdefault(k, image) != image:
+            return False
+    if not len(class_map) == len(set(class_map.values())) == len(aut_D):
+        return False
+    for k, fixing in aut_C.items():
+        images = {tuple(arr[c] for c in comps) for comps in fixing}
+        if not len(fixing) == len(images) == len(aut_D[class_map[k]]):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -230,18 +205,6 @@ def criterion_presentations() -> tuple[tuple[str, PresentedCategory], ...]:
         B, _ = build_standard("boundary", n)
         shapes.append((f"P(bdDelta^{n})", path_category(B)))
     return tuple(shapes)
-
-
-def _cached_iso_groupoid(C: FiniteCategory, shape_name: str, P: PresentedCategory) -> Groupoid:
-    """Iso(C^P) without composition, built once per category and shape and
-    kept on C."""
-    cache = getattr(C, "_iso_shape_cache", None)
-    if cache is None:
-        cache = C._iso_shape_cache = {}
-    hit = cache.get(shape_name)
-    if hit is None:
-        hit = cache[shape_name] = _iso_groupoid_without_composition(C, P)
-    return hit
 
 
 def enumerate_functors(C: FiniteCategory, D: FiniteCategory) -> list[FiniteFunctor]:
@@ -272,9 +235,7 @@ def nerve_equivalence_criterion(F: FiniteFunctor, verbose: bool = False):
     results = {}
     verdict = True
     for name, P in criterion_presentations():
-        GC = _cached_iso_groupoid(F.source, name, P)
-        GD = _cached_iso_groupoid(F.target, name, P)
-        ok, _w = is_equivalence_of_groupoids(_induced_on_automorphisms(F, GC, GD))
+        ok = _induces_equivalence(F, _iso_summary(F.source, name, P), _iso_summary(F.target, name, P))
         results[name] = ok
         if not ok:
             verdict = False

@@ -173,7 +173,7 @@ def cat_to_json(C: FiniteCategory) -> dict:
     }
 
 
-def cat_from_json(obj: dict, name: str | None = None) -> FiniteCategory:
+def cat_from_json(obj: dict) -> FiniteCategory:
     objects = tuple(_name(x, "objects") for x in _list(_field(obj, "objects", "category"), "objects"))
     arrows, src, tgt = [], {}, {}
     for rec in _list(_field(obj, "arrows", "category"), "arrows"):
@@ -189,7 +189,7 @@ def cat_from_json(obj: dict, name: str | None = None) -> FiniteCategory:
         g, f, gf = (_name(a, "compose", src) for a in rec)
         compose[g, f] = gf
     try:
-        return FiniteCategory(objects, arrows, src, tgt, identity, compose, name=name)
+        return FiniteCategory(objects, arrows, src, tgt, identity, compose)
     except CategoryError as exc:
         raise MalformedInputError(str(exc)) from exc
 

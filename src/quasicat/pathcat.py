@@ -197,9 +197,7 @@ def _close_words(P: PresentedCategory, words):
 
 @dataclass
 class HomSetTable:
-    presentation: PresentedCategory
     entries: dict  # (x, y) -> HomEntry
-    partial: bool = False
 
     def entry(self, x, y) -> HomEntry:
         return self.entries[(x, y)]
@@ -265,7 +263,7 @@ def hom_sets(P: PresentedCategory) -> HomSetTable:
         for y in P.objects:
             classes = homs.get(y, ())
             entries[(x, y)] = HomEntry(x, y, classes, False, {c.rep: c.rep for c in classes}, step)
-    return HomSetTable(P, entries, partial=False)
+    return HomSetTable(entries)
 
 
 def bounded_hom_classes(P: PresentedCategory, x, y, max_len: int) -> HomEntry:
@@ -361,13 +359,16 @@ def counit_check(C: FiniteCategory) -> CounitReport:
 # -- product comparison ----------------------------------------------------------
 
 
-def product_comparison(X: SimplicialSet, Y: SimplicialSet, cell_limit: int = 400) -> bool:
+COMPARISON_CELL_LIMIT = 400  # product_comparison refuses larger products
+
+
+def product_comparison(X: SimplicialSet, Y: SimplicialSet) -> bool:
     """P(X x Y) -> P(X) x P(Y) is bijective on objects and all hom-sets."""
     PX, PY = path_category(X), path_category(Y)
     if not is_loop_free(PX) or not is_loop_free(PY):
         raise NotLoopFreeError("product comparison needs loop-free factors")
     cells = product_cell_count(X, Y, 2)
-    if cells > cell_limit:
+    if cells > COMPARISON_CELL_LIMIT:
         raise ValueError(f"product too large ({cells} cells)")
     return product_tables_agree(product(X, Y, dim_bound=2), hom_sets(PX), hom_sets(PY))
 

@@ -5,9 +5,10 @@ coskeletal bound: in a d-coskeletal complex an inner horn of dimension
 >= d+2 determines its missing face and filler uniquely, so checking
 dimensions 2..d+1 suffices.  Horns one dimension above the stored
 truncation are decided by a shell criterion.  The verdict is never a false
-certificate: a missing flag, or a dim_bound below the declared coskeletal
-bound, yields "inconclusive".  Horns are (n, k, top) tuples, enumerated as
-a join over the face index and counted against the filler index.
+certificate: a missing flag, a dim_bound below the declared coskeletal
+bound, or stored cells that contradict it, yield "inconclusive".  Horns
+are (n, k, top) tuples, enumerated as a join over the face index and
+counted against the filler index.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
     """
     if n < 2:
         raise SimplicialError("horns need n >= 2")
+    return _horns(X, n, k)
+
+
+def _horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
+    # the join itself; the coskeletal check reads it here, so that the
+    # horns counted at `enumerate_horns` stay those certification decides
     slots = tuple(i for i in range(n + 1) if i != k)
     row = X.face_row
     partial = [()]
@@ -140,9 +147,11 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
     Above that dimension fillers exist automatically for a coskeletal
     complex, so the verdict is complete.  Horns one dimension above the
     stored truncation are decided by the shell criterion; a missing flag,
-    or dim_bound below the flag, yields an inconclusive verdict rather
-    than a false certificate.  Through dim_bound fillers are counted, and
-    horns scanned for the first unfilled one only when the counts differ.
+    dim_bound below the flag, or stored cells above the flag that are not
+    its coskeletal ones (`_false_flag`), yield an inconclusive verdict
+    rather than a false certificate.  Through dim_bound fillers are
+    counted, and horns scanned for the first unfilled one only when the
+    counts differ.  A counterexample needs no flag: stored cells witness it.
     """
     d = X.coskeletal_at
     if d is None:
@@ -153,9 +162,12 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
             reason=f"dim_bound {X.dim_bound} below coskeletal bound {d}",
         )
     top = d + 1
+    top_horns = None
     for n in range(2, top + 1):
         for k in range(1, n):
             horns = enumerate_horns(X, n, k)
+            if (n, k) == (top, 1):
+                top_horns = horns
             # each key of the filler index restricts an n-expression to one
             # of the distinct horns, so every horn fills iff the counts agree
             slots = tuple(i for i in range(n + 1) if i != k)
@@ -170,7 +182,37 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
                     filled = _has_shell_filler(X, h)
                 if not filled:
                     return CertReport("counterexample", d, n - 1, counterexample=h)
+    reason = _false_flag(X, d, top_horns)
+    if reason is not None:
+        return CertReport("inconclusive", d, None, reason=reason)
     return CertReport("quasi-category", d, top)
+
+
+def _false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
+    """Why the stored cells contradict X's flag d, or None.
+
+    X is d-coskeletal through its dim_bound when, for each n from d+1 up,
+    the n-expressions are the compatible boundaries of Delta^n, one each:
+    (i) no two share a boundary, and (ii) there are as many boundaries as
+    expressions.  A boundary for n >= 2 is a Lambda^n_1 horn with a missing
+    face on its `missing_face_boundary`, so the boundaries are counted over
+    those horns; at n = d+1 they are `top_horns`, the ones certification
+    enumerated.
+    """
+    for n in range(d + 1, X.dim_bound + 1):
+        shells = X.face_index(n, tuple(range(n + 1)))
+        shared = sum(len(es) > 1 for es in shells.values())
+        if shared:
+            return f"coskeletal_at {d} is false: {shared} boundaries in dimension {n} have several fillers"
+        if n == 1:
+            boundaries = len(X.vertices()) ** 2
+        else:
+            faces = X.face_index(n - 1, tuple(range(n)))
+            horns = top_horns if n == d + 1 else _horns(X, n, 1)
+            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in horns)
+        if boundaries != len(shells):
+            return f"coskeletal_at {d} is false: {boundaries - len(shells)} boundaries in dimension {n} have no filler"
+    return None
 
 
 # -- quasi-isomorphisms ----------------------------------------------------------
@@ -178,7 +220,9 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
 
 @dataclass(frozen=True)
 class QuasiIsoWitness:
-    alpha: SimplexExpr
+    """An inverse beta of the edge alpha it is stored under, with the two
+    2-simplices that witness it."""
+
     beta: SimplexExpr
     sigma: SimplexExpr  # boundary (beta, s0 x, alpha)
     sigma_prime: SimplexExpr  # boundary (alpha, s0 y, beta)
@@ -205,7 +249,7 @@ def quasi_iso_edges(X: SimplicialSet, report: CertReport | None = None) -> dict[
             sigma = triangles.get((beta, sx, alpha))
             sigma_prime = triangles.get((alpha, sy, beta))
             if sigma and sigma_prime:
-                out[alpha] = QuasiIsoWitness(alpha, beta, sigma[0], sigma_prime[0])
+                out[alpha] = QuasiIsoWitness(beta, sigma[0], sigma_prime[0])
                 break
     return out
 

@@ -1,11 +1,12 @@
 """Fixtures and oracles shared by several test modules."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian
 
 from hypothesis import strategies as st
 
-from quasicat.cat import FiniteCategory, FiniteFunctor, nerve
+from quasicat.cat import FiniteCategory, FiniteFunctor, _iso_classes, nerve
 from quasicat.corpus import corpus_categories
 from quasicat.equivalence import enumerate_functors
 from quasicat.simplicial import ProductComplex, SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
@@ -44,6 +45,42 @@ def category_iso(C: FiniteCategory, D: FiniteCategory) -> FiniteFunctor | None:
         ):
             return F
     return None
+
+
+@dataclass
+class GroupoidEquivalenceWitness:
+    ok: bool
+    reason: str | None = None
+    class_map: dict | None = None  # source component rep -> target component rep
+
+
+def is_equivalence_of_groupoids(F: FiniteFunctor) -> tuple[bool, GroupoidEquivalenceWitness]:
+    """Decidable criterion: F induces a bijection on isomorphism classes and
+    a bijection Aut(x) -> Aut(Fx) for one representative per source class."""
+    C, D = F.source, F.target
+    cls_C, _ = _iso_classes(C)
+    cls_D, rep_of_D = _iso_classes(D)
+    class_map = {}
+    for key, members in cls_C.items():
+        image_keys = {rep_of_D[F.object_map[x]] for x in members}
+        if len(image_keys) != 1:
+            return False, GroupoidEquivalenceWitness(False, f"class {key} maps to several classes")
+        class_map[key] = image_keys.pop()
+    if len(set(class_map.values())) != len(class_map):
+        return False, GroupoidEquivalenceWitness(False, "not injective on iso classes")
+    if set(class_map.values()) != set(cls_D):
+        return False, GroupoidEquivalenceWitness(False, "not surjective on iso classes")
+    for members in cls_C.values():
+        x = members[0]
+        fx = F.object_map[x]
+        aut_src = C.hom(x, x)
+        aut_tgt = D.hom(fx, fx)
+        images = {a: F.arrow_map[a] for a in aut_src}
+        if len(set(images.values())) != len(aut_src):
+            return False, GroupoidEquivalenceWitness(False, f"Aut({x}) not faithful")
+        if set(images.values()) != set(aut_tgt):
+            return False, GroupoidEquivalenceWitness(False, f"Aut({x}) not full")
+    return True, GroupoidEquivalenceWitness(True, None, class_map)
 
 
 def validate_map(f: SimplicialMap) -> SimplicialMap:

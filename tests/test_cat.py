@@ -10,7 +10,6 @@ from quasicat.cat import (
     free_iso_groupoid,
     idempotent_monoid_category,
     is_equivalence_of_categories,
-    is_equivalence_of_groupoids,
     iso_subgroupoid,
     nerve,
     poset_category,
@@ -18,7 +17,7 @@ from quasicat.cat import (
 )
 from quasicat.simplicial import iso_check, product, standard_simplex
 
-from helpers import category_iso, identity_functor, truncate
+from helpers import category_iso, identity_functor, is_equivalence_of_groupoids, truncate
 
 
 def test_constructors_validate():

@@ -98,10 +98,67 @@ def old_certify_quasi_category(X: SimplicialSet) -> CertReport:
     return CertReport("quasi-category", d, top)
 
 
+# -- brute force: the coskeletal extension, from every tuple of faces ------------
+
+
+def compatible_tuples(X: SimplicialSet, n: int, skip=None) -> list[tuple]:
+    """Every (f_0, ..., f_n) of (n-1)-expressions, slot `skip` left None,
+    with d_i f_j = d_{j-1} f_i for i < j: each tuple of faces is scanned,
+    and dropped at its first clash."""
+    if n == 1:
+        return [(b, a) for a in X.all_exprs(0) for b in X.all_exprs(0)]
+    partial = [()]
+    for j in range(n + 1):
+        if j == skip:
+            partial = [p + (None,) for p in partial]
+            continue
+        partial = [
+            p + (e,)
+            for p in partial
+            for e in X.all_exprs(n - 1)
+            if all(i == skip or X.face(e, i) == X.face(p[i], j - 1) for i in range(j))
+        ]
+    return partial
+
+
+def flag_holds(X: SimplicialSet) -> bool:
+    """The n-expressions of X are its compatible boundaries of Delta^n, one
+    each, for n from coskeletal_at + 1 through dim_bound."""
+    for n in range(X.coskeletal_at + 1, X.dim_bound + 1):
+        rows = sorted(tuple(X.face(e, i) for i in range(n + 1)) for e in X.all_exprs(n))
+        if rows != sorted(compatible_tuples(X, n)):
+            return False
+    return True
+
+
+def brute_force_is_quasi(X: SimplicialSet) -> bool:
+    """X's flag holds, and every inner horn through dimension
+    coskeletal_at + 1 of its coskeletal extension fills; one dimension above
+    dim_bound the extension's cells are the compatible boundaries."""
+    d = X.coskeletal_at
+    if d is None or X.dim_bound < d or not flag_holds(X):
+        return False
+    for n in range(2, d + 2):
+        if n <= X.dim_bound:
+            filled = {tuple(X.face(e, i) for i in range(n + 1)) for e in X.all_exprs(n)}
+        else:
+            filled = set(compatible_tuples(X, n))
+        for k in range(1, n):
+            fills = {row[:k] + (None,) + row[k + 1 :] for row in filled}
+            if any(h not in fills for h in compatible_tuples(X, n, skip=k)):
+                return False
+    return True
+
+
 def assert_certify_matches_oracle(X: SimplicialSet):
     # fresh copies, so neither side reads an index the other one built
     new = certify_quasi_category(with_coskeletal(X, X.coskeletal_at))
     old = old_certify_quasi_category(with_coskeletal(X, X.coskeletal_at))
+    if old.is_quasi and not flag_holds(X):
+        # the oracle believed the flag; the certification checks it
+        assert new.verdict == "inconclusive" and new.certified_up_to is None
+        assert new.reason.startswith(f"coskeletal_at {X.coskeletal_at} is false: ")
+        return
     assert (new.verdict, new.certified_up_to, new.counterexample) == (
         old.verdict, old.certified_up_to, old.counterexample
     )
@@ -174,6 +231,13 @@ def tiny_complexes(draw):
 def test_drawn_complexes_match_oracle_at_every_flag(X):
     for Y in every_flag(X):
         assert_certify_matches_oracle(Y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_complexes())
+def test_quasi_category_verdict_matches_brute_force_at_every_flag(X):
+    for Y in every_flag(X):
+        assert certify_quasi_category(Y).is_quasi == brute_force_is_quasi(Y)
 
 
 def test_face_rows_match_faces():

@@ -7,6 +7,7 @@ import pytest
 from quasicat.cli import main
 from quasicat.jsonio import dumps, functor_to_json, sset_to_json
 from quasicat.cat import cyclic_group_category, nerve, poset_category
+from quasicat.corpus import walking_homotopy
 from quasicat.simplicial import (
     GLOBAL_DIM_BOUND,
     SimplexExpr,
@@ -14,6 +15,7 @@ from quasicat.simplicial import (
     build_standard,
     product,
     standard_simplex,
+    with_coskeletal,
 )
 
 from helpers import identity_functor, truncate
@@ -287,6 +289,34 @@ def test_certify_refuses_a_negative_coskeletal_flag(capsys, tmp_path, flag, code
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     else:
         assert json.loads(captured.out)["certification"]["verdict"] == "counterexample"
+
+
+def lying_flags():
+    # walking_homotopy("r") is refuted at a Lambda^3_1 horn with its true
+    # flag 2; the chain of two edges with no composite at a (2,1)-horn with
+    # flag 1.  Flagged one lower, neither has a horn to refute, and the flag
+    # is what is false
+    v = lambda i: SimplexExpr((), i, 0)
+    chain = SimplicialSet(1, [[0, 1, 2], [3, 4]], {3: (v(1), v(0)), 4: (v(2), v(1))})
+    return [
+        (with_coskeletal(walking_homotopy("r"), 1), "coskeletal_at 1 is false: 3 boundaries in dimension 2 have no filler"),
+        (with_coskeletal(chain, 0), "coskeletal_at 0 is false: 4 boundaries in dimension 1 have no filler"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_certify_does_not_believe_a_lying_coskeletal_flag(capsys, tmp_path, case):
+    X, reason = lying_flags()[case]
+    p = tmp_path / "lying.sset.json"
+    p.write_text(dumps(sset_to_json(X)))
+    code, rep = run(capsys, ["certify", str(p)])
+    assert code == 3
+    assert rep["verdicts"] == {"quasi_category": None, "verdict": "inconclusive"}
+    assert rep["certification"]["reason"] == reason
+    # core and ho read certify's verdict
+    for command in ("core", "ho"):
+        assert main([command, str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_corpus_run_report_matches_expected(capsys, tmp_path):

@@ -5,24 +5,27 @@ import weakref
 
 import pytest
 
+from quasicat import equivalence
 from quasicat.cat import (
+    CategoryError,
     FiniteFunctor,
     cyclic_group_category,
     discrete_category,
     free_iso_groupoid,
     idempotent_monoid_category,
+    _iso_classes,
     is_equivalence_of_categories,
     iso_subgroupoid,
     poset_category,
 )
 from quasicat.equivalence import (
     PresentedFunctor,
+    _iso_summary,
     criterion_presentations,
     enumerate_functors,
     nerve_equivalence_criterion,
     functor_category,
     functors_from_presentation,
-    iso_functor_groupoid,
 )
 
 from helpers import identity_functor
@@ -69,13 +72,19 @@ def test_composable_pair_shape_counts():
 
 
 def test_iso_functor_groupoid_matches_full_construction():
+    # the criterion's summary of Iso(C^P) against the groupoid itself
     for C in [poset_category(1), cyclic_group_category(2), idempotent_monoid_category()]:
         for name in ["P(Delta^0)", "P(Delta^1)", "P(bdDelta^1)"]:
             P = shape(name)
-            G = iso_functor_groupoid(C, P)
+            key, aut = _iso_summary(C, name, P)
             full = iso_subgroupoid(functor_category(C, P))
-            assert len(G.objects) == len(full.objects)
-            assert len(G.arrows) == len(full.arrows)
+            assert set(key) == set(full.objects)
+            classes, rep_of = _iso_classes(full)
+            assert set(aut) == set(key.values()) and len(aut) == len(classes)
+            for H, k in key.items():
+                assert rep_of[H] == rep_of[k]
+                assert len(full.hom(k, k)) == len(aut[k])
+                assert {a[2] for a in full.hom(k, k)} == set(aut[k])
 
 
 # -- functor enumeration -----------------------------------------------------------
@@ -133,6 +142,14 @@ def test_skeleton_passes():
     T = cyclic_group_category(1)
     F = FiniteFunctor(T, P, {"*": 0}, {"g0": "id0"}).validate()
     assert nerve_equivalence_criterion(F)
+
+
+def test_a_conjugate_outside_the_enumeration_is_refused(monkeypatch):
+    # the functor 1 of P(Delta^0) -> pi(Delta^1) is the conjugate of 0 by eta
+    search = equivalence.functors_from_presentation
+    monkeypatch.setattr(equivalence, "functors_from_presentation", lambda P, C: search(P, C)[:1])
+    with pytest.raises(CategoryError, match="^conjugate functor escaped the enumeration$"):
+        nerve_equivalence_criterion(identity_functor(free_iso_groupoid()))
 
 
 def test_criterion_keeps_no_category_alive():

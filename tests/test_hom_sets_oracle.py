@@ -127,7 +127,7 @@ def enumerated_hom_sets(P) -> HomSetTable:
     for (x, y), words in paths.items():
         classes, class_of = old_close_words(P, x, words)
         entries[(x, y)] = HomEntry(x, y, classes, False, class_of)
-    return HomSetTable(P, entries)
+    return HomSetTable(entries)
 
 
 def assert_matches_oracle(X):

@@ -172,7 +172,8 @@ def test_criterion_2_shares_checks_across_labels_but_not_across_faces(monkeypatc
     complexes = {"x": X, "x_relabelled": relabelled, "x_changed": changed}
     monkeypatch.setattr(acceptance, "loop_free_corpus_complexes", lambda: complexes)
     built = counting_products(monkeypatch)
-    result = acceptance.criterion_2_products(cell_limit=10**6)
+    monkeypatch.setattr(acceptance, "PRODUCT_CELL_LIMIT", 10**6)
+    result = acceptance.criterion_2_products()
     assert result.ok and result.counts == {"checked": 9, "skipped": 0}
     # two distinct complexes, so four ordered pairs, not nine
     assert len(built) == 4
@@ -252,10 +253,12 @@ def test_product_comparison_refuses_an_oversized_pair_without_building_it(monkey
         raise AssertionError("product built")
 
     monkeypatch.setattr(pathcat, "product", no_build)
+    monkeypatch.setattr(pathcat, "COMPARISON_CELL_LIMIT", cells - 1)
     with pytest.raises(ValueError, match=rf"^product too large \({cells} cells\)$"):
-        product_comparison(X, Y, cell_limit=cells - 1)
+        product_comparison(X, Y)
+    monkeypatch.setattr(pathcat, "COMPARISON_CELL_LIMIT", cells)
     with pytest.raises(AssertionError, match="product built"):
-        product_comparison(X, Y, cell_limit=cells)
+        product_comparison(X, Y)
 
 
 # -- path_category ----------------------------------------------------------------
