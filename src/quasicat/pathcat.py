@@ -158,10 +158,10 @@ def _close_words(P: PresentedCategory, words):
 
     Each relation becomes one rule, from its longer side to its shorter one
     (a relation with equal sides says nothing and is dropped).  The rules
-    are indexed by the first generator of their left side, so at each
-    position a word tries only the rules that start with the generator
-    there, with one slice comparison each: the cost is words times the
-    rules that can fire, not words times relations times length.
+    are indexed by their left side, so at each position a word looks up
+    one slice per distinct left-side length: the cost is words times length
+    times lengths, plus the substitutions that fire, not words times
+    relations times length.
 
     One direction is enough: two words that differ by one substitution are
     found from the one that holds the longer side.  So no rule has an empty
@@ -173,16 +173,18 @@ def _close_words(P: PresentedCategory, words):
     """
     universe = set(words)
     uf = UnionFind(universe)
-    rules: dict = {}  # first generator of the longer side -> [(longer side, shorter side)]
+    rules: dict = {}  # longer side -> its shorter sides
     for rel in P.relations:
         lhs, rhs = (rel.lhs, rel.rhs) if len(rel.lhs) >= len(rel.rhs) else (rel.rhs, rel.lhs)
         if lhs != rhs:
-            rules.setdefault(lhs[0], []).append((lhs, rhs))
+            rules.setdefault(lhs, []).append(rhs)
+    lengths = sorted({len(lhs) for lhs in rules})
     for w in universe:
-        for i, g in enumerate(w):
-            for lhs, rhs in rules.get(g, ()):
-                n = len(lhs)
-                if w[i : i + n] == lhs:
+        for i in range(len(w)):
+            for n in lengths:
+                if i + n > len(w):
+                    break
+                for rhs in rules.get(w[i : i + n], ()):
                     uf.union(w, w[:i] + rhs + w[i + n :])
     classes = []
     class_of = {}

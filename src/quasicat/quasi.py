@@ -195,21 +195,28 @@ def _false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
     the n-expressions are the compatible boundaries of Delta^n, one each:
     (i) no two share a boundary, and (ii) there are as many boundaries as
     expressions.  A boundary for n >= 2 is a Lambda^n_1 horn with a missing
-    face on its `missing_face_boundary`, so the boundaries are counted over
-    those horns; at n = d+1 they are `top_horns`, the ones certification
-    enumerated.
+    face on its `missing_face_boundary`.  At n = d+1 the horns are
+    `top_horns`, the ones certification enumerated: both hold when its
+    filler index gives each horn one filler and no two (n-1)-expressions
+    share a boundary, or else the boundaries are counted.  Above d+1 the
+    check at n-1 left each missing face one expression: one per horn.
     """
     for n in range(d + 1, X.dim_bound + 1):
+        if n == d + 1 >= 2:
+            faces = X.face_index(n - 1, tuple(range(n)))
+            fillers = X.face_index(n, (0, *range(2, n + 1)))
+            if len(faces) == X.n_exprs(n - 1) and len(fillers) == len(top_horns) == X.n_exprs(n):
+                continue
         shells = X.face_index(n, tuple(range(n + 1)))
         shared = sum(len(es) > 1 for es in shells.values())
         if shared:
             return f"coskeletal_at {d} is false: {shared} boundaries in dimension {n} have several fillers"
         if n == 1:
             boundaries = len(X.vertices()) ** 2
+        elif n == d + 1:
+            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in top_horns)
         else:
-            faces = X.face_index(n - 1, tuple(range(n)))
-            horns = top_horns if n == d + 1 else _horns(X, n, 1)
-            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in horns)
+            boundaries = len(_horns(X, n, 1))
         if boundaries != len(shells):
             return f"coskeletal_at {d} is false: {boundaries - len(shells)} boundaries in dimension {n} have no filler"
     return None

@@ -28,8 +28,8 @@ grow with the cells; with words they grow with the dimensions in use, 2^d
 words below d, and `jsonio`, `product` and the certificate builders stop
 at `GLOBAL_DIM_BOUND`.  `product` reads each component expression's
 faces from its factor's `face_row`, so a factor used in many products
-pays for a degenerate row once, and computes each pair normal form once
-per distinct pair, in a dict local to one build.
+pays for a degenerate row once; a face pair that is a cell of the build
+is one table read, and only a degenerate one is normalized.
 
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
 GLOBAL_DIM_BOUND = 12
 
@@ -160,6 +160,13 @@ def _peel_words(w1: tuple[int, ...], w2: tuple[int, ...], dim: int):
         w2 = _face_word(w2, i + 1, dim)[0]
         dim -= 1
     return _degenerate_word(tuple(word), (), dim), w1, w2
+
+
+@lru_cache(maxsize=None)
+def _disjoint_words(words1: tuple, words2: tuple) -> tuple[tuple[int, ...], ...]:
+    """For each word of `words1`, the indexes of the words of `words2`
+    disjoint from it: a word table too, one entry per word lists in use."""
+    return tuple(tuple(j for j, w2 in enumerate(words2) if set(w1).isdisjoint(w2)) for w1 in words1)
 
 
 class UnionFind:
@@ -380,7 +387,10 @@ class SimplicialSet:
         return self
 
     def validate(self):
-        """Exhaustive well-formedness check: face targets and d_i d_j identities."""
+        """Exhaustive well-formedness check: face targets, then d_i d_j =
+        d_{j-1} d_i (i < j) as two gathers over columns j and i of a level,
+        d_j of every cell and its face row; a failing level is scanned, in
+        (j, i) order, only to name its first failure."""
         faces, dim_of = self.faces, self.dim_of
         for d, level in enumerate(self.nondegenerate):
             for s in level:
@@ -396,27 +406,21 @@ class SimplicialSet:
                         raise SimplicialError(f"face of {s} has unknown base {base}")
                     if dim_of[base] + len(word) != d - 1 or dim != d - 1:
                         raise SimplicialError(f"face of {s} has wrong dimension")
-        # the faces of a face: a non-degenerate one's are its row of the
-        # face table, a degenerate one's are computed once per call
-        degenerate_faces: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}
-        for d, level in enumerate(self.nondegenerate):
-            if d < 2:
+        row, word, base = self.face_row, itemgetter(0), itemgetter(1)
+        gather = lambda i, col: list(map(itemgetter(i), col))
+        for d, level in enumerate(self.nondegenerate[2:], 2):
+            # a column of non-degenerate faces reads its rows by base, with no call
+            cols = [
+                list(map(row, F) if any(map(word, F)) else map(faces.__getitem__, map(base, F)))
+                for F in zip(*map(faces.__getitem__, level))
+            ]
+            ij = [(i, j) for j in range(1, d + 1) for i in range(j)]
+            if not cols or all(gather(i, cols[j]) == gather(j - 1, cols[i]) for i, j in ij):
                 continue
-            for s in level:
-                ffs = []
-                for e in faces[s]:
-                    if not e[0]:
-                        ffs.append(faces[e[1]])
-                        continue
-                    ef = degenerate_faces.get(e)
-                    if ef is None:
-                        ef = degenerate_faces[e] = tuple(self.face(e, i) for i in range(d))
-                    ffs.append(ef)
-                for j in range(1, d + 1):
-                    fj = ffs[j]
-                    for i in range(j):
-                        if fj[i] != ffs[i][j - 1]:
-                            raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
+            for n, s in enumerate(level):
+                for i, j in ij:
+                    if cols[j][n][i] != cols[i][n][j - 1]:
+                        raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
         self._validated = True
 
     # -- indexes by faces (face closure, horn filling, boundary lookups) -----
@@ -615,18 +619,29 @@ def product_cell_count(X: SimplicialSet, Y: SimplicialSet, dim_bound: int) -> in
     )
 
 
-def _exprs_with_faces(X: SimplicialSet, x: int, words, d: int) -> list[tuple[SimplexExpr, tuple]]:
-    """(expression, its face row) for each word on the cell x, in dimension d."""
-    exprs = [SimplexExpr(w, x, d) for w in words]
-    return [(e, X.face_row(e) if d else ()) for e in exprs]
+def _components(Z: SimplicialSet, z: int, words, d: int, keys: dict, face_keys: dict, fresh) -> list[tuple]:
+    """(expression, key, face keys, face row) for each word on the cell z in
+    dimension d.  Keys tell the expressions of Z of one dimension apart: an
+    expression met for the first time takes the next value of `fresh`."""
+    out = []
+    for w in words:
+        # the words come from combinations of a descending range, so are normal
+        e = tuple.__new__(SimplexExpr, (w, z, d))
+        row = Z.face_row(e) if d else ()
+        out.append((e, keys.setdefault(e, next(fresh)), tuple(map(face_keys.setdefault, row, fresh)), row))
+    return out
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
     """Binary product, materialized through dimension `dim_bound`.
 
     Non-degenerate n-cells are pairs of n-dimensional expressions with
-    disjoint degeneracy words; faces are computed componentwise and
-    renormalized.
+    disjoint degeneracy words, made in a fixed order that sets the ids.
+    A cell's faces are its components' face rows, paired and renormalized:
+    each (d-1)-cell is entered in a table by its pair's key as it is made,
+    so a face pair that is a cell is one read, and only a degenerate face
+    pair goes through `_pair_expr`, once per build.  The table holds one
+    dimension at a time, since a d-cell's faces are (d-1)-dimensional.
     """
     full = X.dim + Y.dim
     if dim_bound is None:
@@ -636,43 +651,48 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     pairs: dict[int, tuple[SimplexExpr, SimplexExpr]] = {}
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     faces = {}
-    # many faces share a pair, so each pair normal form is computed once
-    # per build; the faces of a d-cell are pairs of lower ids, all known
-    pair_exprs: dict[tuple[SimplexExpr, SimplexExpr], SimplexExpr] = {}
+    below: dict[int, SimplexExpr] = {}  # pair key -> normal form, one dimension down
+    keys_x, keys_y = {}, {}  # expression -> key, in the dimension being built
+    # a pair's key is the sum of its components': the x-keys are multiples
+    # of 2**32, and the y-keys are below it
+    fresh_x, fresh_y = count(0, 1 << 32), count()
     next_id = 0
     for d in range(dim_bound + 1):
         # words[r]: the degeneracy words of a d-expression on an r-cell
         words = [tuple(combinations(range(d - 1, -1, -1), d - r)) for r in range(d + 1)]
-        # each component expression and its faces, built once per dimension
-        # and only for the cell dimensions that some pair uses
+        face_keys_x, face_keys_y, keys_x, keys_y = keys_x, keys_y, {}, {}
+        made: dict[int, SimplexExpr] = {}  # this dimension's cells, by pair key
+        level, read, new = nondeg[d], below.__getitem__, tuple.__new__
+        # each component expression, its key and its faces, built once per
+        # dimension and only for the cell dimensions that some pair uses
         ys: dict[int, list] = {}
         for p in range(max(d - Y.dim, 0), min(d, X.dim) + 1):
-            xs = [(x, _exprs_with_faces(X, x, words[p], d)) for x in X.nondegenerate[p]]
+            xs = [_components(X, x, words[p], d, keys_x, face_keys_x, fresh_x) for x in X.nondegenerate[p]]
             for q in range(d - p, min(d, Y.dim) + 1):
                 if q not in ys:
-                    ys[q] = [(y, _exprs_with_faces(Y, y, words[q], d)) for y in Y.nondegenerate[q]]
-                # for each word of the x-component, the y-words disjoint from it
-                disjoint = [
-                    [j for j, w2 in enumerate(words[q]) if set(w1).isdisjoint(w2)] for w1 in words[p]
-                ]
-                for x, e1s in xs:
-                    for y, e2s in ys[q]:
-                        for (e1, f1), js in zip(e1s, disjoint):
+                    ys[q] = [_components(Y, y, words[q], d, keys_y, face_keys_y, fresh_y) for y in Y.nondegenerate[q]]
+                disjoint = _disjoint_words(words[p], words[q])  # the non-degenerate pairs
+                for e1s in xs:
+                    for e2s in ys[q]:
+                        for (e1, k1, g1, f1), js in zip(e1s, disjoint):
                             for j in js:
-                                e2, f2 = e2s[j]
+                                e2, k2, g2, f2 = e2s[j]
                                 pair = (e1, e2)
                                 pair_id[pair] = next_id
                                 pairs[next_id] = pair
-                                nondeg[d].append(next_id)
+                                level.append(next_id)
+                                if d < dim_bound:  # no top cell is a face
+                                    made[k1 + k2] = new(SimplexExpr, ((), next_id, d))
                                 if d:
-                                    fs = []
-                                    for face_pair in zip(f1, f2):
-                                        f = pair_exprs.get(face_pair)
-                                        if f is None:
-                                            f = pair_exprs[face_pair] = _pair_expr(pair_id, *face_pair)
-                                        fs.append(f)
-                                    faces[next_id] = tuple(fs)
+                                    try:
+                                        faces[next_id] = tuple(map(read, map(add, g1, g2)))
+                                    except KeyError:  # a degenerate face pair, normalized once per build
+                                        for k, a, b in zip(map(add, g1, g2), f1, f2):
+                                            if k not in below:
+                                                below[k] = _pair_expr(pair_id, a, b)
+                                        faces[next_id] = tuple(map(read, map(add, g1, g2)))
                                 next_id += 1
+        below = made
     flag = None
     if (
         X.coskeletal_at is not None

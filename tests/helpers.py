@@ -2,14 +2,23 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as cartesian
+from itertools import combinations, product as cartesian
 
 from hypothesis import strategies as st
 
 from quasicat.cat import FiniteCategory, FiniteFunctor, _iso_classes, nerve
 from quasicat.corpus import corpus_categories
 from quasicat.equivalence import enumerate_functors
-from quasicat.simplicial import ProductComplex, SimplexExpr, SimplicialError, SimplicialMap, SimplicialSet
+from quasicat.quasi import _horns
+from quasicat.simplicial import (
+    GLOBAL_DIM_BOUND,
+    ProductComplex,
+    SimplexExpr,
+    SimplicialError,
+    SimplicialMap,
+    SimplicialSet,
+    _pair_expr,
+)
 
 
 def truncate(X: SimplicialSet, d: int) -> SimplicialSet:
@@ -168,3 +177,112 @@ def tiny_complexes(draw, counts):
     triangles = list(range(n_v + n_e, n_v + n_e + len(chosen)))
     faces.update(zip(triangles, chosen))
     return SimplicialSet(2, [list(range(n_v)), edges, triangles], faces)
+
+
+def old_product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
+    """The product built face pair by face pair: every distinct face pair of
+    a cell, non-degenerate or not, is normalized by `_pair_expr`, and kept
+    in a dict keyed by the pair of expressions."""
+    full = X.dim + Y.dim
+    if dim_bound is None:
+        dim_bound = min(full, GLOBAL_DIM_BOUND) if full >= 0 else 0
+    dim_bound = max(dim_bound, 0)
+    pair_id: dict = {}
+    pairs: dict = {}
+    nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
+    faces = {}
+    pair_exprs: dict = {}
+
+    def with_faces(Z, z, words, d):
+        return [(e, Z.face_row(e) if d else ()) for e in (SimplexExpr(w, z, d) for w in words)]
+
+    next_id = 0
+    for d in range(dim_bound + 1):
+        words = [tuple(combinations(range(d - 1, -1, -1), d - r)) for r in range(d + 1)]
+        ys: dict = {}
+        for p in range(max(d - Y.dim, 0), min(d, X.dim) + 1):
+            xs = [with_faces(X, x, words[p], d) for x in X.nondegenerate[p]]
+            for q in range(d - p, min(d, Y.dim) + 1):
+                if q not in ys:
+                    ys[q] = [with_faces(Y, y, words[q], d) for y in Y.nondegenerate[q]]
+                disjoint = [[j for j, w2 in enumerate(words[q]) if set(w1).isdisjoint(w2)] for w1 in words[p]]
+                for e1s in xs:
+                    for e2s in ys[q]:
+                        for (e1, f1), js in zip(e1s, disjoint):
+                            for j in js:
+                                e2, f2 = e2s[j]
+                                pair = (e1, e2)
+                                pair_id[pair] = next_id
+                                pairs[next_id] = pair
+                                nondeg[d].append(next_id)
+                                if d:
+                                    fs = []
+                                    for face_pair in zip(f1, f2):
+                                        f = pair_exprs.get(face_pair)
+                                        if f is None:
+                                            f = pair_exprs[face_pair] = _pair_expr(pair_id, *face_pair)
+                                        fs.append(f)
+                                    faces[next_id] = tuple(fs)
+                                next_id += 1
+    flag = None
+    if X.coskeletal_at is not None and Y.coskeletal_at is not None and full >= 0 and dim_bound >= full:
+        flag = max(X.coskeletal_at, Y.coskeletal_at)
+    P = SimplicialSet(dim_bound, nondeg, faces, flag, pairs, check=False)
+    return ProductComplex(P, X, Y, pairs, pair_id)
+
+
+def old_validate(X: SimplicialSet) -> None:
+    """The validation that compares the faces of faces pair by pair, in
+    (j, i) order, raising the first failure as `SimplicialSet.validate` does."""
+    faces, dim_of = X.faces, X.dim_of
+    for d, level in enumerate(X.nondegenerate):
+        for s in level:
+            if d == 0:
+                if s in faces and faces[s]:
+                    raise SimplicialError(f"vertex {s} has faces")
+                continue
+            fs = faces.get(s)
+            if fs is None or len(fs) != d + 1:
+                raise SimplicialError(f"simplex {s} needs {d + 1} faces")
+            for word, base, dim in fs:
+                if base not in dim_of:
+                    raise SimplicialError(f"face of {s} has unknown base {base}")
+                if dim_of[base] + len(word) != d - 1 or dim != d - 1:
+                    raise SimplicialError(f"face of {s} has wrong dimension")
+    degenerate_faces: dict = {}
+    for d, level in enumerate(X.nondegenerate):
+        if d < 2:
+            continue
+        for s in level:
+            ffs = []
+            for e in faces[s]:
+                if not e[0]:
+                    ffs.append(faces[e[1]])
+                    continue
+                ef = degenerate_faces.get(e)
+                if ef is None:
+                    ef = degenerate_faces[e] = tuple(X.face(e, i) for i in range(d))
+                ffs.append(ef)
+            for j in range(1, d + 1):
+                for i in range(j):
+                    if ffs[j][i] != ffs[i][j - 1]:
+                        raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
+
+
+def old_false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
+    """The coskeletal-flag check that counts the compatible boundaries in
+    every dimension from d+1 through dim_bound, over the Lambda^n_1 horns."""
+    for n in range(d + 1, X.dim_bound + 1):
+        shells = X.face_index(n, tuple(range(n + 1)))
+        shared = sum(len(es) > 1 for es in shells.values())
+        if shared:
+            return f"coskeletal_at {d} is false: {shared} boundaries in dimension {n} have several fillers"
+        if n == 1:
+            boundaries = len(X.vertices()) ** 2
+        else:
+            faces = X.face_index(n - 1, tuple(range(n)))
+            horns = top_horns if n == d + 1 else _horns(X, n, 1)
+            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in horns)
+        if boundaries != len(shells):
+            return f"coskeletal_at {d} is false: {boundaries - len(shells)} boundaries in dimension {n} have no filler"
+    return None

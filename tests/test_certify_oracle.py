@@ -16,10 +16,18 @@ from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import cyclic_group_category, idempotent_monoid_category, nerve, poset_category
 from quasicat.corpus import corpus_complexes, quasi_category_corpus
-from quasicat.quasi import CertReport, HornMap, certify_quasi_category, enumerate_horns, find_filler
+from quasicat.quasi import (
+    CertReport,
+    HornMap,
+    _false_flag,
+    _horns,
+    certify_quasi_category,
+    enumerate_horns,
+    find_filler,
+)
 from quasicat.simplicial import SimplexExpr, SimplicialError, SimplicialSet, make_subcomplex, with_coskeletal
 
-from helpers import corpus_nerves
+from helpers import corpus_nerves, old_false_flag
 
 
 def old_enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
@@ -238,6 +246,26 @@ def test_drawn_complexes_match_oracle_at_every_flag(X):
 def test_quasi_category_verdict_matches_brute_force_at_every_flag(X):
     for Y in every_flag(X):
         assert certify_quasi_category(Y).is_quasi == brute_force_is_quasi(Y)
+
+
+def assert_flag_check_matches_oracle(X: SimplicialSet):
+    # the flag check reads, at n = d+1, the Lambda^n_1 horns certification
+    # enumerated, and is called with every flag d through dim_bound
+    for d in range(X.dim_bound + 1):
+        top_horns = _horns(X, d + 1, 1) if d >= 1 else None
+        assert _false_flag(X, d, top_horns) == old_false_flag(X, d, top_horns), d
+
+
+def test_flag_check_matches_oracle_on_corpus():
+    named = {**corpus_complexes(), **corpus_nerves(), **quasi_category_corpus(4)}
+    for X in named.values():
+        assert_flag_check_matches_oracle(X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_complexes())
+def test_flag_check_matches_oracle_at_every_flag(X):
+    assert_flag_check_matches_oracle(X)
 
 
 def test_face_rows_match_faces():

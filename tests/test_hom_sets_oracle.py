@@ -26,6 +26,8 @@ from quasicat.pathcat import (
     HomClass,
     HomEntry,
     HomSetTable,
+    PresentedCategory,
+    Relation,
     _longest_path,
     _topological_order,
     _word_key,
@@ -240,6 +242,34 @@ def test_loop_free_corpus_bounded_matches_oracle(name):
     P = path_category(FIXTURES[name])
     longest = _longest_path(P, _topological_order(P))
     assert_bounded_matches_oracle(FIXTURES[name], (longest, longest + 1))
+
+
+def test_rules_of_several_lengths_and_a_shared_longer_side_match_oracle():
+    # the closure looks up one slice per left-side length: rules of lengths
+    # 2 and 3 fire in one word, and two relations share the longer side abc
+    a, b, c, f, g, h, k, m = range(10, 18)
+    ends = {a: (0, 1), b: (1, 2), c: (2, 3), f: (0, 2), g: (1, 3), h: (0, 3), k: (0, 3), m: (0, 3)}
+    relations = (
+        Relation((a, b), (f,), 0, 2),
+        Relation((a, b, c), (h,), 0, 3),
+        Relation((k,), (a, b, c), 0, 3),
+        Relation((b, c), (g,), 1, 3),
+    )
+    src, tgt = ({g: e[i] for g, e in ends.items()} for i in (0, 1))
+    P = PresentedCategory((0, 1, 2, 3), tuple(ends), src, tgt, relations).validate()
+    entry = bounded_hom_classes(P, 0, 3, 3)
+    assert [(c.rep, c.size) for c in entry.classes] == [((h,), 5), ((m,), 1)]
+    assert entry.class_of((k,)) == entry.class_of((f, c)) == entry.class_of((a, g)) == (h,)
+    # looped: x^3 = x and x^3 = y share a side, and y^2 = 1 has an empty one
+    x, y = 0, 1
+    loops = (Relation((x, x, x), (x,), "*", "*"), Relation((x, x, x), (y,), "*", "*"), Relation((y, y), (), "*", "*"))
+    Q = PresentedCategory(("*",), (x, y), {x: "*", y: "*"}, {x: "*", y: "*"}, loops).validate()
+    for Z in (P, Q):
+        for max_len in range(6):
+            for s in Z.objects:
+                for t in Z.objects:
+                    got, want = bounded_hom_classes(Z, s, t, max_len), old_bounded_hom_classes(Z, s, t, max_len)
+                    assert (got.classes, got._class_of) == (want.classes, want._class_of), (s, t, max_len)
 
 
 def transformation_monoid(generators) -> FiniteCategory:

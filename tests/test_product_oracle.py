@@ -1,0 +1,149 @@
+"""`product` and `SimplicialSet.validate` against the loops they replaced.
+
+`old_product` normalizes every distinct face pair of a cell with
+`_pair_expr`; `product` reads a face pair that is a cell of the build from
+a table seeded as the cells are made, and normalizes only degenerate face
+pairs.  Every product must keep its ids, `pairs`, `pair_id`, face rows and
+flag.  Singular factors (`walking_homotopy`, B(Z/2)) have degenerate faces,
+so their products take the table's fallback.
+
+`old_validate` compares the faces of faces pair by pair; `validate` checks
+a dimension's identities by gathers over its columns of faces.  On a face
+table with one entry replaced, both must raise the same first message.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from quasicat.cat import cyclic_group_category, nerve, poset_category
+from quasicat.corpus import corpus_complexes, walking_homotopy
+from quasicat.simplicial import (
+    SimplexExpr,
+    SimplicialError,
+    SimplicialSet,
+    build_standard,
+    product,
+    product_cell_count,
+    standard_simplex,
+)
+
+from helpers import old_product, old_validate, tiny_complexes
+
+CELL_LIMIT = 1500
+
+FACTORS = {
+    **{f"Delta{n}": standard_simplex(n) for n in range(4)},
+    "horn_2_1": build_standard("horn", 2, 1)[0],
+    "boundary_2": build_standard("boundary", 2)[0],
+    "walking_homotopy_r": walking_homotopy("r"),
+    "walking_homotopy_rrll": walking_homotopy("rrll"),
+    "B(Z/2)": nerve(cyclic_group_category(2), 3),
+    "B(chain2)": nerve(poset_category(2), 3),
+    **corpus_complexes(),
+}
+NAMES = sorted(FACTORS)
+
+
+def assert_same_product(X, Y, dim_bound):
+    got, want = product(X, Y, dim_bound), old_product(X, Y, dim_bound)
+    assert got.complex.nondegenerate == want.complex.nondegenerate
+    assert list(got.complex.faces.items()) == list(want.complex.faces.items())
+    assert list(got.pairs.items()) == list(want.pairs.items())
+    assert list(got.pair_id.items()) == list(want.pair_id.items())
+    assert got.complex.coskeletal_at == want.complex.coskeletal_at
+    assert got.complex.labels == want.complex.labels
+    return got
+
+
+def test_singular_products_have_degenerate_face_pairs():
+    # the fallback is reached: some face of a cell is a degenerate pair
+    P = assert_same_product(FACTORS["B(Z/2)"], FACTORS["walking_homotopy_r"], 3).complex
+    assert any(e.is_degenerate for fs in P.faces.values() for e in fs)
+
+
+def test_products_of_simplices_match_oracle():
+    for a in range(5):
+        for b in range(5 - a):
+            assert_same_product(standard_simplex(a), standard_simplex(b), None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NAMES), st.sampled_from(NAMES), st.integers(0, 4))
+def test_product_matches_oracle(a, b, dim_bound):
+    X, Y = FACTORS[a], FACTORS[b]
+    assume(product_cell_count(X, Y, dim_bound) <= CELL_LIMIT)
+    assert_same_product(X, Y, dim_bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_complexes((3, 4, 3)), st.sampled_from(NAMES), st.integers(0, 3))
+def test_product_with_drawn_complexes_matches_oracle(X, b, dim_bound):
+    Y = FACTORS[b]
+    assume(product_cell_count(X, Y, dim_bound) <= CELL_LIMIT)
+    assert_same_product(X, Y, dim_bound)
+    assert_same_product(Y, X, dim_bound)
+
+
+def first_failure(check, X):
+    try:
+        check(X)
+    except SimplicialError as err:
+        return str(err)
+    return None
+
+
+VALIDATED = {
+    **FACTORS,
+    "Delta2 x Delta2": product(standard_simplex(2), standard_simplex(2)).complex,
+    "B(Z/2) x walking_homotopy_r": product(FACTORS["B(Z/2)"], FACTORS["walking_homotopy_r"], 3).complex,
+}
+
+
+@st.composite
+def one_face_replaced(draw):
+    """A complex of `VALIDATED` with one face entry replaced, most often by
+    an expression of the right dimension, so that the identities decide."""
+    X = VALIDATED[draw(st.sampled_from(sorted(VALIDATED)))]
+    cells = [s for d in range(1, X.dim_bound + 1) for s in X.nondegenerate[d]]
+    assume(cells)
+    s = draw(st.sampled_from(cells))
+    d = X.dim_of[s]
+    i = draw(st.integers(0, d))
+    right_dim = X.all_exprs(d - 1)
+    e = draw(
+        st.one_of(
+            st.sampled_from(right_dim),
+            st.sampled_from(X.all_exprs(max(d - 2, 0))),
+            st.just(SimplexExpr((), max(X.dim_of) + 1, d - 1)),
+        )
+        if draw(st.integers(0, 4)) == 0
+        else st.sampled_from(right_dim)
+    )
+    faces = dict(X.faces)
+    faces[s] = faces[s][:i] + (e,) + faces[s][i + 1 :]
+    return SimplicialSet(X.dim_bound, [list(level) for level in X.nondegenerate], faces, check=False)
+
+
+def test_unchanged_complexes_validate():
+    for X in VALIDATED.values():
+        assert first_failure(old_validate, X) is None
+        assert first_failure(SimplicialSet.validate, X) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_face_replaced())
+def test_validate_raises_the_oracle_first_message(X):
+    assert first_failure(SimplicialSet.validate, X) == first_failure(old_validate, X)
+
+
+def test_validate_names_the_first_failing_cell_and_pair():
+    # d_0 of every 2-cell of Delta^2 x Delta^1 replaced: the first 2-cell
+    # fails first, at its first (i, j) in (j, i) order
+    P = product(standard_simplex(2), standard_simplex(1)).complex
+    faces = dict(P.faces)
+    for s in P.nondegenerate[2]:
+        row = faces[s]
+        faces[s] = (row[1],) + row[1:]
+    X = SimplicialSet(P.dim_bound, [list(level) for level in P.nondegenerate], faces, check=False)
+    message = first_failure(SimplicialSet.validate, X)
+    assert message == first_failure(old_validate, X)
+    assert message.startswith(f"simplicial identity fails at {P.nondegenerate[2][0]}, ")
