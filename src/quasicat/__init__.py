@@ -48,7 +48,6 @@ from .quasi import (
     core,
     enumerate_horns,
     find_filler,
-    function_complex,
     ho_category,
     quasi_iso_edges,
     saturation_step,
@@ -92,7 +91,6 @@ __all__ = [
     "facet_certificate",
     "find_descending_segment",
     "find_filler",
-    "function_complex",
     "functor_category",
     "ho_category",
     "hom_sets",

@@ -83,40 +83,55 @@ class FiniteCategory:
         return inv
 
     def validate(self):
+        """Exhaustive check of endpoints, identities, the composition table,
+        the unit laws and associativity, raising the first failure in the
+        order (g, f), then (h, g, f), of the arrows.
+
+        The table is checked on the composable pairs, in that order, and by
+        a count: the keys naming two arrows must be exactly as many, so no
+        other pair of arrows has a composite.  Keys naming non-arrows are
+        ignored.  Only a failing table is scanned over every pair of arrows,
+        to name the first failure.  Associativity runs over the arrows into
+        each source, which visits the composable triples in order."""
         arrows = set(self.arrows)
         if len(arrows) != len(self.arrows):
             raise CategoryError("duplicate arrow ids")
+        src, tgt, table = self.src, self.tgt, self.compose_table
         for f in self.arrows:
-            if self.src[f] not in self.objects or self.tgt[f] not in self.objects:
+            if src[f] not in self.objects or tgt[f] not in self.objects:
                 raise CategoryError(f"arrow {f} has unknown endpoints")
         for x in self.objects:
             i = self.identity.get(x)
-            if i not in arrows or self.src[i] != x or self.tgt[i] != x:
+            if i not in arrows or src[i] != x or tgt[i] != x:
                 raise CategoryError(f"bad identity at {x}")
-        for g in self.arrows:
-            for f in self.arrows:
-                defined = (g, f) in self.compose_table
-                if defined != (self.tgt[f] == self.src[g]):
-                    raise CategoryError(f"composition table wrong on ({g}, {f})")
-                if defined:
-                    gf = self.compose_table[(g, f)]
-                    if gf not in arrows or self.src[gf] != self.src[f] or self.tgt[gf] != self.tgt[g]:
+        into = {x: [] for x in self.objects}
+        for f in self.arrows:
+            into[tgt[f]].append(f)
+        composable = [(g, f) for g in self.arrows for f in into[src[g]]]
+        keys = sum(isinstance(k, tuple) and len(k) == 2 and k[0] in arrows and k[1] in arrows for k in table)
+        missing = object()
+        if keys != len(composable) or not all(
+            table.get(gf, missing) in arrows and src[table[gf]] == src[gf[1]] and tgt[table[gf]] == tgt[gf[0]]
+            for gf in composable
+        ):
+            for g in self.arrows:  # scanned only to name the first failure
+                for f in self.arrows:
+                    defined = (g, f) in table
+                    if defined != (tgt[f] == src[g]):
+                        raise CategoryError(f"composition table wrong on ({g}, {f})")
+                    gf = table.get((g, f))
+                    if defined and (gf not in arrows or src[gf] != src[f] or tgt[gf] != tgt[g]):
                         raise CategoryError(f"composite ({g}, {f}) ill-typed")
         for f in self.arrows:
-            if self.compose_table[(f, self.identity[self.src[f]])] != f:
+            if table[(f, self.identity[src[f]])] != f:
                 raise CategoryError(f"right unit law fails at {f}")
-            if self.compose_table[(self.identity[self.tgt[f]], f)] != f:
+            if table[(self.identity[tgt[f]], f)] != f:
                 raise CategoryError(f"left unit law fails at {f}")
-        for h in self.arrows:
-            for g in self.arrows:
-                if self.tgt[g] != self.src[h]:
-                    continue
-                hg = self.compose_table[(h, g)]
-                for f in self.arrows:
-                    if self.tgt[f] != self.src[g]:
-                        continue
-                    if self.compose_table[(hg, f)] != self.compose_table[(h, self.compose_table[(g, f)])]:
-                        raise CategoryError(f"associativity fails at ({h}, {g}, {f})")
+        for h, g in composable:
+            hg = table[(h, g)]
+            for f in into[src[g]]:
+                if table[(hg, f)] != table[(h, table[(g, f)])]:
+                    raise CategoryError(f"associativity fails at ({h}, {g}, {f})")
         return self
 
 

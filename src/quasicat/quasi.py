@@ -7,12 +7,15 @@ dimensions 2..d+1 suffices.  Horns one dimension above the stored
 truncation are decided by a shell criterion.  The verdict is never a false
 certificate: a missing flag, a dim_bound below the declared coskeletal
 bound, or stored cells that contradict it, yield "inconclusive".  Horns
-are (n, k, top) tuples, enumerated as a join over the face index and
-counted against the filler index.
+are (n, k, top) tuples, enumerated as a join over the face index;
+certification counts them against the filler index without building
+them.  tau0 reads the isomorphism classes of maps K -> X off maps
+K x Delta^1 -> X, by the pointwise criterion for natural isomorphisms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -26,7 +29,6 @@ from .simplicial import (
     SizeLimitError,
     UnionFind,
     closure_ids,
-    degenerate,
     make_subcomplex,
     map_search,
     product,
@@ -95,9 +97,11 @@ def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
     return _horns(X, n, k)
 
 
-def _horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
-    # the join itself; the coskeletal check reads it here, so that the
-    # horns counted at `enumerate_horns` stay those certification decides
+def _join(X: SimplicialSet, n: int, k: int):
+    """The join through every slot but the last: the partial horns, in
+    lexicographic order, and for each its candidates for the last slot.
+    The horns are those candidates appended, so they can be counted
+    without being built."""
     slots = tuple(i for i in range(n + 1) if i != k)
     row = X.face_row
     partial = [()]
@@ -105,9 +109,21 @@ def _horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
         index = X.face_index(n - 1, slots[:pos])
         # slots ascend, so every earlier index i satisfies i < j and the
         # shared face of d^i and d^j sits at position j-1 of the former
-        partial = [p + (e,) for p in partial for e in index.get(tuple([row(f)[j - 1] for f in p]), ())]
-    new = tuple.__new__
-    return [new(HornMap, (n, k, (*p[:k], None, *p[k:]))) for p in partial]
+        candidates = [index.get(tuple([row(f)[j - 1] for f in p]), ()) for p in partial]
+        if pos == len(slots) - 1:
+            return partial, candidates
+        partial = [p + (e,) for p, es in zip(partial, candidates) for e in es]
+
+
+def _horn(n: int, k: int, faces: tuple) -> HornMap:
+    # faces in slot order; the join built them from the face index
+    return tuple.__new__(HornMap, (n, k, (*faces[:k], None, *faces[k:])))
+
+
+def _horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
+    # the join expanded, where certification and the flag check count it
+    partial, candidates = _join(X, n, k)
+    return [_horn(n, k, (*p, e)) for p, es in zip(partial, candidates) for e in es]
 
 
 def find_filler(X: SimplicialSet, h: HornMap) -> SimplexExpr | None:
@@ -149,9 +165,13 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
     stored truncation are decided by the shell criterion; a missing flag,
     dim_bound below the flag, or stored cells above the flag that are not
     its coskeletal ones (`_false_flag`), yield an inconclusive verdict
-    rather than a false certificate.  Through dim_bound fillers are
-    counted, and horns scanned for the first unfilled one only when the
-    counts differ.  A counterexample needs no flag: stored cells witness it.
+    rather than a false certificate.  Through dim_bound the horns are
+    counted, not built: each key of the filler index restricts an
+    n-expression to one horn, so every horn fills iff the keys are as many
+    as the horns, the last-slot candidates of the join's partial horns.
+    On a mismatch the first unfilled horn lies under the first partial horn
+    p with fewer keys extending p than candidates, and only p's horns are
+    built.  A counterexample needs no flag: stored cells witness it.
     """
     d = X.coskeletal_at
     if d is None:
@@ -162,50 +182,50 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
             reason=f"dim_bound {X.dim_bound} below coskeletal bound {d}",
         )
     top = d + 1
-    top_horns = None
+    top_count = None
     for n in range(2, top + 1):
         for k in range(1, n):
-            horns = enumerate_horns(X, n, k)
-            if (n, k) == (top, 1):
-                top_horns = horns
-            # each key of the filler index restricts an n-expression to one
-            # of the distinct horns, so every horn fills iff the counts agree
-            slots = tuple(i for i in range(n + 1) if i != k)
-            fillers = X.face_index(n, slots) if n <= X.dim_bound else {}
-            if n <= X.dim_bound and len(fillers) == len(horns):
+            if n > X.dim_bound:
+                for h in enumerate_horns(X, n, k):
+                    if not _has_shell_filler(X, h):
+                        return CertReport("counterexample", d, n - 1, counterexample=h)
                 continue
-            key = itemgetter(*slots)
-            for h in horns:
-                if n <= X.dim_bound:
-                    filled = key(h.top) in fillers
-                else:
-                    filled = _has_shell_filler(X, h)
-                if not filled:
-                    return CertReport("counterexample", d, n - 1, counterexample=h)
-    reason = _false_flag(X, d, top_horns)
+            partial, candidates = _join(X, n, k)
+            count = sum(map(len, candidates))
+            if (n, k) == (top, 1):
+                top_count = count
+            fillers = X.face_index(n, tuple(i for i in range(n + 1) if i != k))
+            if len(fillers) == count:
+                continue
+            extending = Counter(key[:-1] for key in fillers)
+            p, es = next((p, es) for p, es in zip(partial, candidates) if len(es) != extending[p])
+            e = next(e for e in es if (*p, e) not in fillers)
+            return CertReport("counterexample", d, n - 1, counterexample=_horn(n, k, (*p, e)))
+    reason = _false_flag(X, d, top_count)
     if reason is not None:
         return CertReport("inconclusive", d, None, reason=reason)
     return CertReport("quasi-category", d, top)
 
 
-def _false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
+def _false_flag(X: SimplicialSet, d: int, top_count: int | None) -> str | None:
     """Why the stored cells contradict X's flag d, or None.
 
     X is d-coskeletal through its dim_bound when, for each n from d+1 up,
     the n-expressions are the compatible boundaries of Delta^n, one each:
     (i) no two share a boundary, and (ii) there are as many boundaries as
     expressions.  A boundary for n >= 2 is a Lambda^n_1 horn with a missing
-    face on its `missing_face_boundary`.  At n = d+1 the horns are
-    `top_horns`, the ones certification enumerated: both hold when its
+    face on its `missing_face_boundary`.  At n = d+1, `top_count` is the
+    number of those horns, counted by certification: both hold when its
     filler index gives each horn one filler and no two (n-1)-expressions
-    share a boundary, or else the boundaries are counted.  Above d+1 the
-    check at n-1 left each missing face one expression: one per horn.
+    share a boundary, or else the horns are built and their boundaries
+    counted.  Above d+1 the check at n-1 left each missing face one
+    expression: one boundary per horn, so the horns are counted by the join.
     """
     for n in range(d + 1, X.dim_bound + 1):
         if n == d + 1 >= 2:
             faces = X.face_index(n - 1, tuple(range(n)))
             fillers = X.face_index(n, (0, *range(2, n + 1)))
-            if len(faces) == X.n_exprs(n - 1) and len(fillers) == len(top_horns) == X.n_exprs(n):
+            if len(faces) == X.n_exprs(n - 1) and len(fillers) == top_count == X.n_exprs(n):
                 continue
         shells = X.face_index(n, tuple(range(n + 1)))
         shared = sum(len(es) > 1 for es in shells.values())
@@ -214,9 +234,9 @@ def _false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
         if n == 1:
             boundaries = len(X.vertices()) ** 2
         elif n == d + 1:
-            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in top_horns)
+            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in _horns(X, n, 1))
         else:
-            boundaries = len(_horns(X, n, 1))
+            boundaries = sum(map(len, _join(X, n, 1)[1]))
         if boundaries != len(shells):
             return f"coskeletal_at {d} is false: {boundaries - len(shells)} boundaries in dimension {n} have no filler"
     return None
@@ -363,18 +383,11 @@ def ho_category(X: SimplicialSet, report: CertReport | None = None) -> FiniteCat
     return ho_category_data(X, report).category
 
 
-# -- function complexes --------------------------------------------------------------
+# -- maps and tau0 --------------------------------------------------------------------
 
 
-def _map_key(assignment: dict) -> tuple:
-    # the cell ids are distinct, so the images are never compared
-    return tuple(sorted(assignment.items()))
-
-
-def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
-    """All simplicial maps P -> X as assignment dicts, keyed and ordered
-    as a backtracking search over the cells in dimension order would give
-    them: lexicographically by each image's rank in `X.all_exprs`.
+def _maps(P: SimplicialSet, X: SimplicialSet):
+    """Every simplicial map P -> X, as `map_search`'s live assignment.
 
     `map_search` chooses the cells from the top dimension down, with
     candidates from X's face index, so the lower cells of a map are read
@@ -383,7 +396,6 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
     already covered goes first, so that its candidates are fewest: on
     Delta^1 x Delta^n that is id order, where each top cell meets the ones
     before it in a facet."""
-    cells = list(P.cells())
     order, covered = [], set()
     for level in reversed(P.nondegenerate):
         left = [s for s in level if s not in covered]
@@ -393,115 +405,59 @@ def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
             order.append(s)
             covered |= closure_ids(P, (s,))
     lookup = lambda d, positions, key: X.face_index(d, positions).get(key, ())
-    results = [{s: img[s] for s in cells} for img in map_search(P, X, order, lookup)]
+    return map_search(P, X, order, lookup)
+
+
+def _enumerate_maps(P: SimplicialSet, X: SimplicialSet) -> list[dict]:
+    """All simplicial maps P -> X as assignment dicts, keyed and ordered
+    as a backtracking search over the cells in dimension order would give
+    them: lexicographically by each image's rank in `X.all_exprs`."""
+    cells = list(P.cells())
+    results = [{s: img[s] for s in cells} for img in _maps(P, X)]
     rank = [{e: r for r, e in enumerate(X.all_exprs(d))} for d in range(P.dim_bound + 1)]
     cell_ranks = [(s, rank[P.dim_of[s]]) for s in cells]
     results.sort(key=lambda a: [r[a[s]] for s, r in cell_ranks])
     return results
 
 
-def _precompose(f: dict, along: dict) -> dict:
-    """f . g for maps given as assignment dicts, g's images `along`."""
-    return {s: degenerate(f[b], w) if w else f[b] for s, (w, b, _) in along.items()}
-
-
-def function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: int = 24) -> SimplicialSet:
-    """hom(K, X) through dimension dim_bound: n-simplices are maps
-    K x Delta^n -> X, with faces by precomposition with 1_K x d^i.
-
-    A map f is s_j g exactly when f . (1_K x d^j s^j) = f, and then
-    g = f . (1_K x d^j).  That test reads only the cells the collapse
-    d^j s^j moves, listed once per (n, j), and stops at the first one whose
-    image differs; g is built only for a map that passes.  Each 1_K x delta
-    is read off the product's `pairs`: a cell's Delta-component goes to
-    delta of its vertices, and the pair is renormalized.  Maps are found
-    by `_enumerate_maps`, degenerate ones included, in the rank order that
-    fixes the ids."""
-    if K.n_cells > limit:
-        raise SizeLimitError(f"function complex needs |K| <= {limit}")
-    prods = [product(K, standard_simplex(n)) for n in range(dim_bound + 1)]
-
-    def along(vertex_map, n: int) -> dict:
-        # 1_K x delta for delta: Delta^m -> Delta^n given on vertices (the
-        # vertex ids of Delta^m are 0..m); a repeated vertex at positions
-        # j, j+1 of a component's image is s_j
-        source, target = standard_simplex(len(vertex_map) - 1), standard_simplex(n)
-        ids = {target.labels[t]: t for t in target.cells()}
-        out = {}
-        for s, (e1, e2) in prods[len(vertex_map) - 1].pairs.items():
-            vs = [vertex_map[v] for v in source.vertex_ids(e2)]
-            word = tuple(j for j in range(len(vs) - 2, -1, -1) if vs[j] == vs[j + 1])
-            out[s] = prods[n].pair_expr(e1, SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1))
-        return out
-
-    # d^i skips vertex i of Delta^n; d^j s^j sends vertex j to j + 1
-    face = {
-        (n, i): along([v + (v >= i) for v in range(n)], n)
-        for n in range(1, dim_bound + 1)
-        for i in range(n + 1)
-    }
-    moved = {
-        (n, j): [(s, e) for s, e in along([v + (v == j) for v in range(n + 1)], n).items() if e[0] or e[1] != s]
-        for n in range(1, dim_bound + 1)
-        for j in range(n)
-    }
-
-    def is_sj(f: dict, n: int, j: int) -> bool:
-        for s, (w, b, _) in moved[n, j]:
-            if f[s] != (degenerate(f[b], w) if w else f[b]):
-                return False
-        return True
-
-    nondeg_maps: list[list[dict]] = [[] for _ in range(dim_bound + 1)]
-    nondeg_ids: list[dict] = [{} for _ in range(dim_bound + 1)]
-    nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
-    labels = {}
-    next_id = 0
-    for n, p in enumerate(prods):
-        for f in _enumerate_maps(p.complex, X):
-            if any(is_sj(f, n, j) for j in range(n)):
-                continue
-            k = _map_key(f)
-            nondeg_ids[n][k] = next_id
-            nondeg[n].append(next_id)
-            nondeg_maps[n].append(f)
-            labels[next_id] = ("map", n, k)
-            next_id += 1
-
-    def normalize(n: int, f: dict) -> SimplexExpr:
-        word = []
-        while n >= 1:
-            j = next((j for j in range(n - 1, -1, -1) if is_sj(f, n, j)), None)
-            if j is None:
-                break
-            word.append(j)
-            f = _precompose(f, face[n, j])
-            n -= 1
-        return degenerate(SimplexExpr((), nondeg_ids[n][_map_key(f)], n), word)
-
-    faces = {}
-    for n in range(1, dim_bound + 1):
-        for f in nondeg_maps[n]:
-            s = nondeg_ids[n][_map_key(f)]
-            faces[s] = tuple(normalize(n - 1, _precompose(f, face[n, i])) for i in range(n + 1))
-    return SimplicialSet(dim_bound, nondeg, faces, X.coskeletal_at, labels, check=False)
-
-
 def tau0(K: SimplicialSet, X: SimplicialSet, limit: int = 24):
-    """Isomorphism classes of objects of P(hom(K, X)), via quasi-iso edges
-    of the function complex."""
+    """Isomorphism classes of objects of P(hom(K, X)), by Joyal's pointwise
+    criterion for natural isomorphisms: for a quasi-category X, a map
+    K x Delta^1 -> X is an invertible edge of hom(K, X) exactly when each
+    component v x Delta^1 is a quasi-isomorphism of X, and two isomorphic
+    objects are joined by one invertible edge.
+
+    So X itself is certified, and refused unless it is a quasi-category.
+    The objects are the maps K x Delta^0 -> X, numbered in
+    `_enumerate_maps` order; every map K x Delta^1 -> X whose component
+    edges are degenerate or in `quasi_iso_edges(X)` joins its restrictions
+    to K x {0} and K x {1}, and the classes are the components.  A
+    d-coskeletal X has the maps of the d-skeleta, so both products stop at
+    dimension max(d, 1), and no function complex is built."""
     d = X.coskeletal_at
     if d is None:
         raise CertificationError("tau0 needs a coskeletal bound on X")
     if X.dim_bound < d:
         raise CertificationError(f"tau0 needs X's coskeletal_at {d} <= its dim_bound {X.dim_bound}")
-    H = function_complex(K, X, d + 1, limit=limit)
-    report = certify_quasi_category(H)
-    witnesses = quasi_iso_edges(H, report)
-    uf = UnionFind(H.vertices())
-    for e in witnesses:
-        if not e.is_degenerate:
-            uf.union(*H.vertex_ids(e))
+    top = max(d, 1)
+    if X.dim_bound < top and len(X.vertices()) > 1:
+        # cosk_0 joins every two vertices by an edge that X does not store
+        raise CertificationError(
+            f"tau0 needs X through dimension 1: coskeletal_at 0 joins its {len(X.vertices())} vertices"
+        )
+    if K.n_cells > limit:
+        raise SizeLimitError(f"tau0 needs |K| <= {limit}")
+    invertible = quasi_iso_edges(X)
+    P0, P1 = product(K, standard_simplex(0), top), product(K, standard_simplex(1), top)
+    objects = {tuple(f.values()): i for i, f in enumerate(_enumerate_maps(P0.complex, X))}
+    # the cells of K x {0} and K x {1} in P0's order, and the v x Delta^1;
+    # the vertices of Delta^1 are its cells 0 and 1, its edge is cell 2
+    ends = [[P1.pair_id[e1, SimplexExpr(e2[0], i, e2[2])] for e1, e2 in P0.pairs.values()] for i in (0, 1)]
+    components = [P1.pair_id[SimplexExpr((0,), v, 1), SimplexExpr((), 2, 1)] for v in K.vertices()]
+    uf = UnionFind(range(len(objects)))
+    for img in _maps(P1.complex, X):
+        if all(e[0] or e in invertible for e in map(img.__getitem__, components)):
+            uf.union(*(objects[tuple([img[c] for c in end])] for end in ends))
     return sorted(tuple(sorted(members)) for members in uf.groups().values())
 
 

@@ -222,9 +222,10 @@ class SimplicialSet:
             nondegenerate.append([])
         self.dim_bound = dim_bound
         self.nondegenerate = tuple(tuple(level) for level in nondegenerate[: dim_bound + 1])
-        self.faces = dict(faces)
+        # an unchecked caller hands over dicts it built and no longer changes
+        self.faces = dict(faces) if check else faces
         self.coskeletal_at = coskeletal_at
-        self.labels = dict(labels or {})
+        self.labels = dict(labels or {}) if check else ({} if labels is None else labels)
         self.dim_of = {}
         for d, level in enumerate(self.nondegenerate):
             for s in level:
@@ -389,11 +390,24 @@ class SimplicialSet:
     def validate(self):
         """Exhaustive well-formedness check: face targets, then d_i d_j =
         d_{j-1} d_i (i < j) as two gathers over columns j and i of a level,
-        d_j of every cell and its face row; a failing level is scanned, in
-        (j, i) order, only to name its first failure."""
+        d_j of every cell and its face row.  Face counts are checked once
+        per level, and face targets once per distinct face expression of a
+        level; a failing level is scanned, cell by cell and for the
+        identities in (j, i) order, only to name its first failure."""
         faces, dim_of = self.faces, self.dim_of
         for d, level in enumerate(self.nondegenerate):
-            for s in level:
+            rows = list(map(faces.get, level))
+            if d == 0:
+                ok = not any(rows)
+            else:
+                try:
+                    ok = None not in rows and set(map(len, rows)) <= {d + 1} and all(
+                        base in dim_of and dim_of[base] + len(word) == d - 1 and dim == d - 1
+                        for word, base, dim in set().union(*rows)
+                    )
+                except (TypeError, ValueError):  # no expression: the scan raises where it meets it
+                    ok = False
+            for s in () if ok else level:  # scanned only to name the first failure
                 if d == 0:
                     if s in faces and faces[s]:
                         raise SimplicialError(f"vertex {s} has faces")

@@ -6,10 +6,16 @@ from itertools import combinations, product as cartesian
 
 from hypothesis import strategies as st
 
-from quasicat.cat import FiniteCategory, FiniteFunctor, _iso_classes, nerve
+from quasicat.cat import CategoryError, FiniteCategory, FiniteFunctor, _iso_classes, nerve
 from quasicat.corpus import corpus_categories
 from quasicat.equivalence import enumerate_functors
-from quasicat.quasi import _horns
+from quasicat.quasi import (
+    CertificationError,
+    _enumerate_maps,
+    _horns,
+    certify_quasi_category,
+    quasi_iso_edges,
+)
 from quasicat.simplicial import (
     GLOBAL_DIM_BOUND,
     ProductComplex,
@@ -17,7 +23,12 @@ from quasicat.simplicial import (
     SimplicialError,
     SimplicialMap,
     SimplicialSet,
+    SizeLimitError,
+    UnionFind,
     _pair_expr,
+    degenerate,
+    product,
+    standard_simplex,
 )
 
 
@@ -179,6 +190,47 @@ def tiny_complexes(draw, counts):
     return SimplicialSet(2, [list(range(n_v)), edges, triangles], faces)
 
 
+def old_category_validate(C: FiniteCategory) -> FiniteCategory:
+    """The validation of a category that scans every pair of arrows for the
+    composition table and every triple for associativity, raising the first
+    failure as `FiniteCategory.validate` does."""
+    arrows = set(C.arrows)
+    if len(arrows) != len(C.arrows):
+        raise CategoryError("duplicate arrow ids")
+    for f in C.arrows:
+        if C.src[f] not in C.objects or C.tgt[f] not in C.objects:
+            raise CategoryError(f"arrow {f} has unknown endpoints")
+    for x in C.objects:
+        i = C.identity.get(x)
+        if i not in arrows or C.src[i] != x or C.tgt[i] != x:
+            raise CategoryError(f"bad identity at {x}")
+    for g in C.arrows:
+        for f in C.arrows:
+            defined = (g, f) in C.compose_table
+            if defined != (C.tgt[f] == C.src[g]):
+                raise CategoryError(f"composition table wrong on ({g}, {f})")
+            if defined:
+                gf = C.compose_table[(g, f)]
+                if gf not in arrows or C.src[gf] != C.src[f] or C.tgt[gf] != C.tgt[g]:
+                    raise CategoryError(f"composite ({g}, {f}) ill-typed")
+    for f in C.arrows:
+        if C.compose_table[(f, C.identity[C.src[f]])] != f:
+            raise CategoryError(f"right unit law fails at {f}")
+        if C.compose_table[(C.identity[C.tgt[f]], f)] != f:
+            raise CategoryError(f"left unit law fails at {f}")
+    for h in C.arrows:
+        for g in C.arrows:
+            if C.tgt[g] != C.src[h]:
+                continue
+            hg = C.compose_table[(h, g)]
+            for f in C.arrows:
+                if C.tgt[f] != C.src[g]:
+                    continue
+                if C.compose_table[(hg, f)] != C.compose_table[(h, C.compose_table[(g, f)])]:
+                    raise CategoryError(f"associativity fails at ({h}, {g}, {f})")
+    return C
+
+
 def old_product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
     """The product built face pair by face pair: every distinct face pair of
     a cell, non-degenerate or not, is normalized by `_pair_expr`, and kept
@@ -269,9 +321,10 @@ def old_validate(X: SimplicialSet) -> None:
                         raise SimplicialError(f"simplicial identity fails at {s}, (i,j)=({i},{j})")
 
 
-def old_false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
+def old_false_flag(X: SimplicialSet, d: int, top_count: int | None) -> str | None:
     """The coskeletal-flag check that counts the compatible boundaries in
-    every dimension from d+1 through dim_bound, over the Lambda^n_1 horns."""
+    every dimension from d+1 through dim_bound, over the Lambda^n_1 horns,
+    which it builds; `top_count` must be the number of them at n = d+1."""
     for n in range(d + 1, X.dim_bound + 1):
         shells = X.face_index(n, tuple(range(n + 1)))
         shared = sum(len(es) > 1 for es in shells.values())
@@ -281,8 +334,123 @@ def old_false_flag(X: SimplicialSet, d: int, top_horns) -> str | None:
             boundaries = len(X.vertices()) ** 2
         else:
             faces = X.face_index(n - 1, tuple(range(n)))
-            horns = top_horns if n == d + 1 else _horns(X, n, 1)
+            horns = _horns(X, n, 1)
+            assert n > d + 1 or len(horns) == top_count
             boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in horns)
         if boundaries != len(shells):
             return f"coskeletal_at {d} is false: {boundaries - len(shells)} boundaries in dimension {n} have no filler"
     return None
+
+
+# -- the function complex, the route tau0 took before the pointwise criterion --
+
+
+def _map_key(assignment: dict) -> tuple:
+    # the cell ids are distinct, so the images are never compared
+    return tuple(sorted(assignment.items()))
+
+
+def _precompose(f: dict, along: dict) -> dict:
+    """f . g for maps given as assignment dicts, g's images `along`."""
+    return {s: degenerate(f[b], w) if w else f[b] for s, (w, b, _) in along.items()}
+
+
+def function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: int = 24) -> SimplicialSet:
+    """hom(K, X) through dimension dim_bound: n-simplices are maps
+    K x Delta^n -> X, with faces by precomposition with 1_K x d^i.
+
+    A map f is s_j g exactly when f . (1_K x d^j s^j) = f, and then
+    g = f . (1_K x d^j).  That test reads only the cells the collapse
+    d^j s^j moves, listed once per (n, j), and stops at the first one whose
+    image differs; g is built only for a map that passes.  Each 1_K x delta
+    is read off the product's `pairs`: a cell's Delta-component goes to
+    delta of its vertices, and the pair is renormalized.  Maps are found
+    by `_enumerate_maps`, degenerate ones included, in the rank order that
+    fixes the ids."""
+    if K.n_cells > limit:
+        raise SizeLimitError(f"function complex needs |K| <= {limit}")
+    prods = [product(K, standard_simplex(n)) for n in range(dim_bound + 1)]
+
+    def along(vertex_map, n: int) -> dict:
+        # 1_K x delta for delta: Delta^m -> Delta^n given on vertices (the
+        # vertex ids of Delta^m are 0..m); a repeated vertex at positions
+        # j, j+1 of a component's image is s_j
+        source, target = standard_simplex(len(vertex_map) - 1), standard_simplex(n)
+        ids = {target.labels[t]: t for t in target.cells()}
+        out = {}
+        for s, (e1, e2) in prods[len(vertex_map) - 1].pairs.items():
+            vs = [vertex_map[v] for v in source.vertex_ids(e2)]
+            word = tuple(j for j in range(len(vs) - 2, -1, -1) if vs[j] == vs[j + 1])
+            out[s] = prods[n].pair_expr(e1, SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1))
+        return out
+
+    # d^i skips vertex i of Delta^n; d^j s^j sends vertex j to j + 1
+    face = {
+        (n, i): along([v + (v >= i) for v in range(n)], n)
+        for n in range(1, dim_bound + 1)
+        for i in range(n + 1)
+    }
+    moved = {
+        (n, j): [(s, e) for s, e in along([v + (v == j) for v in range(n + 1)], n).items() if e[0] or e[1] != s]
+        for n in range(1, dim_bound + 1)
+        for j in range(n)
+    }
+
+    def is_sj(f: dict, n: int, j: int) -> bool:
+        for s, (w, b, _) in moved[n, j]:
+            if f[s] != (degenerate(f[b], w) if w else f[b]):
+                return False
+        return True
+
+    nondeg_maps: list[list[dict]] = [[] for _ in range(dim_bound + 1)]
+    nondeg_ids: list[dict] = [{} for _ in range(dim_bound + 1)]
+    nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
+    labels = {}
+    next_id = 0
+    for n, p in enumerate(prods):
+        for f in _enumerate_maps(p.complex, X):
+            if any(is_sj(f, n, j) for j in range(n)):
+                continue
+            k = _map_key(f)
+            nondeg_ids[n][k] = next_id
+            nondeg[n].append(next_id)
+            nondeg_maps[n].append(f)
+            labels[next_id] = ("map", n, k)
+            next_id += 1
+
+    def normalize(n: int, f: dict) -> SimplexExpr:
+        word = []
+        while n >= 1:
+            j = next((j for j in range(n - 1, -1, -1) if is_sj(f, n, j)), None)
+            if j is None:
+                break
+            word.append(j)
+            f = _precompose(f, face[n, j])
+            n -= 1
+        return degenerate(SimplexExpr((), nondeg_ids[n][_map_key(f)], n), word)
+
+    faces = {}
+    for n in range(1, dim_bound + 1):
+        for f in nondeg_maps[n]:
+            s = nondeg_ids[n][_map_key(f)]
+            faces[s] = tuple(normalize(n - 1, _precompose(f, face[n, i])) for i in range(n + 1))
+    return SimplicialSet(dim_bound, nondeg, faces, X.coskeletal_at, labels, check=False)
+
+
+
+def old_tau0(K: SimplicialSet, X: SimplicialSet, limit: int = 24):
+    """tau0 through the function complex: the quasi-iso edges of a certified
+    hom(K, X) through dimension coskeletal_at + 1, joined by union-find."""
+    d = X.coskeletal_at
+    if d is None:
+        raise CertificationError("tau0 needs a coskeletal bound on X")
+    if X.dim_bound < d:
+        raise CertificationError(f"tau0 needs X's coskeletal_at {d} <= its dim_bound {X.dim_bound}")
+    H = function_complex(K, X, d + 1, limit=limit)
+    report = certify_quasi_category(H)
+    witnesses = quasi_iso_edges(H, report)
+    uf = UnionFind(H.vertices())
+    for e in witnesses:
+        if not e.is_degenerate:
+            uf.union(*H.vertex_ids(e))
+    return sorted(tuple(sorted(members)) for members in uf.groups().values())

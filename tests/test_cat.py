@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import (
     CategoryError,
+    FiniteCategory,
     FiniteFunctor,
     Groupoid,
     cyclic_group_category,
@@ -15,9 +17,10 @@ from quasicat.cat import (
     poset_category,
     product_category,
 )
+from quasicat.corpus import corpus_categories
 from quasicat.simplicial import iso_check, product, standard_simplex
 
-from helpers import category_iso, identity_functor, is_equivalence_of_groupoids, truncate
+from helpers import category_iso, identity_functor, is_equivalence_of_groupoids, old_category_validate, truncate
 
 
 def test_constructors_validate():
@@ -235,3 +238,78 @@ def test_disjoint_union_and_product_sizes():
     P = product_category(poset_category(1), cyclic_group_category(2))
     assert len(P.objects) == 2 and len(P.arrows) == 6
     P.validate()
+
+
+# -- validation against the scan over every pair and triple of arrows ----------
+
+
+def rebuilt(C, compose):
+    return FiniteCategory(C.objects, C.arrows, C.src, C.tgt, C.identity, compose, check=False)
+
+
+def first_failure(validate, C):
+    try:
+        validate(C)
+    except CategoryError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A corpus category with one to three entries of its composition table
+    deleted, replaced by another arrow, or added on a pair of arrows."""
+    C = draw(st.sampled_from(sorted(corpus_categories().items())))[1]
+    compose = dict(C.compose_table)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "replace", "add"]))
+        if kind == "add":
+            compose[draw(st.sampled_from(C.arrows)), draw(st.sampled_from(C.arrows))] = draw(st.sampled_from(C.arrows))
+        elif compose:
+            key = draw(st.sampled_from(sorted(compose, key=repr)))
+            if kind == "delete":
+                del compose[key]
+            else:
+                compose[key] = draw(st.sampled_from(C.arrows))
+    return rebuilt(C, compose)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+def test_validate_raises_the_oracle_first_message(C):
+    assert first_failure(FiniteCategory.validate, C) == first_failure(old_category_validate, C)
+
+
+def test_validate_matches_oracle_on_corpus_and_on_each_failure_kind():
+    for C in corpus_categories().values():
+        assert first_failure(FiniteCategory.validate, C) is None is first_failure(old_category_validate, C)
+    # chain2 is 0 -> 1 -> 2; f: 0 -> 1, g: 1 -> 2, gf: 0 -> 2
+    C = poset_category(2)
+    f, g, gf = ((0, 1), (1, 2), (0, 2))
+    cases = [
+        (C, {k: v for k, v in C.compose_table.items() if k != (g, f)}, f"composition table wrong on ({g}, {f})"),
+        (C, {**C.compose_table, (f, g): f}, f"composition table wrong on ({f}, {g})"),
+        (C, {**C.compose_table, (g, f): f}, f"composite ({g}, {f}) ill-typed"),
+        (C, {**C.compose_table, (f, (0, 0)): gf}, f"composite ({f}, {(0, 0)}) ill-typed"),
+        (C, {**C.compose_table, (f, (0, 0)): "x"}, f"composite ({f}, {(0, 0)}) ill-typed"),
+    ]
+    # Z/3 on g0 (the identity), g1 and g2
+    Z = cyclic_group_category(3)
+    cases += [
+        (Z, {**Z.compose_table, ("g1", "g0"): "g0"}, "right unit law fails at g1"),
+        (Z, {**Z.compose_table, ("g1", "g1"): "g0"}, "associativity fails at (g1, g1, g2)"),
+    ]
+    for B, compose, message in cases:
+        D = rebuilt(B, compose)
+        assert first_failure(FiniteCategory.validate, D) == first_failure(old_category_validate, D) == message
+
+
+def test_validate_ignores_table_keys_that_name_no_arrow():
+    # a key naming something that is not an arrow takes part in no
+    # composite; the scan over pairs of arrows never read it, and the
+    # count of composable pairs reads only keys naming two arrows
+    C = poset_category(2)
+    f = C.arrows[0]
+    for junk in [("nope", f), (f, "nope"), "ab", ("x", "y", "z")]:
+        D = rebuilt(C, {**C.compose_table, junk: f})
+        assert first_failure(FiniteCategory.validate, D) is None is first_failure(old_category_validate, D)

@@ -1,11 +1,12 @@
-"""Certification by filler counts, and face rows, against the per-horn loop.
+"""Certification by horn counts, and face rows, against the per-horn loop.
 
 `old_certify_quasi_category` is the certification loop that looked each
 horn up with `find_filler`; `old_enumerate_horns` and `old_has_shell_filler`
 compute horn keys and the missing face's boundary with `SimplicialSet.face`.
-The current certification counts the keys of the filler index against the
-horns and scans only on a mismatch, so every report must be equal: verdict,
-bound, counterexample and reason.
+The current certification counts the horns without building them, compares
+the keys of the filler index with them, and builds horns only under the
+first partial horn whose counts differ, so every report must be equal:
+verdict, bound, counterexample and reason.
 """
 
 import pickle
@@ -16,16 +17,23 @@ from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import cyclic_group_category, idempotent_monoid_category, nerve, poset_category
 from quasicat.corpus import corpus_complexes, quasi_category_corpus
+from quasicat import quasi
 from quasicat.quasi import (
     CertReport,
     HornMap,
     _false_flag,
-    _horns,
     certify_quasi_category,
     enumerate_horns,
     find_filler,
 )
-from quasicat.simplicial import SimplexExpr, SimplicialError, SimplicialSet, make_subcomplex, with_coskeletal
+from quasicat.simplicial import (
+    SimplexExpr,
+    SimplicialError,
+    SimplicialSet,
+    closure_ids,
+    make_subcomplex,
+    with_coskeletal,
+)
 
 from helpers import corpus_nerves, old_false_flag
 
@@ -200,6 +208,47 @@ def test_nerves_minus_one_3_cell_match_oracle():
     assert refuted > 0
 
 
+@st.composite
+def broken_nerves(draw):
+    """A small corpus nerve without a drawn set of its 2- and 3-cells and
+    every cell above them, at a drawn flag."""
+    N = draw(st.sampled_from(SMALL_NERVES))
+    drop = draw(st.sets(st.sampled_from([*N.nondegenerate[2], *N.nondegenerate[3]]), min_size=1, max_size=4))
+    keep = {s for s in N.cells() if not drop & closure_ids(N, (s,))}
+    sub, _ = make_subcomplex(N, keep)
+    return with_coskeletal(sub, draw(st.sampled_from([None, 1, 2, 3])))
+
+
+SMALL_NERVES = [nerve(C, 3) for C in (poset_category(2), cyclic_group_category(2), idempotent_monoid_category())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken_nerves())
+def test_broken_nerves_match_oracle(X):
+    assert_certify_matches_oracle(X)
+
+
+def test_certification_builds_horns_only_under_the_first_mismatch(monkeypatch):
+    # a quasi-category stored through its flag + 1 is certified with no horn
+    # built; a nerve without a 3-cell builds the horns of one partial horn
+    built = []
+    make = quasi._horn
+
+    def counted(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(quasi, "_horn", counted)
+    assert certify_quasi_category(nerve(poset_category(3), 3)).is_quasi
+    assert built == []
+    N = nerve(cyclic_group_category(3), 3)
+    sub, _ = make_subcomplex(N, set(N.cells()) - {N.nondegenerate[3][-1]})
+    X = with_coskeletal(sub, 2)
+    report = certify_quasi_category(X)
+    assert report.verdict == "counterexample"
+    assert len(built) == 1 and report == old_certify_quasi_category(with_coskeletal(sub, 2))
+
+
 def compatible_boundary(draw, exprs, face, n):
     """A drawn (f_0, ..., f_n) of (n-1)-expressions with d_i f_j = d_{j-1} f_i
     for i < j, or None when the draw runs out of candidates."""
@@ -249,11 +298,11 @@ def test_quasi_category_verdict_matches_brute_force_at_every_flag(X):
 
 
 def assert_flag_check_matches_oracle(X: SimplicialSet):
-    # the flag check reads, at n = d+1, the Lambda^n_1 horns certification
-    # enumerated, and is called with every flag d through dim_bound
+    # the flag check reads, at n = d+1, the number of Lambda^n_1 horns
+    # certification counted, and is called with every flag d through dim_bound
     for d in range(X.dim_bound + 1):
-        top_horns = _horns(X, d + 1, 1) if d >= 1 else None
-        assert _false_flag(X, d, top_horns) == old_false_flag(X, d, top_horns), d
+        top_count = len(old_enumerate_horns(X, d + 1, 1)) if d >= 1 else None
+        assert _false_flag(X, d, top_count) == old_false_flag(X, d, top_count), d
 
 
 def test_flag_check_matches_oracle_on_corpus():

@@ -145,6 +145,25 @@ def test_tau0_refuses_coskeletal_flag_above_dim_bound(capsys, tmp_path):
     assert captured.err == "error: tau0 needs X's coskeletal_at 4 <= its dim_bound 3\n"
 
 
+def test_tau0_refuses_x_without_a_coskeletal_flag(capsys, tmp_path):
+    obj = json.loads((CORPUS / "B_chain1.sset.json").read_text())
+    del obj["coskeletal_at"]
+    x = tmp_path / "noflag.sset.json"
+    x.write_text(dumps(obj))
+    assert main(["tau0", str(CORPUS / "delta1.sset.json"), str(x)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tau0 needs a coskeletal bound on X\n"
+
+
+def test_tau0_limit_bounds_k(capsys):
+    argv = ["tau0", str(CORPUS / "delta2.sset.json"), str(CORPUS / "B_chain1.sset.json")]
+    assert main([*argv, "--limit", "6"]) == 2
+    assert capsys.readouterr().err == "error: tau0 needs |K| <= 6\n"
+    code, rep = run(capsys, [*argv, "--limit", "7"])
+    assert code == 0 and rep["counts"]["classes"] == 4
+
+
 def test_shuffles_cli(capsys):
     code, rep = run(capsys, ["shuffles", "2", "2"])
     assert code == 0 and rep["counts"]["count"] == 6
@@ -317,6 +336,18 @@ def test_certify_does_not_believe_a_lying_coskeletal_flag(capsys, tmp_path, case
     for command in ("core", "ho"):
         assert main([command, str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_tau0_does_not_believe_a_lying_coskeletal_flag(capsys, tmp_path, case):
+    # tau0 certifies X itself, so a lying flag is refused, not answered
+    X, _reason = lying_flags()[case]
+    p = tmp_path / "lying.sset.json"
+    p.write_text(dumps(sset_to_json(X)))
+    assert main(["tau0", str(CORPUS / "delta1.sset.json"), str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quasi_iso_edges needs a certified quasi-category (inconclusive)\n"
 
 
 def test_corpus_run_report_matches_expected(capsys, tmp_path):

@@ -25,7 +25,7 @@ from quasicat.cat import (
 from quasicat import quasi
 from quasicat.corpus import corpus_categories, corpus_complexes, loop_free_corpus_complexes
 from quasicat.jsonio import dumps, sset_to_json
-from quasicat.quasi import function_complex
+from quasicat.quasi import CertificationError, certify_quasi_category
 from quasicat.simplicial import (
     ProductComplex,
     SimplexExpr,
@@ -39,7 +39,8 @@ from quasicat.simplicial import (
     with_coskeletal,
 )
 
-from helpers import identity_map, tiny_complexes
+import helpers
+from helpers import function_complex, identity_map, tiny_complexes
 
 
 # -- the oracle, as it stood before function_complex was rebuilt on compose -----
@@ -223,6 +224,9 @@ def _boundary1():
     return build_standard("boundary", 1)[0]
 
 
+SOURCES = {"delta0": lambda: standard_simplex(0), "delta1": lambda: standard_simplex(1), "boundary1": _boundary1}
+
+
 # the function complexes built by test_quasi, tau0's among them (dim_bound is
 # the target's coskeletal bound plus one there), and tau0(Delta^1, B(chain2))
 CASES = {
@@ -286,6 +290,51 @@ def test_size_limit():
         oracle_function_complex(standard_simplex(2), standard_simplex(0), 1, limit=3)
 
 
+# -- tau0 against the function-complex route -----------------------------------------
+
+
+def tau0_or_refusal(f, K, X):
+    try:
+        return f(K, X)
+    except CertificationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(SOURCES)),
+    st.one_of(
+        tiny_poset_nerves(),
+        st.sampled_from(["z2", "pi_interval", "idempotent"]).map(lambda name: nerve(corpus_categories()[name], 3)),
+        st.tuples(tiny_complexes((2, 3, 2)), st.integers(1, 2)).map(lambda xd: with_coskeletal(*xd)),
+    ),
+)
+def test_tau0_matches_the_function_complex_route(k_name, X):
+    # where the old route answers, the classes and their vertex ids are the
+    # same; where it refuses, the pointwise route refuses an X that is not
+    # a quasi-category and answers the rest
+    K = SOURCES[k_name]()
+    want = tau0_or_refusal(helpers.old_tau0, K, X)
+    got = tau0_or_refusal(quasi.tau0, K, X)
+    if isinstance(want, str):
+        assert isinstance(got, str) == (not certify_quasi_category(X).is_quasi)
+    else:
+        assert got == want
+
+
+def test_tau0_from_the_empty_complex():
+    # hom(empty, X) is a point, so one class with one object, for any
+    # quasi-category X; an X that is not one is refused, as for every K,
+    # where the function-complex route answered [(0,)] for it
+    empty = SimplicialSet(0, [[]], {})
+    for X in [nerve(poset_category(2), 3), nerve(cyclic_group_category(2), 3), with_coskeletal(standard_simplex(0), 0)]:
+        assert quasi.tau0(empty, X) == helpers.old_tau0(empty, X) == [(0,)]
+    horn = build_standard("horn", 2, 1)[0]
+    assert helpers.old_tau0(empty, horn) == [(0,)]
+    with pytest.raises(CertificationError, match=r"^quasi_iso_edges needs a certified quasi-category \(counterexample\)$"):
+        quasi.tau0(empty, horn)
+
+
 # -- the map search ------------------------------------------------------------------
 
 
@@ -335,7 +384,6 @@ def non_poset_nerve(name):
     return nerve(corpus_categories()[name], 3)
 
 
-SOURCES = {"delta0": lambda: standard_simplex(0), "delta1": lambda: standard_simplex(1), "boundary1": _boundary1}
 NON_POSETS = ("idempotent", "z2", "z3")
 
 

@@ -147,3 +147,42 @@ def test_validate_names_the_first_failing_cell_and_pair():
     message = first_failure(SimplicialSet.validate, X)
     assert message == first_failure(old_validate, X)
     assert message.startswith(f"simplicial identity fails at {P.nondegenerate[2][0]}, ")
+
+
+def raised(check, X):
+    try:
+        check(X)
+    except Exception as err:  # noqa: BLE001 - an entry that is no expression raises alike
+        return type(err), str(err)
+    return None
+
+
+def test_validate_names_the_first_cell_with_a_bad_face_row():
+    # face counts and face targets are checked per level, once per distinct
+    # face expression; only a failing level is scanned, in cell order
+    P = product(standard_simplex(2), standard_simplex(1)).complex
+    first, second = P.nondegenerate[2][:2]
+    stranger = SimplexExpr((), max(P.dim_of) + 1, 1)
+    cases = [
+        {second: P.faces[second][:2], first: P.faces[first][:1]},
+        {second: (stranger,) + P.faces[second][1:]},
+        {second: (stranger,) + P.faces[second][1:], first: P.faces[first][:2] + (SimplexExpr((0,), 0, 1),)},
+        {first: P.faces[first][:2] + (SimplexExpr((), P.nondegenerate[1][0], 0),)},
+        {P.nondegenerate[0][1]: (SimplexExpr((), 0, 0),)},
+        {second: P.faces[second][:2] + (None,)},
+    ]
+    for changed in cases:
+        faces = {**P.faces, **changed}
+        X = SimplicialSet(P.dim_bound, [list(level) for level in P.nondegenerate], faces, check=False)
+        assert raised(SimplicialSet.validate, X) == raised(old_validate, X)
+    X = SimplicialSet(P.dim_bound, [list(level) for level in P.nondegenerate], {**P.faces, first: None}, check=False)
+    assert first_failure(SimplicialSet.validate, X) == f"simplex {first} needs 3 faces"
+
+
+def test_an_unchecked_complex_keeps_the_dicts_it_is_given():
+    # a product's labels are its pairs, held once
+    pc = product(standard_simplex(2), standard_simplex(2))
+    assert pc.complex.labels is pc.pairs
+    faces = dict(pc.complex.faces)
+    X = SimplicialSet(pc.complex.dim_bound, [list(level) for level in pc.complex.nondegenerate], faces)
+    assert X.faces == faces and X.faces is not faces

@@ -16,7 +16,6 @@ from quasicat.quasi import (
     core,
     enumerate_horns,
     find_filler,
-    function_complex,
     has_left_homotopy,
     has_right_homotopy,
     ho_category_data,
@@ -27,6 +26,7 @@ from quasicat.quasi import (
 )
 from quasicat.simplicial import (
     SimplexExpr,
+    SimplicialSet,
     build_standard,
     closure_ids,
     iso_check,
@@ -36,7 +36,7 @@ from quasicat.simplicial import (
     with_coskeletal,
 )
 
-from helpers import category_iso, truncate, validate_horn, validate_map
+from helpers import category_iso, function_complex, truncate, validate_horn, validate_map
 
 
 def composable_pair_oracle(X):
@@ -358,6 +358,15 @@ def test_tau0_into_point():
 def test_tau0_pairs_of_classes():
     B, _ = build_standard("boundary", 1)
     assert len(tau0(B, nerve(poset_category(2), 3))) == 9
+
+
+def test_tau0_refuses_a_0_coskeletal_x_stored_without_its_edges():
+    # cosk_0 of two points joins them by an edge that a dim_bound of 0 does
+    # not store, so the maps read off X would miss it
+    two = SimplicialSet(0, [[0, 1]], {}, 0)
+    assert certify_quasi_category(two).is_quasi
+    with pytest.raises(CertificationError, match="^tau0 needs X through dimension 1: coskeletal_at 0 joins its 2 vertices$"):
+        tau0(standard_simplex(0), two)
 
 
 def test_function_complex_interval_into_chain_nerve():
