@@ -153,15 +153,25 @@ class HomEntry:
         return len(self.classes)
 
 
-def _close_words(P: PresentedCategory, words):
+def _rules(P: PresentedCategory):
+    """Each relation as one rule, from its longer side to its shorter one
+    (a relation with equal sides says nothing and is dropped): the longer
+    sides, each with its shorter sides, and their distinct lengths."""
+    rules: dict = {}
+    for rel in P.relations:
+        lhs, rhs = (rel.lhs, rel.rhs) if len(rel.lhs) >= len(rel.rhs) else (rel.rhs, rel.lhs)
+        if lhs != rhs:
+            rules.setdefault(lhs, []).append(rhs)
+    return rules, sorted({len(lhs) for lhs in rules})
+
+
+def _close_words(rules: dict, lengths: list, words):
     """Union-find closure of a word set under single relation substitutions.
 
-    Each relation becomes one rule, from its longer side to its shorter one
-    (a relation with equal sides says nothing and is dropped).  The rules
-    are indexed by their left side, so at each position a word looks up
-    one slice per distinct left-side length: the cost is words times length
-    times lengths, plus the substitutions that fire, not words times
-    relations times length.
+    The rules of `_rules` are indexed by their left side, so at each
+    position a word looks up one slice per distinct left-side length: the
+    cost is words times length times lengths, plus the substitutions that
+    fire, not words times relations times length.
 
     One direction is enough: two words that differ by one substitution are
     found from the one that holds the longer side.  So no rule has an empty
@@ -173,12 +183,6 @@ def _close_words(P: PresentedCategory, words):
     """
     universe = set(words)
     uf = UnionFind(universe)
-    rules: dict = {}  # longer side -> its shorter sides
-    for rel in P.relations:
-        lhs, rhs = (rel.lhs, rel.rhs) if len(rel.lhs) >= len(rel.rhs) else (rel.rhs, rel.lhs)
-        if lhs != rhs:
-            rules.setdefault(lhs, []).append(rhs)
-    lengths = sorted({len(lhs) for lhs in rules})
     for w in universe:
         for i in range(len(w)):
             for n in lengths:
@@ -273,27 +277,35 @@ def bounded_hom_classes(P: PresentedCategory, x, y, max_len: int) -> HomEntry:
 
     The result is flagged partial unless the presentation is loop-free and
     the bound dominates the longest path, in which case it coincides with
-    the exact table.  The walks from x of length <= max_len are extended
-    through an out-edge dict built once per call, and the words ending at
-    y are closed by `_close_words`, at the cost of the rules that can fire
-    in them, not of every relation at every position.
+    the exact table.  Callers ask for every y, so the walks from x of
+    length <= max_len are listed once per (x, max_len), by their ends, and
+    kept on P with its out-edges, longest path and rules, which are read
+    once per P.  The words ending at y are closed by `_close_words`, at the
+    cost of the rules that can fire in them, not of every relation at
+    every position.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    out = {v: [] for v in P.objects}
-    for g in P.generators:
-        out[P.gen_src[g]].append((g, P.gen_tgt[g]))
-    words = []
-    stack = [((), x)]
-    while stack:
-        word, at = stack.pop()
-        if at == y:
-            words.append(word)
-        if len(word) < max_len:
-            stack.extend((word + (g,), z) for g, z in out[at])
-    classes, class_of = _close_words(P, words)
-    order = _topological_order(P)
-    partial = len(order) < len(P.objects) or max_len < _longest_path(P, order)
+    memo = P.__dict__.get("_bounded")
+    if memo is None:
+        out = {v: [] for v in P.objects}
+        for g in P.generators:
+            out[P.gen_src[g]].append((g, P.gen_tgt[g]))
+        order = _topological_order(P)
+        longest = _longest_path(P, order) if len(order) == len(P.objects) else None
+        memo = P.__dict__["_bounded"] = (out, longest, _rules(P), {})  # the dataclass is frozen
+    out, longest, (rules, lengths), walks = memo
+    ends = walks.get((x, max_len))
+    if ends is None:
+        ends = walks[x, max_len] = {}
+        stack = [((), x)]
+        while stack:
+            word, at = stack.pop()
+            ends.setdefault(at, []).append(word)
+            if len(word) < max_len:
+                stack.extend((word + (g,), z) for g, z in out[at])
+    classes, class_of = _close_words(rules, lengths, ends.get(y, ()))
+    partial = longest is None or max_len < longest
     return HomEntry(x, y, classes, partial, class_of)
 
 

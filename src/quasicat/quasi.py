@@ -8,14 +8,42 @@ truncation are decided by a shell criterion.  The verdict is never a false
 certificate: a missing flag, a dim_bound below the declared coskeletal
 bound, or stored cells that contradict it, yield "inconclusive".  Horns
 are (n, k, top) tuples, enumerated as a join over the face index;
-certification counts them against the filler index without building
-them.  tau0 reads the isomorphism classes of maps K -> X off maps
+certification counts them against the keys of the n-expressions without
+building them.  tau0 reads the isomorphism classes of maps K -> X off maps
 K x Delta^1 -> X, by the pointwise criterion for natural isomorphisms.
+
+Certification and the flag check count the keys (faces at a horn's slots,
+or whole boundaries) of the n-expressions from the non-degenerate cells,
+by a lemma of the Eilenberg-Zilber kind.  Let n >= 2 and 0 < k < n: two
+degenerate n-simplices x = s_j y and x' = s_j' y' with d_i x = d_i x' for
+every i != k are equal.  Proof.  If j = j', then y and y' are both the
+face at whichever of j, j+1 is not k, so x = x'.  Otherwise some index
+is shared.  If j does not touch k (k is neither j nor j+1), then
+y = d_j x' = d_{j+1} x', and pushing d_j or d_{j+1} through s_j' and
+s_j back out with s_i s_m = s_{m+1} s_i (i <= m) writes x = s_j' w: for
+j' < j-1, y = s_j' d_{j-1} y' and x = s_j' s_{j-1} d_{j-1} y'; for
+j' = j-1, y = s_{j-1} d_j y' (read at j+1) and x = s_{j-1} s_{j-1} d_j y';
+for j' = j+1, y = s_j d_j y' and x = s_{j+1} s_j d_j y'; for j' > j+1,
+y = s_{j'-1} d_j y' and x = s_j' s_j d_j y'.  So x and x' share j'.  If
+j' does not touch k, the same holds with the roles swapped.  If both
+touch k and differ, say x = s_{k-1} y and x' = s_k y', then
+y = d_{k-1} x = d_{k-1} x' = s_{k-1} d_{k-1} y', and
+x = s_{k-1} s_{k-1} d_{k-1} y' = s_k s_{k-1} d_{k-1} y' shares k with x'.
+So the degenerate n-expressions have pairwise distinct keys, at an inner
+horn's slots and so at whole boundaries, and the distinct keys of all
+n-expressions number |K_N| + (n_exprs(n) - |N_n|) - |K_N & K_D|: K_N the
+keys of the non-degenerate n-cells, read off their face rows, and K_D
+those of the degenerate ones.  A key of s_j y holds y at j or at j+1,
+whichever is not k, so it is in K_D exactly when it is the key of one of
+the n candidates s_j y with y read off it.  Off j and j+1 the faces of
+s_j y are degenerate (s_{j-1} d_i y or s_j d_{i-1} y), so only the j
+with the key's non-degenerate faces at j or j+1 are tried; and a key in
+K_D has a degenerate face, since for n >= 2 some position lies outside
+{j, j+1, k}.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -29,6 +57,7 @@ from .simplicial import (
     SizeLimitError,
     UnionFind,
     closure_ids,
+    degenerate,
     make_subcomplex,
     map_search,
     product,
@@ -97,11 +126,12 @@ def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
     return _horns(X, n, k)
 
 
-def _join(X: SimplicialSet, n: int, k: int):
+def _join(X: SimplicialSet, n: int, k: int | None):
     """The join through every slot but the last: the partial horns, in
     lexicographic order, and for each its candidates for the last slot.
     The horns are those candidates appended, so they can be counted
-    without being built."""
+    without being built.  k = None leaves no slot out: the join of the
+    compatible boundaries of Delta^n."""
     slots = tuple(i for i in range(n + 1) if i != k)
     row = X.face_row
     partial = [()]
@@ -124,6 +154,39 @@ def _horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
     # the join expanded, where certification and the flag check count it
     partial, candidates = _join(X, n, k)
     return [_horn(n, k, (*p, e)) for p, es in zip(partial, candidates) for e in es]
+
+
+def _degenerate_key(X: SimplicialSet, slots: tuple, key: tuple) -> bool:
+    """Is `key` the faces at `slots` of a degenerate n-expression s_j y?
+    The faces of s_j y off j and j+1 are degenerate, so the key's
+    non-degenerate faces leave at most two j to try, and none when they
+    are all non-degenerate; y is read off the key at j, or at j+1 where j
+    is not a slot (module docstring)."""
+    plain = [i for i, e in zip(slots, key) if not e[0]]
+    last = key[0][2]  # n - 1, the largest j
+    lo, hi = (max(plain[-1] - 1, 0), min(plain[0], last)) if plain else (0, last)
+    if lo > hi:
+        return False
+    at = dict(zip(slots, key))
+    face = X.face
+    for j in range(lo, hi + 1):
+        x = degenerate(at.get(j) or at[j + 1], (j,))
+        if all(face(x, i) == e for i, e in at.items()):
+            return True
+    return False
+
+
+def _key_count(X: SimplicialSet, n: int, slots: tuple) -> tuple[int, set]:
+    """The number of distinct faces at `slots` (a whole boundary, or an
+    inner horn's) of the n-expressions, n >= 2, and the set of those of
+    the non-degenerate n-cells: each degenerate n-expression has its own,
+    so they are counted, and only the cells' keys are read (module
+    docstring)."""
+    cells = X.nondegenerate[n]
+    keys = set(map(itemgetter(*slots), map(X.faces.__getitem__, cells)))
+    # d_0 s_j y is degenerate unless j = 0, and d_n s_j y unless j = n-1
+    shared = sum(_degenerate_key(X, slots, key) for key in keys if key[0][0] or key[-1][0])
+    return len(keys) + X.n_exprs(n) - len(cells) - shared, keys
 
 
 def find_filler(X: SimplicialSet, h: HornMap) -> SimplexExpr | None:
@@ -166,12 +229,15 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
     dim_bound below the flag, or stored cells above the flag that are not
     its coskeletal ones (`_false_flag`), yield an inconclusive verdict
     rather than a false certificate.  Through dim_bound the horns are
-    counted, not built: each key of the filler index restricts an
-    n-expression to one horn, so every horn fills iff the keys are as many
-    as the horns, the last-slot candidates of the join's partial horns.
-    On a mismatch the first unfilled horn lies under the first partial horn
-    p with fewer keys extending p than candidates, and only p's horns are
-    built.  A counterexample needs no flag: stored cells witness it.
+    counted, not built: each distinct key (faces at the horn's slots) of
+    an n-expression is one filled horn, so every horn fills iff the keys
+    are as many as the horns, the last-slot candidates of the join's
+    partial horns.  The keys are counted from the non-degenerate cells by
+    the lemma of the module docstring, |K_N| + (n_exprs(n) - |N_n|) -
+    |K_N & K_D|, so no filler index is built, and none over the
+    (d+1)-expressions at all.  On a mismatch the horns are scanned in join
+    order for the first with no key, and only it is built.  A
+    counterexample needs no flag: stored cells witness it.
     """
     d = X.coskeletal_at
     if d is None:
@@ -194,12 +260,12 @@ def certify_quasi_category(X: SimplicialSet) -> CertReport:
             count = sum(map(len, candidates))
             if (n, k) == (top, 1):
                 top_count = count
-            fillers = X.face_index(n, tuple(i for i in range(n + 1) if i != k))
-            if len(fillers) == count:
+            slots = tuple(i for i in range(n + 1) if i != k)
+            keys, cells = _key_count(X, n, slots)
+            if keys == count:
                 continue
-            extending = Counter(key[:-1] for key in fillers)
-            p, es = next((p, es) for p, es in zip(partial, candidates) if len(es) != extending[p])
-            e = next(e for e in es if (*p, e) not in fillers)
+            filled = lambda key: key in cells or _degenerate_key(X, slots, key)
+            p, e = next((p, e) for p, es in zip(partial, candidates) for e in es if not filled((*p, e)))
             return CertReport("counterexample", d, n - 1, counterexample=_horn(n, k, (*p, e)))
     reason = _false_flag(X, d, top_count)
     if reason is not None:
@@ -213,32 +279,37 @@ def _false_flag(X: SimplicialSet, d: int, top_count: int | None) -> str | None:
     X is d-coskeletal through its dim_bound when, for each n from d+1 up,
     the n-expressions are the compatible boundaries of Delta^n, one each:
     (i) no two share a boundary, and (ii) there are as many boundaries as
-    expressions.  A boundary for n >= 2 is a Lambda^n_1 horn with a missing
-    face on its `missing_face_boundary`.  At n = d+1, `top_count` is the
-    number of those horns, counted by certification: both hold when its
-    filler index gives each horn one filler and no two (n-1)-expressions
-    share a boundary, or else the horns are built and their boundaries
-    counted.  Above d+1 the check at n-1 left each missing face one
-    expression: one boundary per horn, so the horns are counted by the join.
+    expressions.  For n >= 2, (i) holds when the distinct boundaries,
+    counted from the non-degenerate cells by the lemma of the module
+    docstring (degenerate n-expressions never share a boundary), are
+    n_exprs(n); the boundary index is built only to name how many are
+    shared.  For (ii) the boundaries are counted by a join, with none
+    built.  Above d+1 the check at n-1 left each missing face one
+    expression, so the boundaries are the Lambda^n_1 horns.  At n = d+1,
+    `top_count` is the number of those horns, counted by certification.
+    Given (i) and no two (n-1)-expressions sharing a boundary, the
+    n-expressions fill n_exprs(n) distinct horns, each completed to one
+    boundary, and every other horn to at most one; so top_count =
+    n_exprs(n) means (ii) holds, and otherwise the whole boundaries are
+    counted by the join that leaves no slot out.
     """
     for n in range(d + 1, X.dim_bound + 1):
-        if n == d + 1 >= 2:
-            faces = X.face_index(n - 1, tuple(range(n)))
-            fillers = X.face_index(n, (0, *range(2, n + 1)))
-            if len(faces) == X.n_exprs(n - 1) and len(fillers) == top_count == X.n_exprs(n):
-                continue
-        shells = X.face_index(n, tuple(range(n + 1)))
-        shared = sum(len(es) > 1 for es in shells.values())
-        if shared:
+        whole = tuple(range(n + 1))
+        exprs = X.n_exprs(n)
+        keys = len(X.face_index(1, whole)) if n == 1 else _key_count(X, n, whole)[0]
+        if keys != exprs:
+            shared = sum(len(es) > 1 for es in X.face_index(n, whole).values())
             return f"coskeletal_at {d} is false: {shared} boundaries in dimension {n} have several fillers"
         if n == 1:
             boundaries = len(X.vertices()) ** 2
-        elif n == d + 1:
-            boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in _horns(X, n, 1))
-        else:
+        elif n > d + 1:
             boundaries = sum(map(len, _join(X, n, 1)[1]))
-        if boundaries != len(shells):
-            return f"coskeletal_at {d} is false: {boundaries - len(shells)} boundaries in dimension {n} have no filler"
+        elif top_count == exprs and len(X.face_index(n - 1, whole[:-1])) == X.n_exprs(n - 1):
+            continue
+        else:
+            boundaries = sum(map(len, _join(X, n, None)[1]))
+        if boundaries != exprs:
+            return f"coskeletal_at {d} is false: {boundaries - exprs} boundaries in dimension {n} have no filler"
     return None
 
 

@@ -4,9 +4,16 @@
 horn up with `find_filler`; `old_enumerate_horns` and `old_has_shell_filler`
 compute horn keys and the missing face's boundary with `SimplicialSet.face`.
 The current certification counts the horns without building them, compares
-the keys of the filler index with them, and builds horns only under the
-first partial horn whose counts differ, so every report must be equal:
-verdict, bound, counterexample and reason.
+the number of distinct keys of the n-expressions with them, and builds only
+the first horn with no key, so every report must be equal: verdict, bound,
+counterexample and reason.
+
+The keys are counted from the non-degenerate cells: degenerate
+n-expressions have keys of their own, each with a degenerate face, and a
+cell's key is shared with one exactly when `_degenerate_key` finds it.
+Those facts are checked against `old_face_index`, and a spy on
+`SimplicialSet.face_index` pins what certification and the flag check
+index.
 """
 
 import pickle
@@ -16,7 +23,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from quasicat.cat import cyclic_group_category, idempotent_monoid_category, nerve, poset_category
-from quasicat.corpus import corpus_complexes, quasi_category_corpus
+from quasicat.corpus import corpus_categories, corpus_complexes, quasi_category_corpus, walking_homotopy
 from quasicat import quasi
 from quasicat.quasi import (
     CertReport,
@@ -32,10 +39,13 @@ from quasicat.simplicial import (
     SimplicialSet,
     closure_ids,
     make_subcomplex,
+    product,
+    standard_simplex,
     with_coskeletal,
 )
 
 from helpers import corpus_nerves, old_false_flag
+from helpers import tiny_complexes as tiny_2_complexes
 
 
 def old_enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
@@ -363,3 +373,98 @@ def test_horn_map_keeps_the_dataclass_semantics():
         assert type(copy) is HornMap and copy == h and (copy.n, copy.k, copy.top) == (h.n, h.k, h.top)
         twin = HornMap(h.n, h.k, tuple(list(h.top)))
         assert twin == h and hash(twin) == hash(h)
+
+
+# -- degenerate n-expressions have keys of their own --------------------------------
+
+
+SINGULAR = {
+    **{f"walking_homotopy_{w}": walking_homotopy(w) for w in ("r", "rr", "rrll")},
+    "B(Z/2)": nerve(cyclic_group_category(2), 3),
+    # its cells have degenerate face pairs
+    "B(Z/2) x walking_homotopy_r": product(nerve(cyclic_group_category(2), 3), walking_homotopy("r"), 3).complex,
+}
+
+
+def key_slots(n: int) -> list[tuple]:
+    """The slots of every inner horn of Delta^n, and the whole boundary."""
+    return [tuple(i for i in range(n + 1) if i != k) for k in range(1, n)] + [tuple(range(n + 1))]
+
+
+def assert_degenerate_keys_are_counted(X: SimplicialSet) -> int:
+    """For n = 2 .. dim_bound + 1 and each key shape: the degenerate
+    n-expressions restrict injectively, each restriction has a degenerate
+    face and is found by `_degenerate_key`, which finds a cell's key
+    exactly when a degenerate expression shares it, and the counted keys
+    are those of `old_face_index`.  Returns how many cell keys were
+    shared."""
+    shared = 0
+    for n in range(2, X.dim_bound + 2):
+        degenerate = [e for e in X.all_exprs(n) if e.is_degenerate]
+        for slots in key_slots(n):
+            keys = [tuple(X.face(e, i) for i in slots) for e in degenerate]
+            assert len(set(keys)) == len(keys), (n, slots)
+            assert all(any(f.is_degenerate for f in key) for key in keys), (n, slots)
+            assert all(quasi._degenerate_key(X, slots, key) for key in keys), (n, slots)
+            want = len(old_face_index(X, n, slots))
+            if n > X.dim_bound:  # no cell: every n-expression is degenerate
+                assert X.n_exprs(n) == want, (n, slots)
+                continue
+            count, cell_keys = quasi._key_count(X, n, slots)
+            assert count == want, (n, slots)
+            both = cell_keys & set(keys)
+            assert {key for key in cell_keys if quasi._degenerate_key(X, slots, key)} == both, (n, slots)
+            shared += len(both)
+    return shared
+
+
+def test_degenerate_keys_are_counted_on_singular_complexes():
+    shared = {name: assert_degenerate_keys_are_counted(X) for name, X in SINGULAR.items()}
+    # a right-homotopy witness shares its (2, 1)-key with s_1 of an edge
+    assert shared["walking_homotopy_r"] > 0
+    for X in corpus_complexes().values():
+        assert_degenerate_keys_are_counted(X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tiny_complexes(), st.sampled_from([(1, 2, 3), (2, 3, 3), (3, 4, 4)]).flatmap(tiny_2_complexes)))
+def test_degenerate_keys_are_counted_on_drawn_complexes(X):
+    assert_degenerate_keys_are_counted(X)
+
+
+def test_singular_complexes_match_oracles_at_every_flag():
+    for X in SINGULAR.values():
+        for Y in every_flag(X):
+            assert_certify_matches_oracle(Y)
+            assert certify_quasi_category(Y).is_quasi == brute_force_is_quasi(Y)
+        assert_flag_check_matches_oracle(X)
+
+
+def test_top_dimensions_build_no_index_over_their_expressions(monkeypatch):
+    # certification counts keys and the flag check counts boundaries from
+    # the cells; the horn join reads indexes one dimension down
+    built = []
+    index = SimplicialSet.face_index
+
+    def spied(X, n, positions):
+        built.append((n, positions))
+        return index(X, n, positions)
+
+    monkeypatch.setattr(SimplicialSet, "face_index", spied)
+    for C in corpus_categories().values():
+        N = nerve(C, 3)
+        assert certify_quasi_category(N).is_quasi
+        assert built and all(n <= N.coskeletal_at for n, _ in built)
+        built.clear()
+    for a in range(1, 4):
+        for b in range(1, 5 - a):
+            P = product(standard_simplex(a), standard_simplex(b)).complex
+            d = P.coskeletal_at
+            top_count = sum(map(len, quasi._join(P, d + 1, 1)[1]))
+            built.clear()
+            assert _false_flag(P, d, top_count) is None
+            # of the m-expressions with m > d, only the Lambda^(m+1)_1 join
+            # reads any, by its slots before m+1, (0, 2, ..., m)
+            for n, positions in built:
+                if n > d:
+                    assert n < P.dim_bound and positions == (0, *range(2, n + 1))[: len(positions)], (a, b, n, positions)
