@@ -5,11 +5,12 @@ non-degenerate edges generate (src = d1, tgt = d0), and each non-degenerate
 2-simplex contributes the relation d1 = d0 . d2, with degenerate edges
 compiled away as identities.  Exact hom-sets are computed only when the
 edge graph is acyclic; the word problem is undecidable in general, and
-loop-freeness covers the intended use.  They come from one forward pass
-per source over a topological order, without listing paths: the cost
-grows with classes times generators, not with the number of paths, which
-grows exponentially with depth.  For complexes with loops,
-`bounded_hom_classes` gives a sound partial answer flagged as such.
+loop-freeness covers the intended use.  They come from one forward walk
+per source over a topological order, on class ids, without listing paths:
+the cost grows with classes times generators, not with the number of
+paths, which grows exponentially with depth.  `hom_sets` dresses the walk
+in `HomEntry`s; the product comparison reads it bare.  For complexes with
+loops, `bounded_hom_classes` gives a sound partial answer flagged as such.
 """
 
 from __future__ import annotations
@@ -131,23 +132,29 @@ class HomEntry:
     tgt: object
     classes: tuple[HomClass, ...]
     partial: bool
-    # word -> rep; an exact entry lists only its reps and reduces a word to
-    # one through `_step`, the transition map shared by its source
+    # a bounded entry maps each word to its rep; an exact one reduces a word
+    # to a class id through `_step`, the transitions of `_walk`, starting
+    # from `_start`, the id of the identity of src, and `_ids` holds the ids
+    # of its classes, in the order of `classes`
     _class_of: dict = field(default_factory=dict, repr=False)
     _step: dict | None = field(default=None, repr=False)
+    _start: int = field(default=0, repr=False)
+    _ids: range = field(default=range(0), repr=False)
 
     def class_of(self, word):
         """Rep of the class of `word`; KeyError unless it is a path src -> tgt."""
         word = tuple(word)
         if self._step is None:
             return self._class_of[word]
-        rep = ()
+        at = self._start
         try:
             for g in word:
-                rep = self._step[rep, g]
-            return self._class_of[rep]
+                at = self._step[at, g]
         except KeyError:
             raise KeyError(word) from None
+        if at not in self._ids:
+            raise KeyError(word)
+        return self.classes[at - self._ids.start].rep
 
     def __len__(self):
         return len(self.classes)
@@ -209,66 +216,109 @@ class HomSetTable:
         return self.entries[(x, y)]
 
 
-def hom_sets(P: PresentedCategory) -> HomSetTable:
-    """Exact hom-sets of a loop-free presentation.
+@dataclass
+class _Walk:
+    homs: dict  # x -> {y: range of the ids of hom(x, y)}; empty hom-sets are absent
+    step: dict  # (id of a class of hom(x, y), g: y -> z) -> id of its class in hom(x, z)
+    parent: list  # id -> id of the class of its rep's prefix; -1 for an identity
+    last: list  # id -> last generator of its rep; None for an identity
+    size: list  # id -> number of paths in the class
+
+
+def _walk(P: PresentedCategory) -> _Walk:
+    """The classes of a loop-free presentation, by integer id.
 
     One forward pass per source x over a topological order.  A path x -> z
     is a path x -> y followed by a generator g: y -> z, so the candidates for
     the classes of hom(x, z) are the pairs (class of hom(x, y), g); two paths
     in one candidate are equal because the prefixes are.  By the time z is
     reached, every hom(x, y) with y earlier in the order is final, so the
-    relations ending at z only have to union candidates: for each class p of
-    hom(x, src), the two sides p.lhs and p.rhs name their candidates through
-    the prefix classes, read from the transition map (rep, g) -> rep.  No
-    fixpoint is needed.  The cost grows with classes times generators plus
-    classes times relations, never with the number of paths.
+    relations ending at z only have to union candidates, named through the
+    transition map (id, g) -> id.  No fixpoint is needed.  The cost grows
+    with classes times generators plus classes times relations, never with
+    the number of paths.
 
     A class's rep, shortest then lexicographic, is the least rep(p) + (g,)
-    over its candidates (p, g); its size, the number of paths in it, is the
-    sum of the sizes of those p.  The identity class of hom(x, x) is ((), 1).
+    over its candidates (p, g), compared as numerals whose digits are the
+    generators' ranks 1..n in base n + 1; its size is the sum of the sizes
+    of those p.  The ids of hom(x, z) are handed out together, in rep
+    order, so each hom-set is a range and a rep's prefix has a smaller id.
     """
     order = _topological_order(P)
     if len(order) < len(P.objects):
         raise NotLoopFreeError("exact hom-sets need a loop-free complex; use bounded_hom_classes")
     into = {z: [] for z in P.objects}
     for g in P.generators:
-        into[P.gen_tgt[g]].append(g)
+        into[P.gen_tgt[g]].append((P.gen_src[g], g))
     relations_into = {z: [] for z in P.objects}
     for rel in P.relations:
         # a side that is the empty word forces src == tgt; without loops the
-        # other side is empty too, and the relation says nothing
+        # other side is empty too, and the relation says nothing.  Each side
+        # is kept as its prefix and its last generator
         if rel.lhs and rel.rhs:
-            relations_into[rel.tgt].append(rel)
+            relations_into[rel.tgt].append((rel.src, rel.lhs[:-1], rel.lhs[-1], rel.rhs[:-1], rel.rhs[-1]))
+    rank = {g: i for i, g in enumerate(sorted(P.generators), 1)}
+    base = len(rank) + 1
     position = {x: i for i, x in enumerate(order)}
-    entries = {}
+    walk = _Walk({}, {}, [], [], [])
+    step, parent, last, size = walk.step, walk.parent, walk.last, walk.size
+    numeral = []  # id -> numeral of its rep
     for x in P.objects:
-        step: dict = {}  # (rep of a class of hom(x, y), g: y -> z) -> rep of its class in hom(x, z)
-        homs = {x: (HomClass((), 1),)}
-
-        def candidate(rep, word):
-            for g in word[:-1]:
-                rep = step[rep, g]
-            return rep, word[-1]
-
+        homs = walk.homs[x] = {x: range(len(parent), len(parent) + 1)}
+        parent.append(-1)
+        last.append(None)
+        size.append(1)
+        numeral.append(0)
         for z in order[position[x] + 1 :]:
-            size = {(c.rep, g): c.size for g in into[z] for c in homs.get(P.gen_src[g], ())}
-            if not size:
+            keys = [(c, g) for y, g in into[z] if y in homs for c in homs[y]]
+            if len(keys) > 1:
+                uf = UnionFind(keys)
+                for src, lhs, lg, rhs, rg in relations_into[z]:
+                    for c in homs.get(src, ()):
+                        a = b = c
+                        for g in lhs:
+                            a = step[a, g]
+                        for g in rhs:
+                            b = step[b, g]
+                        uf.union((a, lg), (b, rg))
+                groups = sorted(
+                    (min((numeral[c] * base + rank[g], c, g) for c, g in group), group)
+                    for group in uf.groups().values()
+                )
+            elif keys:  # one candidate is one class, whatever the relations
+                ((c, g),) = keys
+                groups = [((numeral[c] * base + rank[g], c, g), keys)]
+            else:
                 continue
-            uf = UnionFind(size)
-            for rel in relations_into[z]:
-                for p in homs.get(rel.src, ()):
-                    uf.union(candidate(p.rep, rel.lhs), candidate(p.rep, rel.rhs))
-            classes = []
-            for keys in uf.groups().values():
-                rep = min((prefix + (g,) for prefix, g in keys), key=_word_key)
-                classes.append(HomClass(rep, sum(size[k] for k in keys)))
-                for k in keys:
-                    step[k] = rep
-            classes.sort(key=lambda c: _word_key(c.rep))
-            homs[z] = tuple(classes)
+            first = len(parent)
+            for (n, c, g), group in groups:
+                for key in group:
+                    step[key] = len(parent)
+                parent.append(c)
+                last.append(g)
+                size.append(sum(size[p] for p, _ in group))
+                numeral.append(n)
+            homs[z] = range(first, len(parent))
+    return walk
+
+
+def hom_sets(P: PresentedCategory) -> HomSetTable:
+    """Exact hom-sets of a loop-free presentation: `_walk`, with each class
+    spelled out as a `HomClass` and each pair (x, y) as a `HomEntry` that
+    reduces words through the walk's transitions.  The identity class of
+    hom(x, x) is ((), 1)."""
+    walk = _walk(P)
+    reps = []
+    for p, g in zip(walk.parent, walk.last):
+        reps.append(() if p < 0 else reps[p] + (g,))
+    classes = list(map(HomClass, reps, walk.size))
+    entries = {}
+    none = range(0)
+    for x, homs in walk.homs.items():
+        start = homs[x].start
         for y in P.objects:
-            classes = homs.get(y, ())
-            entries[(x, y)] = HomEntry(x, y, classes, False, {c.rep: c.rep for c in classes}, step)
+            ids = homs.get(y, none)
+            entries[(x, y)] = HomEntry(x, y, tuple(classes[ids.start : ids.stop]), False, {}, walk.step, start, ids)
     return HomSetTable(entries)
 
 
@@ -391,35 +441,37 @@ def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
     """`product_comparison` for a built product and the exact tables of its factors.
 
     Callers that compare many pairs build each product and each factor's
-    table once and pass them here.  Each class of P(X x Y) costs O(1): a
-    rep's prefix is itself a rep, so the factor classes of its projections
-    are those of the prefix, memoized, advanced by the factor tables'
-    transitions along the components of its last generator.
+    table once and pass them here.  The product is walked but not dressed.
+    Each class costs O(1): its rep is its parent's followed by its last
+    generator, so the factor class ids of its projections are its parent's,
+    advanced through the factor tables' transitions along that generator's
+    components.  Classes are checked in rep order, the order of their ids;
+    one whose projection leaves the factor's hom-set raises KeyError.
     """
-    TXY = hom_sets(path_category(prod.complex))
+    walk = _walk(path_category(prod.complex))
     pairs = prod.pairs
-    projected = {(): ((), ())}  # rep of P(X x Y) or a prefix -> reps of its projections in TX, TY
-    for (a, b), exy in TXY.entries.items():
-        (ea, fa), (eb, fb) = pairs[a], pairs[b]
-        ex, ey = TX.entries[ea.base, eb.base], TY.entries[fa.base, fb.base]
-        if len(exy.classes) != len(ex.classes) * len(ey.classes):
-            return False
-        seen = set()
-        for c in exy.classes:
-            rep = c.rep
-            i = len(rep)
-            while rep[:i] not in projected:  # entries come in object order, not topological
-                i -= 1
-            px, py = projected[rep[:i]]
-            for j in range(i, len(rep)):
-                (wx, gx, _), (wy, gy, _) = pairs[rep[j]]
-                px = px if wx else ex._step[px, gx]
-                py = py if wy else ey._step[py, gy]
-                projected[rep[: j + 1]] = px, py
-            pair = (ex._class_of[px], ey._class_of[py])
-            if pair in seen:
+    projected = [None] * len(walk.parent)  # id -> factor class ids of its projections (None off the tables)
+    for a, homs in walk.homs.items():
+        ea, fa = pairs[a]
+        for b in walk.homs:
+            eb, fb = pairs[b]
+            ex, ey = TX.entries[ea.base, eb.base], TY.entries[fa.base, fb.base]
+            ids = homs.get(b, ())
+            if len(ids) != len(ex.classes) * len(ey.classes):
                 return False
-            seen.add(pair)
+            if projected[homs[a].start] is None:  # the ids of source a, each after its parent's
+                projected[homs[a].start] = ex._start, ey._start
+                for i in range(homs[a].start + 1, max(r.stop for r in homs.values())):
+                    (wx, gx, _), (wy, gy, _) = pairs[walk.last[i]]
+                    px, py = projected[walk.parent[i]]
+                    projected[i] = (px if wx else ex._step.get((px, gx)), py if wy else ey._step.get((py, gy)))
+            seen = set()
+            for p in map(projected.__getitem__, ids):
+                if p[0] not in ex._ids or p[1] not in ey._ids:
+                    raise KeyError((a, b))
+                if p in seen:
+                    return False
+                seen.add(p)
     return True
 
 

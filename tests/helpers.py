@@ -1,6 +1,6 @@
 """Fixtures and oracles shared by several test modules."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product as cartesian
 
@@ -9,6 +9,15 @@ from hypothesis import strategies as st
 from quasicat.cat import CategoryError, FiniteCategory, FiniteFunctor, _iso_classes, nerve
 from quasicat.corpus import corpus_categories
 from quasicat.equivalence import enumerate_functors
+from quasicat.pathcat import (
+    HomClass,
+    HomSetTable,
+    NotLoopFreeError,
+    PresentedCategory,
+    _topological_order,
+    _word_key,
+    path_category,
+)
 from quasicat.quasi import (
     CertificationError,
     _enumerate_maps,
@@ -454,3 +463,134 @@ def old_tau0(K: SimplicialSet, X: SimplicialSet, limit: int = 24):
         if not e.is_degenerate:
             uf.union(*H.vertex_ids(e))
     return sorted(tuple(sorted(members)) for members in uf.groups().values())
+
+
+# -- hom-set tables keyed by reps -----------------------------------------------
+
+
+@dataclass
+class OldHomEntry:
+    src: object
+    tgt: object
+    classes: tuple[HomClass, ...]
+    partial: bool
+    # word -> rep; an exact entry lists only its reps and reduces a word to
+    # one through `_step`, the transition map shared by its source
+    _class_of: dict = field(default_factory=dict, repr=False)
+    _step: dict | None = field(default=None, repr=False)
+
+    def class_of(self, word):
+        """Rep of the class of `word`; KeyError unless it is a path src -> tgt."""
+        word = tuple(word)
+        if self._step is None:
+            return self._class_of[word]
+        rep = ()
+        try:
+            for g in word:
+                rep = self._step[rep, g]
+            return self._class_of[rep]
+        except KeyError:
+            raise KeyError(word) from None
+
+    def __len__(self):
+        return len(self.classes)
+
+
+def old_hom_sets(P: PresentedCategory) -> HomSetTable:
+    """Exact hom-sets of a loop-free presentation.
+
+    One forward pass per source x over a topological order.  A path x -> z
+    is a path x -> y followed by a generator g: y -> z, so the candidates for
+    the classes of hom(x, z) are the pairs (class of hom(x, y), g); two paths
+    in one candidate are equal because the prefixes are.  By the time z is
+    reached, every hom(x, y) with y earlier in the order is final, so the
+    relations ending at z only have to union candidates: for each class p of
+    hom(x, src), the two sides p.lhs and p.rhs name their candidates through
+    the prefix classes, read from the transition map (rep, g) -> rep.  No
+    fixpoint is needed.  The cost grows with classes times generators plus
+    classes times relations, never with the number of paths.
+
+    A class's rep, shortest then lexicographic, is the least rep(p) + (g,)
+    over its candidates (p, g); its size, the number of paths in it, is the
+    sum of the sizes of those p.  The identity class of hom(x, x) is ((), 1).
+    """
+    order = _topological_order(P)
+    if len(order) < len(P.objects):
+        raise NotLoopFreeError("exact hom-sets need a loop-free complex; use bounded_hom_classes")
+    into = {z: [] for z in P.objects}
+    for g in P.generators:
+        into[P.gen_tgt[g]].append(g)
+    relations_into = {z: [] for z in P.objects}
+    for rel in P.relations:
+        # a side that is the empty word forces src == tgt; without loops the
+        # other side is empty too, and the relation says nothing
+        if rel.lhs and rel.rhs:
+            relations_into[rel.tgt].append(rel)
+    position = {x: i for i, x in enumerate(order)}
+    entries = {}
+    for x in P.objects:
+        step: dict = {}  # (rep of a class of hom(x, y), g: y -> z) -> rep of its class in hom(x, z)
+        homs = {x: (HomClass((), 1),)}
+
+        def candidate(rep, word):
+            for g in word[:-1]:
+                rep = step[rep, g]
+            return rep, word[-1]
+
+        for z in order[position[x] + 1 :]:
+            size = {(c.rep, g): c.size for g in into[z] for c in homs.get(P.gen_src[g], ())}
+            if not size:
+                continue
+            uf = UnionFind(size)
+            for rel in relations_into[z]:
+                for p in homs.get(rel.src, ()):
+                    uf.union(candidate(p.rep, rel.lhs), candidate(p.rep, rel.rhs))
+            classes = []
+            for keys in uf.groups().values():
+                rep = min((prefix + (g,) for prefix, g in keys), key=_word_key)
+                classes.append(HomClass(rep, sum(size[k] for k in keys)))
+                for k in keys:
+                    step[k] = rep
+            classes.sort(key=lambda c: _word_key(c.rep))
+            homs[z] = tuple(classes)
+        for y in P.objects:
+            classes = homs.get(y, ())
+            entries[(x, y)] = OldHomEntry(x, y, classes, False, {c.rep: c.rep for c in classes}, step)
+    return HomSetTable(entries)
+
+
+def old_prefix_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
+    """`product_comparison` for a built product and the exact tables of its
+    factors, as made by `old_hom_sets`.
+
+    Callers that compare many pairs build each product and each factor's
+    table once and pass them here.  Each class of P(X x Y) costs O(1): a
+    rep's prefix is itself a rep, so the factor classes of its projections
+    are those of the prefix, memoized, advanced by the factor tables'
+    transitions along the components of its last generator.
+    """
+    TXY = old_hom_sets(path_category(prod.complex))
+    pairs = prod.pairs
+    projected = {(): ((), ())}  # rep of P(X x Y) or a prefix -> reps of its projections in TX, TY
+    for (a, b), exy in TXY.entries.items():
+        (ea, fa), (eb, fb) = pairs[a], pairs[b]
+        ex, ey = TX.entries[ea.base, eb.base], TY.entries[fa.base, fb.base]
+        if len(exy.classes) != len(ex.classes) * len(ey.classes):
+            return False
+        seen = set()
+        for c in exy.classes:
+            rep = c.rep
+            i = len(rep)
+            while rep[:i] not in projected:  # entries come in object order, not topological
+                i -= 1
+            px, py = projected[rep[:i]]
+            for j in range(i, len(rep)):
+                (wx, gx, _), (wy, gy, _) = pairs[rep[j]]
+                px = px if wx else ex._step[px, gx]
+                py = py if wy else ey._step[py, gy]
+                projected[rep[: j + 1]] = px, py
+            pair = (ex._class_of[px], ey._class_of[py])
+            if pair in seen:
+                return False
+            seen.add(pair)
+    return True
