@@ -89,12 +89,17 @@ def criterion_2_products() -> CriterionResult:
         if key[name] not in factor:
             factor[key[name]] = complexes[name], hom_sets(path_category(complexes[name]))
     verdicts = {}  # ordered pair of content keys -> verdict
+    counts = {name: X.counts() for name, X in complexes.items()}
+    cells = {}  # ordered pair of count vectors -> cells of the product, which they fix
     checked = 0
     skipped = 0
     failures = []
     for a in names:
         for b in names:
-            if product_cell_count(complexes[a], complexes[b], 2) > PRODUCT_CELL_LIMIT:
+            sizes = counts[a], counts[b]
+            if sizes not in cells:
+                cells[sizes] = product_cell_count(complexes[a], complexes[b], 2)
+            if cells[sizes] > PRODUCT_CELL_LIMIT:
                 skipped += 1
                 continue
             checked += 1

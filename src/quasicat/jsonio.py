@@ -13,7 +13,8 @@ categories, functors, certificates), dump(load(x)) == x on files produced
 here.  A presentation (`*.pcat.json`) is written by `pathcat` and never
 read back.
 
-`sset_from_json` handles each face record inline: one of exact ints is
+`sset_from_json` requires a vertex's "faces" to be [], and handles each
+face record of a higher simplex inline: one of exact ints is
 validated and built once per distinct (base, word) per load and shares the
 SimplexExpr (hash-consing), any other goes through the full check; a
 negative `coskeletal_at` is refused.
@@ -126,6 +127,8 @@ def sset_from_json(obj: dict) -> SimplicialSet:
                 raise MalformedInputError(f"duplicate simplex id {s}")
             if d > dim_bound:
                 raise MalformedInputError(f"simplex {s} of dimension {d} above dim_bound {dim_bound}")
+            if d == 0 and _field(entry, "faces", f"vertex {s}") != []:
+                raise MalformedInputError(f"vertex {s}: faces must be [], got {entry['faces']!r}")
             nondeg[d].append(s)
             dims[s] = d
     faces = {}

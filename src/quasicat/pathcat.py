@@ -3,19 +3,25 @@
 The presentation of P(X) is read off the 2-skeleton: vertices are objects,
 non-degenerate edges generate (src = d1, tgt = d0), and each non-degenerate
 2-simplex contributes the relation d1 = d0 . d2, with degenerate edges
-compiled away as identities.  Exact hom-sets are computed only when the
-edge graph is acyclic; the word problem is undecidable in general, and
-loop-freeness covers the intended use.  They come from one forward walk
-per source over a topological order, on class ids, without listing paths:
-the cost grows with classes times generators, not with the number of
-paths, which grows exponentially with depth.  `hom_sets` dresses the walk
-in `HomEntry`s; the product comparison reads it bare.  For complexes with
-loops, `bounded_hom_classes` gives a sound partial answer flagged as such.
+compiled away as identities.  A `Relation` is a tuple, and `path_category`
+trusts the simplicial identities of its complex instead of validating the
+presentation.  Exact
+hom-sets are computed only when the edge graph is acyclic; the word
+problem is undecidable in general, and loop-freeness covers the intended
+use.  They come from one forward walk per source over a topological order,
+on class ids, without listing paths: the cost grows with classes times
+generators, not with the number of paths, which grows exponentially with
+depth, and the relations into an object stop once its candidates are one
+class.  `hom_sets` dresses the walk in `HomEntry`s; the product comparison
+reads it bare, and checks only the non-empty hom-sets of a source.  For
+complexes with loops, `bounded_hom_classes` gives a sound partial answer
+flagged as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .cat import FiniteCategory, nerve
 from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet, UnionFind, product, product_cell_count
@@ -25,12 +31,26 @@ class NotLoopFreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Relation:
-    lhs: tuple  # generator ids, path order (first arrow first)
-    rhs: tuple
-    src: object
-    tgt: object
+class Relation(tuple):
+    """lhs = rhs between two paths src -> tgt, each a tuple of generator ids
+    in path order (first arrow first).  An immutable (lhs, rhs, src, tgt)
+    tuple, like `SimplexExpr`."""
+
+    __slots__ = ()
+
+    def __new__(cls, lhs: tuple, rhs: tuple, src, tgt):
+        return tuple.__new__(cls, (lhs, rhs, src, tgt))
+
+    lhs = property(itemgetter(0))
+    rhs = property(itemgetter(1))
+    src = property(itemgetter(2))
+    tgt = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Relation(lhs={self[0]!r}, rhs={self[1]!r}, src={self[2]!r}, tgt={self[3]!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,46 +61,38 @@ class PresentedCategory:
     gen_tgt: dict = field(compare=False)
     relations: tuple = ()
 
-    def validate(self):
-        for g in self.generators:
-            if self.gen_src[g] not in self.objects or self.gen_tgt[g] not in self.objects:
-                raise ValueError(f"generator {g} has unknown endpoints")
-        for rel in self.relations:
-            for word in (rel.lhs, rel.rhs):
-                at = rel.src
-                for g in word:
-                    if self.gen_src[g] != at:
-                        raise ValueError(f"relation word {word} not composable")
-                    at = self.gen_tgt[g]
-                if at != rel.tgt:
-                    raise ValueError(f"relation word {word} has wrong target")
-        return self
-
 
 def path_category(X: SimplicialSet) -> PresentedCategory:
     """Presentation of P(X), read off sk_2(X) only.
 
     A relation runs between the ends of its triangle's d1 face: the
     endpoints of that generator, or its base vertex twice when d1 is
-    degenerate.
+    degenerate.  The presentation is not validated: X is validated or
+    built by the library, and its simplicial identities imply that every
+    generator's ends are objects and every relation's words compose
+    between its ends.  An edge's faces are vertices, so its ends are
+    objects; a triangle's d0 d2 = d1 d0, d1 d2 = d1 d1 and d0 d1 = d0 d0
+    say that d2 then d0 composes and runs between the ends of d1.
     """
-    objects = X.vertices()
+    faces = X.faces
     generators = X.nondegenerate[1] if X.dim_bound >= 1 else ()
     gen_src = {}
     gen_tgt = {}
     for e in generators:
-        fs = X.faces[e]
-        gen_src[e] = fs[1].base  # d1 = source
-        gen_tgt[e] = fs[0].base  # d0 = target
+        fs = faces[e]
+        gen_src[e] = fs[1][1]  # d1 = source
+        gen_tgt[e] = fs[0][1]  # d0 = target
     relations = []
     if X.dim_bound >= 2:
+        new = tuple.__new__
         for s in X.nondegenerate[2]:
-            d0, d1, d2 = X.faces[s]
-            lhs = tuple(e.base for e in (d2, d0) if not e.is_degenerate)
-            rhs = (d1.base,) if not d1.is_degenerate else ()
-            ends = (gen_src[d1.base], gen_tgt[d1.base]) if rhs else (d1.base, d1.base)
-            relations.append(Relation(lhs, rhs, *ends))
-    return PresentedCategory(objects, tuple(generators), gen_src, gen_tgt, tuple(relations)).validate()
+            (w0, b0, _), (w1, b1, _), (w2, b2, _) = faces[s]
+            lhs = (() if w2 else (b2,)) + (() if w0 else (b0,))
+            if w1:  # a degenerate d1 is the identity of its base vertex
+                relations.append(new(Relation, (lhs, (), b1, b1)))
+            else:
+                relations.append(new(Relation, (lhs, (b1,), gen_src[b1], gen_tgt[b1])))
+    return PresentedCategory(X.vertices(), tuple(generators), gen_src, gen_tgt, tuple(relations))
 
 
 def is_loop_free(P: PresentedCategory) -> bool:
@@ -234,9 +246,10 @@ def _walk(P: PresentedCategory) -> _Walk:
     in one candidate are equal because the prefixes are.  By the time z is
     reached, every hom(x, y) with y earlier in the order is final, so the
     relations ending at z only have to union candidates, named through the
-    transition map (id, g) -> id.  No fixpoint is needed.  The cost grows
-    with classes times generators plus classes times relations, never with
-    the number of paths.
+    transition map (id, g) -> id.  No fixpoint is needed.  The relations
+    stop once the candidates are one class: k candidates allow k - 1
+    unions.  The cost grows with classes times generators plus classes
+    times relations, never with the number of paths.
 
     A class's rep, shortest then lexicographic, is the least rep(p) + (g,)
     over its candidates (p, g), compared as numerals whose digits are the
@@ -251,12 +264,12 @@ def _walk(P: PresentedCategory) -> _Walk:
     for g in P.generators:
         into[P.gen_tgt[g]].append((P.gen_src[g], g))
     relations_into = {z: [] for z in P.objects}
-    for rel in P.relations:
+    for lhs, rhs, src, tgt in P.relations:
         # a side that is the empty word forces src == tgt; without loops the
         # other side is empty too, and the relation says nothing.  Each side
         # is kept as its prefix and its last generator
-        if rel.lhs and rel.rhs:
-            relations_into[rel.tgt].append((rel.src, rel.lhs[:-1], rel.lhs[-1], rel.rhs[:-1], rel.rhs[-1]))
+        if lhs and rhs:
+            relations_into[tgt].append((src, lhs[:-1], lhs[-1], rhs[:-1], rhs[-1]))
     rank = {g: i for i, g in enumerate(sorted(P.generators), 1)}
     base = len(rank) + 1
     position = {x: i for i, x in enumerate(order)}
@@ -271,7 +284,10 @@ def _walk(P: PresentedCategory) -> _Walk:
         numeral.append(0)
         for z in order[position[x] + 1 :]:
             keys = [(c, g) for y, g in into[z] if y in homs for c in homs[y]]
-            if len(keys) > 1:
+            if not keys:
+                continue
+            left = len(keys) - 1  # unions that could still merge candidates
+            if left:
                 uf = UnionFind(keys)
                 for src, lhs, lg, rhs, rg in relations_into[z]:
                     for c in homs.get(src, ()):
@@ -280,16 +296,19 @@ def _walk(P: PresentedCategory) -> _Walk:
                             a = step[a, g]
                         for g in rhs:
                             b = step[b, g]
-                        uf.union((a, lg), (b, rg))
+                        if uf.union((a, lg), (b, rg)):
+                            left -= 1
+                            if not left:
+                                break
+                    if not left:
+                        break
+            if left:
                 groups = sorted(
                     (min((numeral[c] * base + rank[g], c, g) for c, g in group), group)
                     for group in uf.groups().values()
                 )
-            elif keys:  # one candidate is one class, whatever the relations
-                ((c, g),) = keys
-                groups = [((numeral[c] * base + rank[g], c, g), keys)]
-            else:
-                continue
+            else:  # one class, whatever the relations not yet applied say
+                groups = [(min((numeral[c] * base + rank[g], c, g) for c, g in keys), keys)]
             first = len(parent)
             for (n, c, g), group in groups:
                 for key in group:
@@ -447,13 +466,21 @@ def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
     advanced through the factor tables' transitions along that generator's
     components.  Classes are checked in rep order, the order of their ids;
     one whose projection leaves the factor's hom-set raises KeyError.
+
+    Only the non-empty hom-sets of a source (x, y) are checked.  Their
+    class total must then be the product of the row sums of x in the table
+    of X and of y in the table of Y, the classes over every target; so each
+    unreached target has an empty hom-set in one factor.  A source that
+    fails any of this is rescanned over all targets in object order, which
+    returns False or raises KeyError where a scan of every pair would.
     """
     walk = _walk(path_category(prod.complex))
     pairs = prod.pairs
     projected = [None] * len(walk.parent)  # id -> factor class ids of its projections (None off the tables)
-    for a, homs in walk.homs.items():
+
+    def agree(a, homs, targets) -> bool:
         ea, fa = pairs[a]
-        for b in walk.homs:
+        for b in targets:
             eb, fb = pairs[b]
             ex, ey = TX.entries[ea.base, eb.base], TY.entries[fa.base, fb.base]
             ids = homs.get(b, ())
@@ -472,6 +499,18 @@ def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
                 if p in seen:
                     return False
                 seen.add(p)
+        return True
+
+    xs, ys = prod.left.vertices(), prod.right.vertices()
+    for a, homs in walk.homs.items():
+        (_, x, _), (_, y, _) = pairs[a]
+        try:
+            total = sum(len(TX.entries[x, v].classes) for v in xs) * sum(len(TY.entries[y, w].classes) for w in ys)
+            ok = agree(a, homs, homs) and max(r.stop for r in homs.values()) - homs[a].start == total
+        except KeyError:
+            ok = False
+        if not ok and not agree(a, homs, walk.homs):
+            return False
     return True
 
 

@@ -26,10 +26,11 @@ one face-table and one `_degenerate_word` read, and one `SimplexExpr`,
 whatever the length of its word.  With complexes as keys the tables would
 grow with the cells; with words they grow with the dimensions in use, 2^d
 words below d, and `jsonio`, `product` and the certificate builders stop
-at `GLOBAL_DIM_BOUND`.  `product` reads each component expression's
-faces from its factor's `face_row`, so a factor used in many products
-pays for a degenerate row once; a face pair that is a cell of the build
-is one table read, and only a degenerate one is normalized.
+at `GLOBAL_DIM_BOUND`.  `product` keeps each factor's component
+expressions, with their keys and their faces' keys, on the factor through
+dimension `KEPT_DIM`, as `face_row` keeps degenerate rows, so a factor used
+in many products pays for its components once; a face pair that is a cell
+of the build is one table read, and only a degenerate one is normalized.
 
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
@@ -39,9 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations
 from math import comb
-from operator import add, itemgetter
+from operator import itemgetter
 
 GLOBAL_DIM_BOUND = 12
 
@@ -163,6 +164,13 @@ def _peel_words(w1: tuple[int, ...], w2: tuple[int, ...], dim: int):
 
 
 @lru_cache(maxsize=None)
+def _words(d: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The degeneracy words of a d-expression on a p-cell, in the order of
+    combinations of range(d - 1, -1, -1); each strictly decreases."""
+    return tuple(combinations(range(d - 1, -1, -1), d - p))
+
+
+@lru_cache(maxsize=None)
 def _disjoint_words(words1: tuple, words2: tuple) -> tuple[tuple[int, ...], ...]:
     """For each word of `words1`, the indexes of the words of `words2`
     disjoint from it: a word table too, one entry per word lists in use."""
@@ -182,10 +190,13 @@ class UnionFind:
             w = p[w]
         return w
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; True when they were apart."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
     def groups(self) -> dict:
         """Root -> members; members, and classes by their first member, in
@@ -236,6 +247,7 @@ class SimplicialSet:
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
         self._rows: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}  # face rows of degenerate exprs
+        self._components: dict = {}  # product's component blocks and ranks (`_components`)
         self._replay: tuple = (None, (), ())  # verify_certificate's accepted prefix: source, steps, added ids
         self._validated = False
         if check:
@@ -328,13 +340,10 @@ class SimplicialSet:
         cached = self._expr_cache.get(d)
         if cached is not None:
             return cached
-        # combinations of a descending range are descending words
+        # the words are normal: combinations of a descending range
         new = tuple.__new__
         result = tuple(
-            new(SimplexExpr, (w, s, d))
-            for p, bases in self._expr_blocks(d)
-            for s in bases
-            for w in combinations(range(d - 1, -1, -1), d - p)
+            new(SimplexExpr, (w, s, d)) for p, bases in self._expr_blocks(d) for s in bases for w in _words(d, p)
         )
         self._expr_cache[d] = result
         return result
@@ -633,17 +642,35 @@ def product_cell_count(X: SimplicialSet, Y: SimplicialSet, dim_bound: int) -> in
     )
 
 
-def _components(Z: SimplicialSet, z: int, words, d: int, keys: dict, face_keys: dict, fresh) -> list[tuple]:
-    """(expression, key, face keys, face row) for each word on the cell z in
-    dimension d.  Keys tell the expressions of Z of one dimension apart: an
-    expression met for the first time takes the next value of `fresh`."""
-    out = []
-    for w in words:
-        # the words come from combinations of a descending range, so are normal
-        e = tuple.__new__(SimplexExpr, (w, z, d))
-        row = Z.face_row(e) if d else ()
-        out.append((e, keys.setdefault(e, next(fresh)), tuple(map(face_keys.setdefault, row, fresh)), row))
-    return out
+KEPT_DIM = 2  # `product` keeps its factors' components through this dimension
+
+
+def _components(Z: SimplicialSet, d: int, p: int, local: dict) -> list[list[tuple]]:
+    """(expression, key, face keys, face row) for each word on each p-cell of
+    Z in dimension d.  A key is the rank of an expression among the
+    d-expressions of Z met so far, so keys tell the expressions of one
+    dimension apart, and a pair of keys the pairs of a product's; each is
+    one int, held by the ranks and shared by every row that names it.
+
+    Through dimension `KEPT_DIM` the blocks, per (d, p), and the ranks, per
+    d, are kept on Z, so a factor used in many products, on either side,
+    pays for its components once; there they grow with Z's cells.  Above
+    it they grow with comb(d, p) words per cell, and live in `local`, a
+    memo of one product, dropped with it."""
+    home = lambda k: Z._components if k <= KEPT_DIM else local
+    memo = home(d).get((d, p))
+    if memo is None:
+        ranks = home(d).setdefault(d, {})
+        face_ranks = home(d - 1).setdefault(d - 1, {}) if d else {}
+        rank = lambda e: ranks.setdefault(e, len(ranks))
+        face_rank = lambda e: face_ranks.setdefault(e, len(face_ranks))
+        new, memo = tuple.__new__, []
+        for z in Z.nondegenerate[p]:
+            es = [new(SimplexExpr, (w, z, d)) for w in _words(d, p)]  # normal words, as in `all_exprs`
+            rows = list(map(Z.face_row, es)) if d else [()] * len(es)
+            memo.append([(e, rank(e), tuple(map(face_rank, row)), row) for e, row in zip(es, rows)])
+        home(d)[d, p] = memo
+    return memo
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
@@ -656,6 +683,9 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     so a face pair that is a cell is one read, and only a degenerate face
     pair goes through `_pair_expr`, once per build.  The table holds one
     dimension at a time, since a d-cell's faces are (d-1)-dimensional.
+    The component expressions, their keys and their faces' keys come from
+    `_components`, which keeps them on the factors through `KEPT_DIM`, so
+    a factor used in many products pays for its components once.
     """
     full = X.dim + Y.dim
     if dim_bound is None:
@@ -665,29 +695,19 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     pairs: dict[int, tuple[SimplexExpr, SimplexExpr]] = {}
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     faces = {}
-    below: dict[int, SimplexExpr] = {}  # pair key -> normal form, one dimension down
-    keys_x, keys_y = {}, {}  # expression -> key, in the dimension being built
-    # a pair's key is the sum of its components': the x-keys are multiples
-    # of 2**32, and the y-keys are below it
-    fresh_x, fresh_y = count(0, 1 << 32), count()
+    below: dict[tuple, SimplexExpr] = {}  # pair of keys -> normal form, one dimension down
+    local: dict = {X: {}, Y: {}}  # each factor's components above KEPT_DIM, one dimension at a time
     next_id = 0
     for d in range(dim_bound + 1):
-        # words[r]: the degeneracy words of a d-expression on an r-cell
-        words = [tuple(combinations(range(d - 1, -1, -1), d - r)) for r in range(d + 1)]
-        face_keys_x, face_keys_y, keys_x, keys_y = keys_x, keys_y, {}, {}
-        made: dict[int, SimplexExpr] = {}  # this dimension's cells, by pair key
+        made: dict[tuple, SimplexExpr] = {}  # this dimension's cells, by the pair of their components' keys
         level, read, new = nondeg[d], below.__getitem__, tuple.__new__
-        # each component expression, its key and its faces, built once per
-        # dimension and only for the cell dimensions that some pair uses
-        ys: dict[int, list] = {}
         for p in range(max(d - Y.dim, 0), min(d, X.dim) + 1):
-            xs = [_components(X, x, words[p], d, keys_x, face_keys_x, fresh_x) for x in X.nondegenerate[p]]
+            xs = _components(X, d, p, local[X])
             for q in range(d - p, min(d, Y.dim) + 1):
-                if q not in ys:
-                    ys[q] = [_components(Y, y, words[q], d, keys_y, face_keys_y, fresh_y) for y in Y.nondegenerate[q]]
-                disjoint = _disjoint_words(words[p], words[q])  # the non-degenerate pairs
+                ys = _components(Y, d, q, local[Y])
+                disjoint = _disjoint_words(_words(d, p), _words(d, q))  # the non-degenerate pairs
                 for e1s in xs:
-                    for e2s in ys[q]:
+                    for e2s in ys:
                         for (e1, k1, g1, f1), js in zip(e1s, disjoint):
                             for j in js:
                                 e2, k2, g2, f2 = e2s[j]
@@ -696,17 +716,20 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
                                 pairs[next_id] = pair
                                 level.append(next_id)
                                 if d < dim_bound:  # no top cell is a face
-                                    made[k1 + k2] = new(SimplexExpr, ((), next_id, d))
+                                    made[k1, k2] = new(SimplexExpr, ((), next_id, d))
                                 if d:
                                     try:
-                                        faces[next_id] = tuple(map(read, map(add, g1, g2)))
+                                        faces[next_id] = tuple(map(read, zip(g1, g2)))
                                     except KeyError:  # a degenerate face pair, normalized once per build
-                                        for k, a, b in zip(map(add, g1, g2), f1, f2):
+                                        for k, a, b in zip(zip(g1, g2), f1, f2):
                                             if k not in below:
                                                 below[k] = _pair_expr(pair_id, a, b)
-                                        faces[next_id] = tuple(map(read, map(add, g1, g2)))
+                                        faces[next_id] = tuple(map(read, zip(g1, g2)))
                                 next_id += 1
         below = made
+        for memo in local.values():  # the next dimension reads only d's ranks
+            for key in [k for k in memo if k != d]:
+                del memo[key]
     flag = None
     if (
         X.coskeletal_at is not None

@@ -14,6 +14,7 @@ from quasicat.pathcat import (
     HomSetTable,
     NotLoopFreeError,
     PresentedCategory,
+    _Walk,
     _topological_order,
     _word_key,
     path_category,
@@ -125,6 +126,24 @@ def validate_map(f: SimplicialMap) -> SimplicialMap:
                 if f.target.face(img, i) != f.push(f.source.face(e, i)):
                     raise SimplicialError(f"map does not commute with d_{i} at {s}")
     return f
+
+
+def validate_presentation(P: PresentedCategory) -> PresentedCategory:
+    """P, once every generator's ends are objects and every relation's
+    words compose from its src to its tgt."""
+    for g in P.generators:
+        if P.gen_src[g] not in P.objects or P.gen_tgt[g] not in P.objects:
+            raise ValueError(f"generator {g} has unknown endpoints")
+    for rel in P.relations:
+        for word in (rel.lhs, rel.rhs):
+            at = rel.src
+            for g in word:
+                if P.gen_src[g] != at:
+                    raise ValueError(f"relation word {word} not composable")
+                at = P.gen_tgt[g]
+            if at != rel.tgt:
+                raise ValueError(f"relation word {word} has wrong target")
+    return P
 
 
 def validate_horn(h, X: SimplicialSet):
@@ -594,3 +613,86 @@ def old_prefix_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
                 return False
             seen.add(pair)
     return True
+
+
+# -- the walk applying every relation -------------------------------------------
+
+
+def old_walk(P: PresentedCategory) -> _Walk:
+    """`_walk` as it was before its relations stopped at one class: every
+    relation into z is applied, and one candidate skips them.
+
+    The classes of a loop-free presentation, by integer id.
+
+    One forward pass per source x over a topological order.  A path x -> z
+    is a path x -> y followed by a generator g: y -> z, so the candidates for
+    the classes of hom(x, z) are the pairs (class of hom(x, y), g); two paths
+    in one candidate are equal because the prefixes are.  By the time z is
+    reached, every hom(x, y) with y earlier in the order is final, so the
+    relations ending at z only have to union candidates, named through the
+    transition map (id, g) -> id.  No fixpoint is needed.  The cost grows
+    with classes times generators plus classes times relations, never with
+    the number of paths.
+
+    A class's rep, shortest then lexicographic, is the least rep(p) + (g,)
+    over its candidates (p, g), compared as numerals whose digits are the
+    generators' ranks 1..n in base n + 1; its size is the sum of the sizes
+    of those p.  The ids of hom(x, z) are handed out together, in rep
+    order, so each hom-set is a range and a rep's prefix has a smaller id.
+    """
+    order = _topological_order(P)
+    if len(order) < len(P.objects):
+        raise NotLoopFreeError("exact hom-sets need a loop-free complex; use bounded_hom_classes")
+    into = {z: [] for z in P.objects}
+    for g in P.generators:
+        into[P.gen_tgt[g]].append((P.gen_src[g], g))
+    relations_into = {z: [] for z in P.objects}
+    for rel in P.relations:
+        # a side that is the empty word forces src == tgt; without loops the
+        # other side is empty too, and the relation says nothing.  Each side
+        # is kept as its prefix and its last generator
+        if rel.lhs and rel.rhs:
+            relations_into[rel.tgt].append((rel.src, rel.lhs[:-1], rel.lhs[-1], rel.rhs[:-1], rel.rhs[-1]))
+    rank = {g: i for i, g in enumerate(sorted(P.generators), 1)}
+    base = len(rank) + 1
+    position = {x: i for i, x in enumerate(order)}
+    walk = _Walk({}, {}, [], [], [])
+    step, parent, last, size = walk.step, walk.parent, walk.last, walk.size
+    numeral = []  # id -> numeral of its rep
+    for x in P.objects:
+        homs = walk.homs[x] = {x: range(len(parent), len(parent) + 1)}
+        parent.append(-1)
+        last.append(None)
+        size.append(1)
+        numeral.append(0)
+        for z in order[position[x] + 1 :]:
+            keys = [(c, g) for y, g in into[z] if y in homs for c in homs[y]]
+            if len(keys) > 1:
+                uf = UnionFind(keys)
+                for src, lhs, lg, rhs, rg in relations_into[z]:
+                    for c in homs.get(src, ()):
+                        a = b = c
+                        for g in lhs:
+                            a = step[a, g]
+                        for g in rhs:
+                            b = step[b, g]
+                        uf.union((a, lg), (b, rg))
+                groups = sorted(
+                    (min((numeral[c] * base + rank[g], c, g) for c, g in group), group)
+                    for group in uf.groups().values()
+                )
+            elif keys:  # one candidate is one class, whatever the relations
+                ((c, g),) = keys
+                groups = [((numeral[c] * base + rank[g], c, g), keys)]
+            else:
+                continue
+            first = len(parent)
+            for (n, c, g), group in groups:
+                for key in group:
+                    step[key] = len(parent)
+                parent.append(c)
+                last.append(g)
+                size.append(sum(size[p] for p, _ in group))
+                numeral.append(n)
+            homs[z] = range(first, len(parent))
+    return walk

@@ -38,7 +38,7 @@ from quasicat.pathcat import (
 )
 from quasicat.simplicial import UnionFind, make_subcomplex, product
 
-from helpers import corpus_nerves
+from helpers import corpus_nerves, validate_presentation
 
 PRODUCT_CELL_LIMIT = 400
 
@@ -256,14 +256,14 @@ def test_rules_of_several_lengths_and_a_shared_longer_side_match_oracle():
         Relation((b, c), (g,), 1, 3),
     )
     src, tgt = ({g: e[i] for g, e in ends.items()} for i in (0, 1))
-    P = PresentedCategory((0, 1, 2, 3), tuple(ends), src, tgt, relations).validate()
+    P = validate_presentation(PresentedCategory((0, 1, 2, 3), tuple(ends), src, tgt, relations))
     entry = bounded_hom_classes(P, 0, 3, 3)
     assert [(c.rep, c.size) for c in entry.classes] == [((h,), 5), ((m,), 1)]
     assert entry.class_of((k,)) == entry.class_of((f, c)) == entry.class_of((a, g)) == (h,)
     # looped: x^3 = x and x^3 = y share a side, and y^2 = 1 has an empty one
     x, y = 0, 1
     loops = (Relation((x, x, x), (x,), "*", "*"), Relation((x, x, x), (y,), "*", "*"), Relation((y, y), (), "*", "*"))
-    Q = PresentedCategory(("*",), (x, y), {x: "*", y: "*"}, {x: "*", y: "*"}, loops).validate()
+    Q = validate_presentation(PresentedCategory(("*",), (x, y), {x: "*", y: "*"}, {x: "*", y: "*"}, loops))
     for Z in (P, Q):
         for max_len in range(6):
             for s in Z.objects:

@@ -107,6 +107,18 @@ def _fractional_id(obj):
     return obj
 
 
+def _vertex_faces(value):
+    # a vertex has no faces: its entry must carry "faces": [], and nothing else loads
+    def corrupt(obj):
+        if value is None:
+            del obj["simplices"][0][0]["faces"]
+        else:
+            obj["simplices"][0][0]["faces"] = value
+        return obj
+
+    return corrupt
+
+
 def _dim_bound(value):
     def corrupt(obj):
         obj["dim_bound"] = value
@@ -123,6 +135,9 @@ MALFORMED = {
     "fractional id": (_fractional_id, "expected an integer, got 0.5"),
     "missing dim_bound": (_missing_dim_bound, "missing 'dim_bound'"),
     "degeneracy index out of range": (_degeneracy_out_of_range, r"out of range in word \[7\]"),
+    "vertex without faces": (_vertex_faces(None), "vertex 0: missing 'faces'"),
+    "vertex faces not a list": (_vertex_faces("junk"), r"vertex 0: faces must be \[\], got 'junk'"),
+    "vertex with a face": (_vertex_faces([{"word": [], "base": 7}]), r"vertex 0: faces must be \[\], got \[\{"),
 }
 
 

@@ -32,7 +32,7 @@ from quasicat.simplicial import (
     standard_simplex,
 )
 
-from helpers import corpus_nerves
+from helpers import corpus_nerves, validate_presentation
 
 CELL_LIMIT = 200  # criterion 2's default
 
@@ -84,7 +84,7 @@ def old_path_category(X: SimplicialSet) -> PresentedCategory:
             rhs = (d1.base,) if not d1.is_degenerate else ()
             verts = X.vertex_ids(X.expr(s))
             relations.append(Relation(lhs, rhs, verts[0], verts[2]))
-    return PresentedCategory(objects, tuple(generators), gen_src, gen_tgt, tuple(relations)).validate()
+    return validate_presentation(PresentedCategory(objects, tuple(generators), gen_src, gen_tgt, tuple(relations)))
 
 
 def outcome(agree, *args):

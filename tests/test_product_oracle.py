@@ -7,6 +7,10 @@ pairs.  Every product must keep its ids, `pairs`, `pair_id`, face rows and
 flag.  Singular factors (`walking_homotopy`, B(Z/2)) have degenerate faces,
 so their products take the table's fallback.
 
+A factor keeps its component expressions and keys through `KEPT_DIM`
+across products.  A product must match the oracle whatever its factors
+served in before: nothing, other products on either side, or X x X.
+
 `old_validate` compares the faces of faces pair by pair; `validate` checks
 a dimension's identities by gathers over its columns of faces.  On a face
 table with one entry replaced, both must raise the same first message.
@@ -17,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from quasicat.cat import cyclic_group_category, nerve, poset_category
 from quasicat.corpus import corpus_complexes, walking_homotopy
 from quasicat.simplicial import (
+    KEPT_DIM,
     SimplexExpr,
     SimplicialError,
     SimplicialSet,
@@ -81,6 +86,49 @@ def test_product_with_drawn_complexes_matches_oracle(X, b, dim_bound):
     assume(product_cell_count(X, Y, dim_bound) <= CELL_LIMIT)
     assert_same_product(X, Y, dim_bound)
     assert_same_product(Y, X, dim_bound)
+
+
+def fresh(X):
+    """X as a new complex, whose component memo is empty."""
+    return SimplicialSet(X.dim_bound, [list(level) for level in X.nondegenerate], X.faces, X.coskeletal_at, X.labels)
+
+
+def test_a_cold_product_matches_oracle():
+    for a, b in [("B(Z/2)", "walking_homotopy_r"), ("boundary_2", "Delta2"), ("horn_2_1", "horn_2_1")]:
+        X, Y = fresh(FACTORS[a]), fresh(FACTORS[b])
+        assert not X._components and not Y._components
+        assert_same_product(X, Y, 3)
+
+
+def test_a_factor_that_served_elsewhere_matches_oracle():
+    X, Y, Z = (fresh(FACTORS[name]) for name in ("B(Z/2)", "boundary_2", "walking_homotopy_r"))
+    product(X, Z, 2)  # X on the left
+    product(Z, X, 3)  # X on the right
+    product(X, X, 2)  # X on both sides
+    assert X._components
+    assert_same_product(X, Y, 3)
+    assert_same_product(Y, X, 3)
+    assert_same_product(X, X, 3)
+
+
+POOL = ["B(Z/2)", "B(chain2)", "boundary_2", "horn_2_1", "walking_homotopy_r", "Delta1", "Delta2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL), st.integers(0, 4)), min_size=1, max_size=6))
+def test_products_sharing_factors_match_oracle(builds):
+    # each build meets the memos the builds before it left on the same factors
+    pool = {name: fresh(FACTORS[name]) for name in POOL}
+    for a, b, dim_bound in builds:
+        if product_cell_count(pool[a], pool[b], dim_bound) <= CELL_LIMIT:
+            assert_same_product(pool[a], pool[b], dim_bound)
+
+
+def test_components_above_the_kept_dimension_are_dropped_with_the_build():
+    X, Y = fresh(standard_simplex(2)), fresh(standard_simplex(3))
+    assert_same_product(X, Y, None)
+    kept = {key if isinstance(key, int) else key[0] for Z in (X, Y) for key in Z._components}
+    assert kept == set(range(KEPT_DIM + 1))
 
 
 def first_failure(check, X):

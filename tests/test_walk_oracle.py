@@ -6,26 +6,37 @@ class, transition and projection by its rep word.  They do not list paths,
 so unlike the enumerating oracle of `test_hom_sets_oracle` they reach
 presentations of the size the word-problem benchmark runs: poset nerves of
 8 to 20 objects and the 2-skeleta of Delta^a x Delta^b.
+
+`old_walk` applies every relation into an object; `_walk` stops once the
+candidates are one class.  Both must hand out the same ids, transitions,
+parents, last generators and sizes, so the early exit is checked on the
+record, not only on the classes.  `path_category` no longer validates its
+presentation; a property keeps the guarantee it relies on.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicat import acceptance, pathcat
 from quasicat.cat import nerve, preorder_category
 from quasicat.jsonio import dumps, presentation_to_json
 from quasicat.pathcat import _walk, hom_sets, path_category, product_tables_agree
+from quasicat.corpus import corpus_complexes
 from quasicat.simplicial import (
     SimplexExpr,
     SimplicialSet,
+    UnionFind,
+    build_standard,
     make_subcomplex,
     product,
     product_cell_count,
     standard_simplex,
 )
 
-from helpers import old_hom_sets, old_prefix_tables_agree
+import helpers
+from helpers import old_hom_sets, old_prefix_tables_agree, old_walk, tiny_complexes, truncate, validate_presentation
 
 
 def outcome(fn, *args):
@@ -205,3 +216,110 @@ def test_criterion_2_dresses_only_the_factor_tables(monkeypatch):
     assert acceptance.criterion_2_products().ok
     assert len(tables) == 19
     assert len(entries) == sum(len(T.entries) for T in tables)
+
+
+def assert_same_walk(P):
+    got, want = _walk(P), old_walk(P)
+    assert [(x, list(homs.items())) for x, homs in got.homs.items()] == [
+        (x, list(homs.items())) for x, homs in want.homs.items()
+    ]
+    assert list(got.step.items()) == list(want.step.items())
+    assert (got.parent, got.last, got.size) == (want.parent, want.last, want.size)
+    return got
+
+
+def without_triangles(X, rng: random.Random, dropped: int):
+    """The 2-skeleton of X without `dropped` of its 2-cells."""
+    X = truncate(X, min(X.dim_bound, 2))
+    triangles = X.nondegenerate[2] if X.dim_bound >= 2 else ()
+    drop = set(rng.sample(triangles, min(dropped, len(triangles))))
+    return make_subcomplex(X, set(X.cells()) - drop)[0]
+
+
+@st.composite
+def multi_class_complexes(draw):
+    """Complexes whose hom-sets often have several classes: a poset nerve,
+    the 2-skeleton of Delta^a x Delta^b or of Delta^n, or the boundary or a
+    horn of Delta^n (like `boundary2`), each with some 2-cells dropped."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["poset", "prism", "simplex", "boundary", "horn"]))
+    dropped = draw(st.integers(0, 8))
+    if kind == "poset":
+        return poset_nerve(rng, draw(st.integers(3, 12)), draw(st.floats(0.2, 1.0)), dropped)
+    if kind == "prism":
+        a = draw(st.integers(1, 4))
+        X = product(standard_simplex(a), standard_simplex(draw(st.integers(1, 5 - a))), dim_bound=2).complex
+    elif kind == "simplex":
+        X = standard_simplex(draw(st.integers(2, 5)))
+    else:
+        n = draw(st.integers(2, 5))
+        X = build_standard(kind, n, draw(st.integers(0, n)) if kind == "horn" else None)[0]
+    return without_triangles(X, rng, dropped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_class_complexes())
+def test_walk_record_matches_the_walk_applying_every_relation(X):
+    assert_same_walk(path_category(X))
+
+
+def test_the_walk_stops_applying_relations_at_one_class(monkeypatch):
+    # Delta^4 has one class in each hom(i, j): its walk stops early and makes
+    # fewer unions than the old one, with the same record; boundary2 keeps
+    # hom(0, 2) at two classes, so every relation into 2 is applied
+    unions = []
+
+    class CountedUnionFind(UnionFind):
+        def union(self, a, b):
+            unions.append((a, b))
+            return super().union(a, b)
+
+    monkeypatch.setattr(pathcat, "UnionFind", CountedUnionFind)
+    monkeypatch.setattr(helpers, "UnionFind", CountedUnionFind)
+    P = path_category(standard_simplex(4))
+    _walk(P)
+    new = len(unions)
+    unions.clear()
+    old_walk(P)
+    assert 0 < new < len(unions)
+    assert_same_walk(P)
+    boundary = path_category(build_standard("boundary", 2)[0])
+    walk = assert_same_walk(boundary)
+    assert len(walk.homs[0][2]) == 2
+
+
+def test_walk_record_matches_on_the_corpus_and_its_products():
+    complexes = corpus_complexes()
+    for name, X in complexes.items():
+        if X.dim_bound >= 1 and pathcat.is_loop_free(path_category(X)):
+            assert_same_walk(path_category(X))
+    prism = product(complexes["boundary2"], standard_simplex(1), dim_bound=2).complex
+    assert max(map(len, assert_same_walk(path_category(prism)).homs[0].values())) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_complexes((3, 5, 6)))
+def test_path_category_of_a_drawn_complex_validates(X):
+    # path_category trusts the simplicial identities of its complex
+    assert validate_presentation(path_category(X))
+
+
+def test_path_category_of_every_corpus_complex_validates():
+    for X in corpus_complexes().values():
+        assert validate_presentation(path_category(X))
+
+
+def test_validate_presentation_refuses_what_the_identities_rule_out():
+    P = path_category(standard_simplex(2))
+    (rel,) = P.relations
+    broken = (
+        pathcat.Relation(rel.lhs[::-1], rel.rhs, rel.src, rel.tgt),  # the words do not compose
+        pathcat.Relation(rel.lhs, rel.rhs, rel.src, rel.src),  # wrong target
+    )
+    for bad in broken:
+        with pytest.raises(ValueError):
+            validate_presentation(pathcat.PresentedCategory(P.objects, P.generators, P.gen_src, P.gen_tgt, (bad,)))
+    gen_tgt = {**P.gen_tgt, P.generators[0]: "nowhere"}  # an end that is no object
+    with pytest.raises(ValueError):
+        validate_presentation(pathcat.PresentedCategory(P.objects, P.generators, P.gen_src, gen_tgt))
+
