@@ -27,7 +27,7 @@ from .cat import (
     iso_subgroupoid,
     nerve,
 )
-from .equivalence import functor_category, nerve_equivalence_criterion
+from .equivalence import nerve_equivalence_criterion
 from .pathcat import (
     HomSetTable,
     NotLoopFreeError,
@@ -35,7 +35,6 @@ from .pathcat import (
     bounded_hom_classes,
     counit_check,
     hom_sets,
-    homotopy_to_nat_transformation,
     is_loop_free,
     path_category,
     product_comparison,
@@ -91,10 +90,8 @@ __all__ = [
     "facet_certificate",
     "find_descending_segment",
     "find_filler",
-    "functor_category",
     "ho_category",
     "hom_sets",
-    "homotopy_to_nat_transformation",
     "is_equivalence_of_categories",
     "is_loop_free",
     "iso_check",

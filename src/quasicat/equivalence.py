@@ -1,4 +1,4 @@
-"""Functor categories over presented shapes and the decidable
+"""Functors from presented shapes and the decidable
 nerve-equivalence criterion.
 
 The criterion tests that Iso(C^P) -> Iso(D^P) is an equivalence of
@@ -88,45 +88,6 @@ def functors_from_presentation(P: PresentedCategory, C: FiniteCategory) -> list[
 
         rec(0)
     return results
-
-
-def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
-    """C^P: objects are functors P -> C, arrows natural transformations,
-    composition objectwise."""
-    functors = functors_from_presentation(P, C)
-    objects = tuple(functors)
-    obj_index = {x: i for i, x in enumerate(P.objects)}
-    gen_index = {g: i for i, g in enumerate(P.generators)}
-    arrows = []
-    src = {}
-    tgt = {}
-    for F in functors:
-        for G in functors:
-            for comps in iproduct(
-                *[C.hom(F.objects[i], G.objects[i]) for i in range(len(P.objects))]
-            ):
-                natural = all(
-                    C.compose_table[(G.generators[gen_index[g]], comps[obj_index[P.gen_src[g]]])]
-                    == C.compose_table[(comps[obj_index[P.gen_tgt[g]]], F.generators[gen_index[g]])]
-                    for g in P.generators
-                )
-                if natural:
-                    a = (F, G, tuple(comps))
-                    arrows.append(a)
-                    src[a] = F
-                    tgt[a] = G
-    identity = {
-        F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors
-    }
-    # b after a, defined when a ends where b starts, composes componentwise
-    by_src: dict = {}
-    for a in arrows:
-        by_src.setdefault(a[0], []).append(a)
-    compose = {}
-    for a in arrows:
-        for b in by_src.get(a[1], ()):
-            compose[(b, a)] = (a[0], b[1], tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2])))
-    return FiniteCategory(objects, tuple(arrows), src, tgt, identity, compose, check=False)
 
 
 def _iso_summary(C: FiniteCategory, shape_name: str, P: PresentedCategory) -> tuple[dict, dict]:

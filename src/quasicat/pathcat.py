@@ -13,9 +13,8 @@ on class ids, without listing paths: the cost grows with classes times
 generators, not with the number of paths, which grows exponentially with
 depth, and the relations into an object stop once its candidates are one
 class.  `hom_sets` dresses the walk in `HomEntry`s; the product comparison
-reads it bare, and checks only the non-empty hom-sets of a source.  For
-complexes with loops, `bounded_hom_classes` gives a sound partial answer
-flagged as such.
+reads it bare.  For complexes with loops, `bounded_hom_classes` gives a
+sound partial answer flagged as such.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .cat import FiniteCategory, nerve
-from .simplicial import SimplexExpr, SimplicialMap, SimplicialSet, UnionFind, product, product_cell_count
+from .simplicial import SimplicialSet, UnionFind, product, product_cell_count
 
 
 class NotLoopFreeError(ValueError):
@@ -464,23 +463,16 @@ def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
     Each class costs O(1): its rep is its parent's followed by its last
     generator, so the factor class ids of its projections are its parent's,
     advanced through the factor tables' transitions along that generator's
-    components.  Classes are checked in rep order, the order of their ids;
-    one whose projection leaves the factor's hom-set raises KeyError.
-
-    Only the non-empty hom-sets of a source (x, y) are checked.  Their
-    class total must then be the product of the row sums of x in the table
-    of X and of y in the table of Y, the classes over every target; so each
-    unreached target has an empty hom-set in one factor.  A source that
-    fails any of this is rescanned over all targets in object order, which
-    returns False or raises KeyError where a scan of every pair would.
+    components.  Every source is checked over every target in object
+    order, and classes in rep order, the order of their ids; one whose
+    projection leaves the factor's hom-set raises KeyError.
     """
     walk = _walk(path_category(prod.complex))
     pairs = prod.pairs
     projected = [None] * len(walk.parent)  # id -> factor class ids of its projections (None off the tables)
-
-    def agree(a, homs, targets) -> bool:
+    for a, homs in walk.homs.items():
         ea, fa = pairs[a]
-        for b in targets:
+        for b in walk.homs:
             eb, fb = pairs[b]
             ex, ey = TX.entries[ea.base, eb.base], TY.entries[fa.base, fb.base]
             ids = homs.get(b, ())
@@ -499,61 +491,4 @@ def product_tables_agree(prod, TX: HomSetTable, TY: HomSetTable) -> bool:
                 if p in seen:
                     return False
                 seen.add(p)
-        return True
-
-    xs, ys = prod.left.vertices(), prod.right.vertices()
-    for a, homs in walk.homs.items():
-        (_, x, _), (_, y, _) = pairs[a]
-        try:
-            total = sum(len(TX.entries[x, v].classes) for v in xs) * sum(len(TY.entries[y, w].classes) for w in ys)
-            ok = agree(a, homs, homs) and max(r.stop for r in homs.values()) - homs[a].start == total
-        except KeyError:
-            ok = False
-        if not ok and not agree(a, homs, walk.homs):
-            return False
     return True
-
-
-# -- homotopies to natural transformations ----------------------------------------
-
-
-@dataclass
-class TransformationData:
-    components: dict  # vertex of X -> edge expr of Y (image of the cylinder edge)
-    square_witnesses: dict  # generator edge of X -> (triangle expr, triangle expr)
-    natural: bool
-
-
-def homotopy_to_nat_transformation(h: SimplicialMap, prod) -> TransformationData:
-    """Extract the transformation induced by a homotopy h : X x Delta^1 -> Y.
-
-    `prod` is the ProductComplex for X x Delta^1 that h is defined on.
-    The component at a vertex x is the image of the edge (x,0) -> (x,1);
-    each naturality square is witnessed by the images of the two triangles
-    of the prism over a generator, which share the diagonal, so the check
-    is a direct boundary verification rather than a word-problem call.
-    """
-    X = prod.left
-    interval = prod.right
-    (edge01,) = interval.nondegenerate[1]
-    Y = h.target
-    components = {}
-    for x in X.vertices():
-        cyl_edge = prod.pair_expr(SimplexExpr((0,), x, 1), interval.expr(edge01))
-        components[x] = h.push(cyl_edge)
-    witnesses = {}
-    natural = True
-    for e in X.nondegenerate[1]:
-        ee = X.expr(e)
-        bottom = prod.pair_expr(SimplexExpr((1,), e, 2), SimplexExpr((0,), edge01, 2))
-        top = prod.pair_expr(SimplexExpr((0,), e, 2), SimplexExpr((1,), edge01, 2))
-        t_bottom = h.push(bottom)
-        t_top = h.push(top)
-        # both triangles share the diagonal as their d1 face
-        if Y.face(t_bottom, 1) != Y.face(t_top, 1):
-            natural = False
-        src, tgt = X.vertex_ids(ee)
-        if Y.face(t_bottom, 0) != components[tgt] or Y.face(t_top, 2) != components[src]:
-            natural = False
-        witnesses[e] = (t_bottom, t_top)
-    return TransformationData(components, witnesses, natural)

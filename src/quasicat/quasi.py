@@ -393,12 +393,6 @@ def has_right_homotopy(X, alpha, beta) -> bool:
     return (SimplexExpr((0,), y, 1), beta, alpha) in X.face_index(2, (0, 1, 2))
 
 
-def has_left_homotopy(X, alpha, beta) -> bool:
-    """Is there a 2-simplex with boundary (alpha, beta, s0 x)?"""
-    x = X.vertex_ids(alpha)[0]
-    return (alpha, beta, SimplexExpr((0,), x, 1)) in X.face_index(2, (0, 1, 2))
-
-
 def _edge_sort_key(e: SimplexExpr):
     return (len(e.word), e.base, e.word)
 

@@ -485,9 +485,6 @@ class SimplicialMap:
     target: SimplicialSet
     assignment: dict[int, SimplexExpr] = field(compare=False)
 
-    def push(self, expr: SimplexExpr) -> SimplexExpr:
-        return degenerate(self.assignment[expr.base], expr.word)
-
 
 # -- standard complexes ----------------------------------------------------
 
@@ -611,16 +608,13 @@ class ProductComplex:
     pairs: dict[int, tuple[SimplexExpr, SimplexExpr]] = field(compare=False)
     pair_id: dict[tuple[SimplexExpr, SimplexExpr], int] = field(compare=False)
 
-    def pair_expr(self, e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
-        """Normal form of a componentwise pair of equal-dimension exprs.
-
-        Peels common degeneracy indices (largest first); a pair is
-        non-degenerate exactly when the component words are disjoint.
-        """
-        return _pair_expr(self.pair_id, e1, e2)
-
 
 def _pair_expr(pair_id: dict, e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
+    """Normal form of a componentwise pair of equal-dimension exprs.
+
+    Peels common degeneracy indices (largest first); a pair is
+    non-degenerate exactly when the component words are disjoint.
+    """
     w1, b1, dim = e1
     w2, b2, _ = e2
     word, w1, w2 = _peel_words(w1, w2, dim)

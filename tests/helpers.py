@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quasicat.cat import CategoryError, FiniteCategory, FiniteFunctor, _iso_classes, nerve
 from quasicat.corpus import corpus_categories
-from quasicat.equivalence import enumerate_functors
+from quasicat.equivalence import enumerate_functors, functors_from_presentation
 from quasicat.pathcat import (
     HomClass,
     HomSetTable,
@@ -62,6 +62,16 @@ def identity_functor(C: FiniteCategory) -> FiniteFunctor:
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(X, X, {s: X.expr(s) for s in X.cells()})
+
+
+def push(f: SimplicialMap, expr: SimplexExpr) -> SimplexExpr:
+    """The image under f of any simplex of its source."""
+    return degenerate(f.assignment[expr.base], expr.word)
+
+
+def pair_expr(prod: ProductComplex, e1: SimplexExpr, e2: SimplexExpr) -> SimplexExpr:
+    """The cell of `prod` whose projections are e1 and e2, in normal form."""
+    return _pair_expr(prod.pair_id, e1, e2)
 
 
 def category_iso(C: FiniteCategory, D: FiniteCategory) -> FiniteFunctor | None:
@@ -123,7 +133,7 @@ def validate_map(f: SimplicialMap) -> SimplicialMap:
             e = f.source.expr(s)
             img = f.assignment[s]
             for i in range(d + 1):
-                if f.target.face(img, i) != f.push(f.source.face(e, i)):
+                if f.target.face(img, i) != push(f, f.source.face(e, i)):
                     raise SimplicialError(f"map does not commute with d_{i} at {s}")
     return f
 
@@ -177,7 +187,99 @@ def projections(prod: ProductComplex) -> tuple[SimplicialMap, SimplicialMap]:
 def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     """g after f (f's target must be g's source)."""
     assert f.target is g.source
-    return SimplicialMap(f.source, g.target, {s: g.push(img) for s, img in f.assignment.items()})
+    return SimplicialMap(f.source, g.target, {s: push(g, img) for s, img in f.assignment.items()})
+
+
+def has_left_homotopy(X, alpha, beta) -> bool:
+    """The paper's left homotopy relation: is there a 2-simplex with
+    boundary (alpha, beta, s0 x)?  On quasi-categories it agrees with the
+    right one, which `quasi.has_right_homotopy` decides."""
+    x = X.vertex_ids(alpha)[0]
+    return (alpha, beta, SimplexExpr((0,), x, 1)) in X.face_index(2, (0, 1, 2))
+
+
+@dataclass
+class TransformationData:
+    components: dict  # vertex of X -> edge expr of Y (image of the cylinder edge)
+    square_witnesses: dict  # generator edge of X -> (triangle expr, triangle expr)
+    natural: bool
+
+
+def homotopy_to_nat_transformation(h: SimplicialMap, prod: ProductComplex) -> TransformationData:
+    """Extract the transformation induced by a homotopy h : X x Delta^1 -> Y,
+    the paper's homotopies as natural transformations.
+
+    `prod` is the ProductComplex for X x Delta^1 that h is defined on.
+    The component at a vertex x is the image of the edge (x,0) -> (x,1);
+    each naturality square is witnessed by the images of the two triangles
+    of the prism over a generator, which share the diagonal, so the check
+    is a direct boundary verification rather than a word-problem call.
+    """
+    X = prod.left
+    interval = prod.right
+    (edge01,) = interval.nondegenerate[1]
+    Y = h.target
+    components = {}
+    for x in X.vertices():
+        cyl_edge = pair_expr(prod, SimplexExpr((0,), x, 1), interval.expr(edge01))
+        components[x] = push(h, cyl_edge)
+    witnesses = {}
+    natural = True
+    for e in X.nondegenerate[1]:
+        ee = X.expr(e)
+        bottom = pair_expr(prod, SimplexExpr((1,), e, 2), SimplexExpr((0,), edge01, 2))
+        top = pair_expr(prod, SimplexExpr((0,), e, 2), SimplexExpr((1,), edge01, 2))
+        t_bottom = push(h, bottom)
+        t_top = push(h, top)
+        # both triangles share the diagonal as their d1 face
+        if Y.face(t_bottom, 1) != Y.face(t_top, 1):
+            natural = False
+        src, tgt = X.vertex_ids(ee)
+        if Y.face(t_bottom, 0) != components[tgt] or Y.face(t_top, 2) != components[src]:
+            natural = False
+        witnesses[e] = (t_bottom, t_top)
+    return TransformationData(components, witnesses, natural)
+
+
+def functor_category(C: FiniteCategory, P: PresentedCategory) -> FiniteCategory:
+    """C^P, the paper's functor category: objects are functors P -> C,
+    arrows natural transformations, composition objectwise.  Its
+    `iso_subgroupoid` is Iso(C^P), the oracle of the nerve-equivalence
+    criterion."""
+    functors = functors_from_presentation(P, C)
+    objects = tuple(functors)
+    obj_index = {x: i for i, x in enumerate(P.objects)}
+    gen_index = {g: i for i, g in enumerate(P.generators)}
+    arrows = []
+    src = {}
+    tgt = {}
+    for F in functors:
+        for G in functors:
+            for comps in cartesian(
+                *[C.hom(F.objects[i], G.objects[i]) for i in range(len(P.objects))]
+            ):
+                natural = all(
+                    C.compose_table[(G.generators[gen_index[g]], comps[obj_index[P.gen_src[g]]])]
+                    == C.compose_table[(comps[obj_index[P.gen_tgt[g]]], F.generators[gen_index[g]])]
+                    for g in P.generators
+                )
+                if natural:
+                    a = (F, G, tuple(comps))
+                    arrows.append(a)
+                    src[a] = F
+                    tgt[a] = G
+    identity = {
+        F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors
+    }
+    # b after a, defined when a ends where b starts, composes componentwise
+    by_src: dict = {}
+    for a in arrows:
+        by_src.setdefault(a[0], []).append(a)
+    compose = {}
+    for a in arrows:
+        for b in by_src.get(a[1], ()):
+            compose[(b, a)] = (a[0], b[1], tuple(C.compose_table[(g, f)] for g, f in zip(b[2], a[2])))
+    return FiniteCategory(objects, tuple(arrows), src, tgt, identity, compose, check=False)
 
 
 def relabel(X, rng):
@@ -409,7 +511,7 @@ def function_complex(K: SimplicialSet, X: SimplicialSet, dim_bound: int, limit: 
         for s, (e1, e2) in prods[len(vertex_map) - 1].pairs.items():
             vs = [vertex_map[v] for v in source.vertex_ids(e2)]
             word = tuple(j for j in range(len(vs) - 2, -1, -1) if vs[j] == vs[j + 1])
-            out[s] = prods[n].pair_expr(e1, SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1))
+            out[s] = pair_expr(prods[n], e1, SimplexExpr(word, ids[tuple(sorted(set(vs)))], len(vs) - 1))
         return out
 
     # d^i skips vertex i of Delta^n; d^j s^j sends vertex j to j + 1

@@ -24,11 +24,10 @@ from quasicat.equivalence import (
     criterion_presentations,
     enumerate_functors,
     nerve_equivalence_criterion,
-    functor_category,
     functors_from_presentation,
 )
 
-from helpers import identity_functor
+from helpers import functor_category, identity_functor
 
 
 def shape(name):

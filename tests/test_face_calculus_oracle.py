@@ -69,7 +69,7 @@ from quasicat.simplicial import (
 )
 from quasicat.verify import VerifyResult, verify_certificate
 
-from helpers import corpus_nerves
+from helpers import corpus_nerves, pair_expr
 
 # -- oracles: the previous code, unchanged but for being module functions ------
 
@@ -785,7 +785,7 @@ def test_pair_words_match_oracle():
             e1 = SimplexExpr(w1, d - len(w1), d)
             for w2 in ws:
                 e2 = SimplexExpr(w2, d - len(w2), d)
-                assert ProductComplex.pair_expr(prod, e1, e2) == old_pair_expr(prod, e1, e2), (w1, w2)
+                assert pair_expr(prod, e1, e2) == old_pair_expr(prod, e1, e2), (w1, w2)
 
 
 # -- expressions of complexes with degenerate faces ---------------------------------------
@@ -823,7 +823,7 @@ def test_pair_expr_matches_oracle_on_every_pair():
     for d in range(prod.complex.dim_bound + 3):
         for e1 in prod.left.all_exprs(d):
             for e2 in prod.right.all_exprs(d):
-                assert outcome(prod.pair_expr, e1, e2) == outcome(old_pair_expr, prod, e1, e2), (e1, e2)
+                assert outcome(pair_expr, prod, e1, e2) == outcome(old_pair_expr, prod, e1, e2), (e1, e2)
 
 
 # -- validate -----------------------------------------------------------------------------

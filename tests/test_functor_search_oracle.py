@@ -36,14 +36,13 @@ from quasicat.equivalence import (
     PresentedFunctor,
     criterion_presentations,
     enumerate_functors,
-    functor_category,
     functors_from_presentation,
 )
 from quasicat.jsonio import sset_to_json
 from quasicat.quasi import certify_quasi_category, core, quasi_iso_edges
 from quasicat.simplicial import SimplicialMap, SimplicialSet, make_subcomplex
 
-from helpers import corpus_nerves
+from helpers import corpus_nerves, functor_category
 
 # -- oracle: the previous code -----------------------------------------------------
 

@@ -19,9 +19,6 @@ PERFBENCH = TESTS.parent / "perfbench"
 
 # Definitions kept although only tests reach them, each with its reason.
 KEPT = {
-    "functor_category": "C^P, the paper's functor category; its iso_subgroupoid is Iso(C^P), the criterion-9 oracle",
-    "homotopy_to_nat_transformation": "homotopies as natural transformations, as in the paper",
-    "has_left_homotopy": "the paper's left homotopy relation; agrees with the right one on quasi-categories",
     "functor_to_json": "writes the *.fun.json that nerve-equiv reads",
 }
 

@@ -5,21 +5,20 @@ import pytest
 from quasicat.anodyne import prism_certificate
 from quasicat.cat import Groupoid, iso_subgroupoid, nerve
 from quasicat.corpus import corpus_categories, quasi_category_corpus
-from quasicat.equivalence import criterion_presentations, functor_category
+from quasicat.equivalence import criterion_presentations
 from quasicat.pathcat import hom_sets, path_category
 from quasicat.quasi import (
     certify_quasi_category,
-    has_left_homotopy,
     has_right_homotopy,
     right_homotopy_classes,
 )
 from quasicat.simplicial import SimplicialMap, build_standard, make_subcomplex, standard_simplex
 
-from helpers import category_iso, compose, validate_map
+from helpers import category_iso, compose, functor_category, has_left_homotopy, push, validate_map
 
 
 def pushforward_generator_word(f: SimplicialMap, e: int):
-    img = f.push(f.source.expr(e))
+    img = push(f, f.source.expr(e))
     return () if img.is_degenerate else (img.base,)
 
 
@@ -58,7 +57,7 @@ def test_path_functoriality_on_generators():
         step = pushforward_generator_word(incl, e)
         word_composed = ()
         for gen in step:
-            img = g.push(D2.expr(gen))
+            img = push(g, D2.expr(gen))
             word_composed += () if img.is_degenerate else (img.base,)
         assert word_direct == word_composed
     # the (0,1) edge collapses: its generator word is empty

@@ -17,12 +17,11 @@ from quasicat.equivalence import (
     PresentedFunctor,
     criterion_presentations,
     enumerate_functors,
-    functor_category,
     functors_from_presentation,
     nerve_equivalence_criterion,
 )
 
-from helpers import is_equivalence_of_groupoids
+from helpers import functor_category, is_equivalence_of_groupoids
 
 # -- oracle: the previous code -----------------------------------------------------
 

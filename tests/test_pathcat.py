@@ -11,7 +11,6 @@ from quasicat.pathcat import (
     bounded_hom_classes,
     counit_check,
     hom_sets,
-    homotopy_to_nat_transformation,
     is_loop_free,
     path_category,
     product_comparison,
@@ -25,7 +24,7 @@ from quasicat.simplicial import (
     standard_simplex,
 )
 
-from helpers import compose, identity_map, projections, truncate, validate_map
+from helpers import compose, homotopy_to_nat_transformation, identity_map, projections, truncate, validate_map
 
 
 # -- presentations ------------------------------------------------------------

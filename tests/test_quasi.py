@@ -16,7 +16,6 @@ from quasicat.quasi import (
     core,
     enumerate_horns,
     find_filler,
-    has_left_homotopy,
     has_right_homotopy,
     ho_category_data,
     quasi_iso_edges,
@@ -36,7 +35,7 @@ from quasicat.simplicial import (
     with_coskeletal,
 )
 
-from helpers import category_iso, function_complex, truncate, validate_horn, validate_map
+from helpers import category_iso, function_complex, has_left_homotopy, truncate, validate_horn, validate_map
 
 
 def composable_pair_oracle(X):

@@ -8,13 +8,12 @@ from quasicat.corpus import walking_homotopy
 from quasicat.pathcat import bounded_hom_classes, path_category
 from quasicat.quasi import (
     certify_quasi_category,
-    has_left_homotopy,
     has_right_homotopy,
     ho_category_data,
     quasi_iso_edges,
 )
 
-from helpers import category_iso
+from helpers import category_iso, has_left_homotopy
 
 
 def test_full_witness_set_certifies():
