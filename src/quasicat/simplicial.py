@@ -26,11 +26,10 @@ one face-table and one `_degenerate_word` read, and one `SimplexExpr`,
 whatever the length of its word.  With complexes as keys the tables would
 grow with the cells; with words they grow with the dimensions in use, 2^d
 words below d, and `jsonio`, `product` and the certificate builders stop
-at `GLOBAL_DIM_BOUND`.  `product` keeps each factor's component
-expressions, with their keys and their faces' keys, on the factor through
-dimension `KEPT_DIM`, as `face_row` keeps degenerate rows, so a factor used
-in many products pays for its components once; a face pair that is a cell
-of the build is one table read, and only a degenerate one is normalized.
+at `GLOBAL_DIM_BOUND`.  `product` keys a factor's expressions by their
+`all_exprs` indexes, and their faces by theirs, each one addition off the
+`_face_slots` word table, on the factor through `KEPT_DIM`; a face pair
+that is a cell is one read, and only a degenerate one is normalized.
 
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
@@ -39,7 +38,7 @@ complex; all values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -177,6 +176,22 @@ def _disjoint_words(words1: tuple, words2: tuple) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(j for j, w2 in enumerate(words2) if set(w1).isdisjoint(w2)) for w1 in words1)
 
 
+@lru_cache(maxsize=None)
+def _face_slots(d: int, p: int, us: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Where the faces d_i s_w z of a p-cell z lie, for each word w of
+    `_words(d, p)`, z's face row having the words `us`: (0, r) when d_i
+    cancels a letter, giving s_v z, and (j + 1, r) when it gives s_v of the
+    base of d_j z; r is v's index among that base's words in dimension d - 1."""
+
+    def slot(w, i):
+        v, j = _face_word(w, i, d)
+        if j is None:
+            return 0, _words(d - 1, p).index(v)
+        return j + 1, _words(d - 1, p - 1 - len(us[j])).index(_degenerate_word(v, us[j], p - 1))
+
+    return tuple(tuple(slot(w, i) for i in range(d + 1 if d else 0)) for w in _words(d, p))
+
+
 class UnionFind:
     """Disjoint sets over a fixed item list, with path halving."""
 
@@ -247,7 +262,7 @@ class SimplicialSet:
         self._expr_cache: dict[int, tuple[SimplexExpr, ...]] = {}
         self._face_index: dict = {}
         self._rows: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}  # face rows of degenerate exprs
-        self._components: dict = {}  # product's component blocks and ranks (`_components`)
+        self._components: dict = {}  # product's component blocks (`_components`)
         self._replay: tuple = (None, (), ())  # verify_certificate's accepted prefix: source, steps, added ids
         self._validated = False
         if check:
@@ -343,50 +358,38 @@ class SimplicialSet:
         # the words are normal: combinations of a descending range
         new = tuple.__new__
         result = tuple(
-            new(SimplexExpr, (w, s, d)) for p, bases in self._expr_blocks(d) for s in bases for w in _words(d, p)
+            new(SimplexExpr, (w, s, d)) for p, bases, _, _ in self._expr_blocks(d) for s in bases for w in _words(d, p)
         )
         self._expr_cache[d] = result
         return result
 
     def _expr_blocks(self, d: int):
-        """The order of `all_exprs(d)`: consecutive blocks (p, bases) of
-        the p-dimensional bases, each base followed by its comb(d, d - p)
-        degeneracy words; the non-degenerate d-cells (p = d) come first."""
-        if d <= self.dim_bound:
-            yield d, self.nondegenerate[d]
-        for p in range(min(d - 1, self.dim_bound), -1, -1):
-            yield p, self.nondegenerate[p]
+        """The order of `all_exprs(d)`: blocks (p, bases, start, per_base) of
+        the p-dimensional bases from p = d down, each block from index
+        `start`, each base followed by its comb(d, d - p) = per_base words."""
+        start = 0
+        for p in range(min(d, self.dim_bound), -1, -1):
+            bases, per_base = self.nondegenerate[p], comb(d, d - p)
+            yield p, bases, start, per_base
+            start += len(bases) * per_base
 
     def n_exprs(self, d: int) -> int:
         """len(all_exprs(d)), without building the expressions."""
-        return sum(len(bases) * comb(d, d - p) for p, bases in self._expr_blocks(d))
+        return sum(len(bases) * per_base for _, bases, _, per_base in self._expr_blocks(d))
 
     def expr_at(self, d: int, r: int) -> SimplexExpr:
-        """all_exprs(d)[r] for 0 <= r < n_exprs(d), built alone: the base
-        is found by block, and the word by unranking `all_exprs`'s
-        lexicographic combinations of range(d - 1, -1, -1)."""
+        """all_exprs(d)[r] for 0 <= r < n_exprs(d), built alone from its block."""
         if r < 0:
             raise IndexError(f"expression index {r} out of range")
-        for p, bases in self._expr_blocks(d):
-            per_base = comb(d, d - p)
-            if r >= len(bases) * per_base:
-                r -= len(bases) * per_base
-                continue
-            base, r = divmod(r, per_base)
-            word = []
-            m = d - p
-            for letter in range(d - 1, -1, -1):
-                if not m:
-                    break
-                # words whose next letter is `letter`: pick m - 1 below it
-                below = comb(letter, m - 1)
-                if r < below:
-                    word.append(letter)
-                    m -= 1
-                else:
-                    r -= below
-            return SimplexExpr(tuple(word), bases[base], d)
+        for p, bases, start, per_base in self._expr_blocks(d):
+            if r < start + len(bases) * per_base:
+                base, w = divmod(r - start, per_base)
+                return tuple.__new__(SimplexExpr, (_words(d, p)[w], bases[base], d))
         raise IndexError(f"expression index out of range for dimension {d}")
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:  # each cell's position in its level, for `_components`
+        return {s: n for level in self.nondegenerate for n, s in enumerate(level)}
 
     # -- validation --------------------------------------------------------
 
@@ -640,31 +643,32 @@ KEPT_DIM = 2  # `product` keeps its factors' components through this dimension
 
 
 def _components(Z: SimplicialSet, d: int, p: int, local: dict) -> list[list[tuple]]:
-    """(expression, key, face keys, face row) for each word on each p-cell of
-    Z in dimension d.  A key is the rank of an expression among the
-    d-expressions of Z met so far, so keys tell the expressions of one
-    dimension apart, and a pair of keys the pairs of a product's; each is
-    one int, held by the ranks and shared by every row that names it.
+    """(expression, key, face keys) for each word on each p-cell of Z in
+    dimension d, one list per cell.  A key is the expression's index in
+    `Z.all_exprs(d)`: its block's start, plus its cell's position in the
+    level times the words per cell, plus its word's index in `_words(d, p)`.
+    A face key is the face's index in `Z.all_exprs(d - 1)`, one addition to
+    the first key of the base that `_face_slots` names; no face is built.
 
-    Through dimension `KEPT_DIM` the blocks, per (d, p), and the ranks, per
-    d, are kept on Z, so a factor used in many products, on either side,
-    pays for its components once; there they grow with Z's cells.  Above
-    it they grow with comb(d, p) words per cell, and live in `local`, a
-    memo of one product, dropped with it."""
-    home = lambda k: Z._components if k <= KEPT_DIM else local
-    memo = home(d).get((d, p))
-    if memo is None:
-        ranks = home(d).setdefault(d, {})
-        face_ranks = home(d - 1).setdefault(d - 1, {}) if d else {}
-        rank = lambda e: ranks.setdefault(e, len(ranks))
-        face_rank = lambda e: face_ranks.setdefault(e, len(face_ranks))
-        new, memo = tuple.__new__, []
-        for z in Z.nondegenerate[p]:
+    Through dimension `KEPT_DIM` the blocks, per (d, p), are kept on Z, so
+    a factor used in many products, on either side, pays for its components
+    once; there they grow with Z's cells.  Above it they grow with
+    comb(d, p) words per cell, and live in `local`, a memo of one build."""
+    memo = Z._components if d <= KEPT_DIM else local
+    block = memo.get((d, p))
+    if block is None:
+        at, dim_of, new, block = Z._positions, Z.dim_of, tuple.__new__, []
+        start, per_base = next((s, c) for q, _, s, c in Z._expr_blocks(d) if q == p)
+        down = {q: (s, c) for q, _, s, c in Z._expr_blocks(d - 1)}
+        first = lambda z, q: down[q][0] + at[z] * down[q][1]  # the key of z's first word one dimension down
+        for n, z in enumerate(Z.nondegenerate[p]):
+            row = Z.faces.get(z, ())  # none on a vertex, whose every face cancels a letter
+            firsts = [first(z, p) if p < d else None] + [first(b, dim_of[b]) for _, b, _ in row]
+            k, slots = start + n * per_base, _face_slots(d, p, tuple([u for u, _, _ in row]))
             es = [new(SimplexExpr, (w, z, d)) for w in _words(d, p)]  # normal words, as in `all_exprs`
-            rows = list(map(Z.face_row, es)) if d else [()] * len(es)
-            memo.append([(e, rank(e), tuple(map(face_rank, row)), row) for e, row in zip(es, rows)])
-        home(d)[d, p] = memo
-    return memo
+            block.append([(e, k + r, tuple([firsts[j] + i for j, i in f])) for r, (e, f) in enumerate(zip(es, slots))])
+        memo[d, p] = block
+    return block
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
@@ -672,14 +676,13 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
 
     Non-degenerate n-cells are pairs of n-dimensional expressions with
     disjoint degeneracy words, made in a fixed order that sets the ids.
-    A cell's faces are its components' face rows, paired and renormalized:
-    each (d-1)-cell is entered in a table by its pair's key as it is made,
-    so a face pair that is a cell is one read, and only a degenerate face
-    pair goes through `_pair_expr`, once per build.  The table holds one
-    dimension at a time, since a d-cell's faces are (d-1)-dimensional.
-    The component expressions, their keys and their faces' keys come from
-    `_components`, which keeps them on the factors through `KEPT_DIM`, so
-    a factor used in many products pays for its components once.
+    Each (d-1)-cell is entered in a table by the keys of its components,
+    their `all_exprs` indexes, as it is made; a cell's faces pair its
+    components' face keys, so a face pair that is a cell is one read, and
+    only a degenerate one reads the components' face rows and goes through
+    `_pair_expr`, once per build.  The table holds one dimension at a time.
+    `_components` computes the keys, and keeps them on the factors through
+    `KEPT_DIM`, so a factor used in many products pays for them once.
     """
     full = X.dim + Y.dim
     if dim_bound is None:
@@ -690,11 +693,11 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
     nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
     faces = {}
     below: dict[tuple, SimplexExpr] = {}  # pair of keys -> normal form, one dimension down
-    local: dict = {X: {}, Y: {}}  # each factor's components above KEPT_DIM, one dimension at a time
     next_id = 0
     for d in range(dim_bound + 1):
         made: dict[tuple, SimplexExpr] = {}  # this dimension's cells, by the pair of their components' keys
         level, read, new = nondeg[d], below.__getitem__, tuple.__new__
+        local: dict = {X: {}, Y: {}}  # each factor's components above KEPT_DIM, for this dimension
         for p in range(max(d - Y.dim, 0), min(d, X.dim) + 1):
             xs = _components(X, d, p, local[X])
             for q in range(d - p, min(d, Y.dim) + 1):
@@ -702,9 +705,9 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
                 disjoint = _disjoint_words(_words(d, p), _words(d, q))  # the non-degenerate pairs
                 for e1s in xs:
                     for e2s in ys:
-                        for (e1, k1, g1, f1), js in zip(e1s, disjoint):
+                        for (e1, k1, g1), js in zip(e1s, disjoint):
                             for j in js:
-                                e2, k2, g2, f2 = e2s[j]
+                                e2, k2, g2 = e2s[j]
                                 pair = (e1, e2)
                                 pair_id[pair] = next_id
                                 pairs[next_id] = pair
@@ -715,15 +718,12 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
                                     try:
                                         faces[next_id] = tuple(map(read, zip(g1, g2)))
                                     except KeyError:  # a degenerate face pair, normalized once per build
-                                        for k, a, b in zip(zip(g1, g2), f1, f2):
+                                        for k, a, b in zip(zip(g1, g2), X.face_row(e1), Y.face_row(e2)):
                                             if k not in below:
                                                 below[k] = _pair_expr(pair_id, a, b)
                                         faces[next_id] = tuple(map(read, zip(g1, g2)))
                                 next_id += 1
         below = made
-        for memo in local.values():  # the next dimension reads only d's ranks
-            for key in [k for k in memo if k != d]:
-                del memo[key]
     flag = None
     if (
         X.coskeletal_at is not None

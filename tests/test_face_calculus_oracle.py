@@ -425,7 +425,19 @@ def test_products_reusing_one_factor_match_oracle():
             if product_cell_count(X, Z, 2) <= 3000:
                 assert_product_matches_oracle(X, Z, 2)
                 assert_product_matches_oracle(Z, X, 2)
-        assert X._rows, name
+        # a face pair that is a cell is read off the build's table: only the
+        # components of a cell with a degenerate face pair may have their rows
+        # memoized, so products whose face pairs are all cells memoize none
+        normalized = {
+            e
+            for Z in (standard_simplex(1), standard_simplex(2), Y, X)
+            if product_cell_count(X, Z, 2) <= 3000
+            for P in (product(X, Z, 2), product(Z, X, 2))
+            for s, pair in P.pairs.items()
+            if any(f.is_degenerate for f in P.complex.faces.get(s, ()))
+            for e in pair
+        }
+        assert set(X._rows) <= normalized and (name != "Delta^2 x Delta^2" or not normalized), name
 
 
 def test_cell_count_matches_corpus_products():

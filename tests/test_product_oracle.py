@@ -9,7 +9,9 @@ so their products take the table's fallback.
 
 A factor keeps its component expressions and keys through `KEPT_DIM`
 across products.  A product must match the oracle whatever its factors
-served in before: nothing, other products on either side, or X x X.
+served in before: nothing, other products on either side, or X x X.  A
+component's key is its expression's index in `all_exprs`, and its face keys
+those of its face row one dimension down, cold or read from the memo.
 
 `old_validate` compares the faces of faces pair by pair; `validate` checks
 a dimension's identities by gathers over its columns of faces.  On a face
@@ -22,6 +24,7 @@ from quasicat.cat import cyclic_group_category, nerve, poset_category
 from quasicat.corpus import corpus_complexes, walking_homotopy
 from quasicat.simplicial import (
     KEPT_DIM,
+    _components,
     SimplexExpr,
     SimplicialError,
     SimplicialSet,
@@ -129,6 +132,57 @@ def test_components_above_the_kept_dimension_are_dropped_with_the_build():
     assert_same_product(X, Y, None)
     kept = {key if isinstance(key, int) else key[0] for Z in (X, Y) for key in Z._components}
     assert kept == set(range(KEPT_DIM + 1))
+
+
+def assert_components_rank(Z):
+    """Keys and face keys of every (d, p) through 4, cold and then from the
+    memo, against the indexes of `all_exprs` and the face rows."""
+    local: dict = {}
+    for d in range(5):
+        index = {e: r for r, e in enumerate(Z.all_exprs(d))}
+        face_index = {e: r for r, e in enumerate(Z.all_exprs(d - 1))} if d else {}
+        assert len(index) == Z.n_exprs(d)  # the expressions are distinct, so a dict holds their indexes
+        for p in range(min(d, Z.dim) + 1):
+            for _ in ("cold", "warm"):
+                block = _components(Z, d, p, local)
+                assert len(block) == len(Z.nondegenerate[p])
+                for z, es in zip(Z.nondegenerate[p], block):
+                    for e, key, face_keys in es:
+                        assert e.base == z and e.dim == d
+                        assert key == index[e], (d, p, e)
+                        assert face_keys == tuple(face_index[f] for f in (Z.face_row(e) if d else ())), (d, p, e)
+
+
+def test_component_keys_are_all_exprs_ranks():
+    for name in NAMES:
+        assert_components_rank(fresh(FACTORS[name]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_complexes((3, 4, 3)))
+def test_component_keys_are_all_exprs_ranks_on_drawn_complexes(X):
+    assert_components_rank(X)
+
+
+def test_the_fallback_memoizes_only_the_rows_it_normalizes():
+    # a face pair that is a cell is one read; the first cell of a dimension
+    # that meets a degenerate face pair not yet normalized reads both of its
+    # components' rows, and only a degenerate component's row is memoized
+    X, Y = fresh(FACTORS["B(Z/2)"]), fresh(FACTORS["walking_homotopy_r"])
+    before = (set(X._rows), set(Y._rows))  # the rows `validate` read
+    P = product(X, Y, 3)
+    read: tuple[set, set] = (set(), set())
+    normalized: set = set()
+    for e1, e2 in P.pairs.values():
+        d = e1.dim
+        face_pairs = {(X.face(e1, i), Y.face(e2, i)) for i in range(d + 1 if d else 0)}
+        new = {(f1, f2) for f1, f2 in face_pairs if set(f1.word) & set(f2.word)} - normalized
+        if new:
+            normalized |= new
+            read[0].update([e1] if e1.is_degenerate else [])
+            read[1].update([e2] if e2.is_degenerate else [])
+    assert read[0] - before[0] and read[1] - before[1]
+    assert (set(X._rows), set(Y._rows)) == (before[0] | read[0], before[1] | read[1])
 
 
 def first_failure(check, X):
