@@ -34,6 +34,7 @@ from .simplicial import (
     GLOBAL_DIM_BOUND,
     SimplicialError,
     SimplicialSet,
+    acyclic,
     build_standard,
     closure_ids,
     product,
@@ -233,6 +234,7 @@ def _cell_steps(X: SimplicialSet, sub: list, N: int, faces_present: frozenset[in
     return steps
 
 
+@acyclic
 def facet_certificate(n: int, S) -> AnodyneCertificate:
     """Inner-anodyne decomposition of <S> inside Delta^n, where S is a
     proper set of facet indices containing 0 and n."""
@@ -253,6 +255,7 @@ def facet_certificate(n: int, S) -> AnodyneCertificate:
     return AnodyneCertificate(D, source_ids, tuple(steps), f"<S> in Delta^{n}, S={sorted(S)}")
 
 
+@acyclic
 def prism_certificate(n: int, k: int, m: int, target: SimplicialSet | None = None) -> AnodyneCertificate:
     """Certificate for (Lambda^n_k x Delta^m) u (Delta^n x bd Delta^m)
     inside Delta^n x Delta^m, 0 < k < n.

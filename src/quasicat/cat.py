@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .simplicial import SimplexExpr, SimplicialSet, UnionFind
+from .simplicial import SimplexExpr, SimplicialSet, UnionFind, acyclic
 
 
 class CategoryError(ValueError):
@@ -184,6 +184,7 @@ class FiniteFunctor:
 # -- nerve -------------------------------------------------------------------
 
 
+@acyclic
 def nerve(C: FiniteCategory, dim_bound: int) -> SimplicialSet:
     """Nerve of C through dimension `dim_bound`, flagged 2-coskeletal.
 

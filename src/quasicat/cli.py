@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -32,14 +33,7 @@ from .jsonio import (
     sset_to_json,
 )
 from .pathcat import NotLoopFreeError, bounded_hom_classes, hom_sets, is_loop_free, path_category
-from .quasi import (
-    CertificationError,
-    certify_quasi_category,
-    core,
-    ho_category,
-    saturation_step,
-    tau0,
-)
+from .quasi import CertificationError, certify_quasi_category, core, ho_category, saturation_step, tau0
 from .verify import verify_certificate
 
 
@@ -263,6 +257,7 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)  # built once per process: main may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasicat",

@@ -27,7 +27,7 @@ import json
 from .anodyne import AnodyneCertificate, CertStep
 from .cat import CategoryError, FiniteCategory, FiniteFunctor
 from .pathcat import HomSetTable, PresentedCategory
-from .simplicial import GLOBAL_DIM_BOUND, SimplexExpr, SimplicialError, SimplicialSet
+from .simplicial import GLOBAL_DIM_BOUND, SimplexExpr, SimplicialError, SimplicialSet, acyclic
 
 
 class MalformedInputError(ValueError):
@@ -110,6 +110,7 @@ def sset_to_json(X: SimplicialSet) -> dict:
     }
 
 
+@acyclic
 def sset_from_json(obj: dict) -> SimplicialSet:
     """Load and validate a complex; raises MalformedInputError on anything
     that is not a well-formed `*.sset.json` complex."""
@@ -304,5 +305,6 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@acyclic
 def loads(text: str) -> dict:
     return json.loads(text)

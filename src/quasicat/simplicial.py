@@ -29,7 +29,12 @@ words below d, and `jsonio`, `product` and the certificate builders stop
 at `GLOBAL_DIM_BOUND`.  `product` keys a factor's expressions by their
 `all_exprs` indexes, and their faces by theirs, each one addition off the
 `_face_slots` word table, on the factor through `KEPT_DIM`; a face pair
-that is a cell is one read, and only a degenerate one is normalized.
+that is a cell is one read, and only a degenerate one is normalized.  A
+word's index is a `_word_rank` read, and the words disjoint from one are
+the combinations of its complement (`_disjoint_words`).  The bulk builders,
+here and in `jsonio`, `cat` and `anodyne`, run under `acyclic`: they make
+no reference cycles, so the cyclic collector, paused while they allocate,
+would find nothing to free.
 
 Construction order fixes the ids, so equal inputs always produce the same
 complex; all values are immutable after construction.
@@ -37,8 +42,9 @@ complex; all values are immutable after construction.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations
 from math import comb
 from operator import itemgetter
@@ -52,6 +58,22 @@ class SimplicialError(ValueError):
 
 class SizeLimitError(SimplicialError):
     pass
+
+
+def acyclic(builder):
+    """Run a builder with the cyclic collector paused, unless it already is."""
+
+    @wraps(builder)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return builder(*args, **kwargs)
+        gc.disable()
+        try:
+            return builder(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class SimplexExpr(tuple):
@@ -170,10 +192,17 @@ def _words(d: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _disjoint_words(words1: tuple, words2: tuple) -> tuple[tuple[int, ...], ...]:
-    """For each word of `words1`, the indexes of the words of `words2`
-    disjoint from it: a word table too, one entry per word lists in use."""
-    return tuple(tuple(j for j, w2 in enumerate(words2) if set(w1).isdisjoint(w2)) for w1 in words1)
+def _word_rank(d: int, p: int) -> dict[tuple[int, ...], int]:
+    """Each word of `_words(d, p)` -> its index there."""
+    return {w: r for r, w in enumerate(_words(d, p))}
+
+
+@lru_cache(maxsize=None)
+def _disjoint_words(d: int, p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """For each word of `_words(d, p)`, the indexes in `_words(d, q)` of the
+    combinations of its complement, which come out in `_words` order."""
+    rank, letters = _word_rank(d, q), range(d - 1, -1, -1)
+    return tuple(tuple(rank[w] for w in combinations([i for i in letters if i not in w1], d - q)) for w1 in _words(d, p))
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +215,8 @@ def _face_slots(d: int, p: int, us: tuple) -> tuple[tuple[tuple[int, int], ...],
     def slot(w, i):
         v, j = _face_word(w, i, d)
         if j is None:
-            return 0, _words(d - 1, p).index(v)
-        return j + 1, _words(d - 1, p - 1 - len(us[j])).index(_degenerate_word(v, us[j], p - 1))
+            return 0, _word_rank(d - 1, p)[v]
+        return j + 1, _word_rank(d - 1, p - 1 - len(us[j]))[_degenerate_word(v, us[j], p - 1)]
 
     return tuple(tuple(slot(w, i) for i in range(d + 1 if d else 0)) for w in _words(d, p))
 
@@ -399,6 +428,7 @@ class SimplicialSet:
             self.validate()
         return self
 
+    @acyclic
     def validate(self):
         """Exhaustive well-formedness check: face targets, then d_i d_j =
         d_{j-1} d_i (i < j) as two gathers over columns j and i of a level,
@@ -570,6 +600,7 @@ def closure_ids(X: SimplicialSet, seeds) -> frozenset[int]:
     return frozenset(seen)
 
 
+@acyclic
 def make_subcomplex(X: SimplicialSet, cell_ids) -> tuple[SimplicialSet, SimplicialMap]:
     """Subcomplex on a face-closed id set, with its inclusion into X."""
     cell_ids = frozenset(cell_ids)
@@ -671,6 +702,7 @@ def _components(Z: SimplicialSet, d: int, p: int, local: dict) -> list[list[tupl
     return block
 
 
+@acyclic
 def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) -> ProductComplex:
     """Binary product, materialized through dimension `dim_bound`.
 
@@ -702,7 +734,7 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
             xs = _components(X, d, p, local[X])
             for q in range(d - p, min(d, Y.dim) + 1):
                 ys = _components(Y, d, q, local[Y])
-                disjoint = _disjoint_words(_words(d, p), _words(d, q))  # the non-degenerate pairs
+                disjoint = _disjoint_words(d, p, q)  # the non-degenerate pairs
                 for e1s in xs:
                     for e2s in ys:
                         for (e1, k1, g1), js in zip(e1s, disjoint):
@@ -725,12 +757,7 @@ def product(X: SimplicialSet, Y: SimplicialSet, dim_bound: int | None = None) ->
                                 next_id += 1
         below = made
     flag = None
-    if (
-        X.coskeletal_at is not None
-        and Y.coskeletal_at is not None
-        and full >= 0
-        and dim_bound >= full
-    ):
+    if X.coskeletal_at is not None and Y.coskeletal_at is not None and 0 <= full <= dim_bound:
         flag = max(X.coskeletal_at, Y.coskeletal_at)
     P = SimplicialSet(dim_bound, nondeg, faces, flag, pairs, check=False)
     return ProductComplex(P, X, Y, pairs, pair_id)

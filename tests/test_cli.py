@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from quasicat.cli import main
+from quasicat.cli import build_parser, main
 from quasicat.jsonio import dumps, functor_to_json, sset_to_json
 from quasicat.cat import cyclic_group_category, nerve, poset_category
 from quasicat.corpus import walking_homotopy
@@ -367,3 +370,33 @@ def test_corpus_run_report_matches_expected(capsys, tmp_path):
     # per-criterion wall times go to stderr only, one line each
     timed = [line for line in err if re.fullmatch(r"criterion \d+: \d+\.\d{3}s", line)]
     assert [line.split(":")[0] for line in timed] == [f"criterion {n}" for n in range(1, 11)]
+
+
+REPO = Path(__file__).resolve().parent.parent
+# subcommands, a usage error (exit 2), a refutation (exit 1) and --version
+FRESH_ARGVS = [
+    ["shuffles", "1", "2"],
+    ["certify", str(REPO / "corpus" / "horn_2_1.sset.json")],
+    ["shuffles", "1"],
+    ["pathcat", str(REPO / "corpus" / "delta2.sset.json"), "--homsets"],
+    ["--version"],
+    ["certify", str(REPO / "corpus" / "B_chain2.sset.json")],
+]
+
+
+def test_main_run_many_times_answers_as_a_fresh_interpreter(capsys, monkeypatch):
+    # the parser is built once per process; each call must still give the
+    # exit code, stdout and stderr (its timing aside) of a fresh `quasicat`
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(REPO / "src"))
+    timing = re.compile(r"[0-9.]+s$", re.M)
+    fresh = {}
+    for argv in FRESH_ARGVS:
+        done = subprocess.run([sys.executable, "-m", "quasicat.cli", *argv], capture_output=True, text=True, env=env)
+        fresh[tuple(argv)] = done.returncode, done.stdout, timing.sub("", done.stderr)
+    assert [fresh[tuple(argv)][0] for argv in FRESH_ARGVS] == [0, 1, 2, 0, 0, 0]
+    for argv in FRESH_ARGVS * 2:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, timing.sub("", captured.err)) == fresh[tuple(argv)], argv
+    assert build_parser() is build_parser()

@@ -15,7 +15,8 @@ target's slot: criterion 4's own sequence, and interleaved certificates of
 one target with sources and step lists edited in place between calls.
 `product` is checked with one factor, and its memoized face rows, reused
 across several products.  The word tables are checked exhaustively
-through dimension 9 (pairs through 7), and the expressions of every corpus
+through dimension 9 (pairs through 7), the word ranks and disjoint-word
+lists against `tuple.index` and a test of every pair, and the expressions of every corpus
 complex with degenerate faces one by one.  `SimplicialSet.expr_at`, the
 indexed draw of criterion 4's face corruption, is checked against
 `all_exprs`, and the expressions `face` and `all_exprs` build without the
@@ -58,6 +59,9 @@ from quasicat.simplicial import (
     SimplexExpr,
     SimplicialError,
     SimplicialSet,
+    _disjoint_words,
+    _word_rank,
+    _words,
     closure_ids,
     degeneracy_expr,
     degenerate,
@@ -798,6 +802,19 @@ def test_pair_words_match_oracle():
             for w2 in ws:
                 e2 = SimplexExpr(w2, d - len(w2), d)
                 assert pair_expr(prod, e1, e2) == old_pair_expr(prod, e1, e2), (w1, w2)
+
+
+def test_word_ranks_and_disjoint_words_match_brute_force():
+    # `_word_rank` against `tuple.index`, and `_disjoint_words` against a
+    # disjointness test of every pair of words, through dimension 9
+    for d in range(MAX_WORD_DIM + 1):
+        for p in range(d + 1):
+            ws = _words(d, p)
+            assert _word_rank(d, p) == {w: ws.index(w) for w in ws}, (d, p)
+            for q in range(d + 1):
+                vs = _words(d, q)
+                want = tuple(tuple(j for j, v in enumerate(vs) if set(w).isdisjoint(v)) for w in ws)
+                assert _disjoint_words(d, p, q) == want, (d, p, q)
 
 
 # -- expressions of complexes with degenerate faces ---------------------------------------
