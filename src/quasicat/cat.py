@@ -4,6 +4,15 @@ Categories are given by explicit composition tables and validated
 exhaustively (associativity, units, closure).  Equality of categories is
 object identity; corpus constructors reuse instances so caches keyed on
 category objects behave predictably.
+
+The nerve is built one arrow at a time.  The d-strings t + (f,) are
+named in the order of their prefixes t, and each face row is read off
+t's: faces 0..d-2 of t each followed by f, t's last face (t without its
+last arrow) followed by f after that arrow, then t itself.  A
+k-expression followed by an identity gains s_k, its new last position,
+as its outermost degeneracy; followed by any other arrow g, its word
+stays and its base b moves to the string b + (g,).  No string is sliced
+or hashed, and no face word is re-checked.
 """
 
 from __future__ import annotations
@@ -188,56 +197,45 @@ class FiniteFunctor:
 def nerve(C: FiniteCategory, dim_bound: int) -> SimplicialSet:
     """Nerve of C through dimension `dim_bound`, flagged 2-coskeletal.
 
-    Non-degenerate n-cells are composable strings of non-identity arrows;
-    inner faces compose adjacent arrows (a composite that collapses to an
-    identity makes the face degenerate, handled by the normal form).
+    Non-degenerate n-cells are composable strings of non-identity arrows,
+    level d >= 2 extended from level d-1 by the extension rule of the
+    module docstring; `then[g][b]` is the id of the string b + (g,), and
+    of (g,) for a vertex b, filled as the strings are named.  Faces are
+    built unchecked: the rule keeps every word normal.
     """
-    obj_vertex = {x: i for i, x in enumerate(C.objects)}
-    nondeg: list[list[int]] = [[] for _ in range(dim_bound + 1)]
-    labels: dict[int, object] = {}
-    string_id: dict[tuple, int] = {}
-    next_id = 0
-    for x in C.objects:
-        nondeg[0].append(next_id)
-        labels[next_id] = ("object", x)
-        next_id += 1
+    new, vertex = tuple.__new__, {x: i for i, x in enumerate(C.objects)}
     arrows = C.nonidentity_arrows()
     identities = set(C.arrows) - set(arrows)
     leaving = {x: [] for x in C.objects}  # object -> the non-identity arrows out of it, in order
     for f in arrows:
         leaving[C.src[f]].append(f)
-    strings = [()]
+    nondeg = [list(vertex.values())]
+    labels = {i: ("object", x) for x, i in vertex.items()}
+    faces, then = {}, {f: {} for f in arrows}
     for d in range(1, dim_bound + 1):
-        strings = [s + (f,) for s in strings for f in (leaving[C.tgt[s[-1]]] if s else arrows)]
-        for t in strings:
-            string_id[t] = next_id
-            nondeg[d].append(next_id)
-            labels[next_id] = ("string", t)
-            next_id += 1
-
-    def string_to_expr(t: tuple, at) -> SimplexExpr:
-        # identities at positions j_0 < ... < j_m: s_{j_m} ... s_{j_0} on the
-        # string without them; `at` anchors the source once all are stripped
-        kept, word = t, ()
-        if not identities.isdisjoint(t):
-            kept = tuple(a for a in t if a not in identities)
-            word = tuple(j for j in range(len(t) - 1, -1, -1) if t[j] in identities)
-        return SimplexExpr(word, string_id[kept] if kept else obj_vertex[at], len(t))
-
-    faces = {}
-    for t, s in string_id.items():
-        d = len(t)
-        fs = []
-        for i in range(d + 1):
-            if i == 0:
-                u, at = t[1:], C.tgt[t[0]]
-            elif i == d:
-                u, at = t[:-1], C.src[t[0]]
-            else:
-                u = t[: i - 1] + (C.compose_table[(t[i], t[i - 1])],) + t[i + 1 :]
-                at = C.src[t[0]]
-            fs.append(string_to_expr(u, at))
-        faces[s] = tuple(fs)
+        level = []
+        if d == 1:
+            for f in arrows:
+                s = then[f][vertex[C.src[f]]] = len(labels)
+                faces[s] = (new(SimplexExpr, ((), vertex[C.tgt[f]], 0)), new(SimplexExpr, ((), vertex[C.src[f]], 0)))
+                labels[s] = ("string", (f,))
+                level.append(s)
+        else:
+            for s in nondeg[-1]:
+                t = labels[s][1]
+                *head, (_, base, _) = faces[s]  # t minus its last arrow: a string or a vertex
+                last, top = t[-1], new(SimplexExpr, ((), s, d - 1))
+                for f in leaving[C.tgt[last]]:
+                    g, after = C.compose_table[f, last], then[f]
+                    n = after[s] = len(labels)
+                    faces[n] = (
+                        *[new(SimplexExpr, (w, after[b], d - 1)) for w, b, _ in head],
+                        new(SimplexExpr, ((d - 2,), base, d - 1) if g in identities else ((), then[g][base], d - 1)),
+                        top,
+                    )
+                    labels[n] = ("string", t + (f,))
+                    level.append(n)
+        nondeg.append(level)
     return SimplicialSet(dim_bound, nondeg, faces, 2, labels, check=False)
 
 

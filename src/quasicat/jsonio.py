@@ -96,13 +96,10 @@ def expr_to_json(e: SimplexExpr) -> dict:
 
 
 def sset_to_json(X: SimplicialSet) -> dict:
-    simplices = []
-    for d, level in enumerate(X.nondegenerate):
-        entries = []
-        for s in level:
-            faces = [expr_to_json(e) for e in X.faces[s]] if d >= 1 else []
-            entries.append({"id": s, "faces": faces})
-        simplices.append(entries)
+    faces, (vertices, *levels) = X.faces, X.nondegenerate
+    simplices = [[{"id": s, "faces": []} for s in vertices]]
+    for level in levels:  # a face row is a tuple of (word, base, dim) triples
+        simplices.append([{"id": s, "faces": [{"word": list(w), "base": b} for w, b, _ in faces[s]]} for s in level])
     return {
         "dim_bound": X.dim_bound,
         "coskeletal_at": X.coskeletal_at,

@@ -45,7 +45,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import itemgetter
 
@@ -485,7 +485,7 @@ class SimplicialSet:
         """First id of the set `ids`, in its iteration order, with a face
         base outside `ids`; None when `ids` is face-closed."""
         faces = self.faces
-        if ids.issuperset({e.base for s in ids for e in faces.get(s, ())}):
+        if ids.issuperset(map(itemgetter(1), chain.from_iterable(map(faces.get, ids, repeat(()))))):
             return None
         return next(s for s in ids if not ids.issuperset(e.base for e in faces.get(s, ())))
 

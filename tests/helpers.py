@@ -6,9 +6,10 @@ from itertools import combinations, product as cartesian
 
 from hypothesis import strategies as st
 
-from quasicat.cat import CategoryError, FiniteCategory, FiniteFunctor, _iso_classes, nerve
-from quasicat.corpus import corpus_categories
-from quasicat.equivalence import enumerate_functors, functors_from_presentation
+from quasicat.cat import CategoryError, FiniteCategory, FiniteFunctor, Groupoid, _iso_classes, nerve
+from quasicat.corpus import corpus_categories, loop_free_corpus_complexes
+from quasicat.equivalence import PresentedFunctor, enumerate_functors, functors_from_presentation
+from quasicat.jsonio import expr_to_json
 from quasicat.pathcat import (
     HomClass,
     HomSetTable,
@@ -54,6 +55,80 @@ def truncate(X: SimplicialSet, d: int) -> SimplicialSet:
 @lru_cache(maxsize=1)
 def corpus_nerves(dim_bound: int = 3) -> dict[str, SimplicialSet]:
     return {f"B({name})": nerve(C, dim_bound) for name, C in corpus_categories().items()}
+
+
+@lru_cache(maxsize=1)
+def corpus_products() -> dict[tuple[str, str], ProductComplex]:
+    """product(X, Y, 2) for every ordered pair of loop-free corpus complexes,
+    built once for the oracles of several modules."""
+    X = loop_free_corpus_complexes()
+    return {(a, b): product(X[a], X[b], 2) for a in sorted(X) for b in sorted(X)}
+
+
+def old_sset_to_json(X: SimplicialSet) -> dict:
+    """The previous `jsonio.sset_to_json`: one `expr_to_json` per face."""
+    simplices = []
+    for d, level in enumerate(X.nondegenerate):
+        entries = []
+        for s in level:
+            faces = [expr_to_json(e) for e in X.faces[s]] if d >= 1 else []
+            entries.append({"id": s, "faces": faces})
+        simplices.append(entries)
+    return {
+        "dim_bound": X.dim_bound,
+        "coskeletal_at": X.coskeletal_at,
+        "simplices": simplices,
+    }
+
+
+@lru_cache(maxsize=None)
+def old_iso_functor_groupoid(C, P) -> Groupoid:
+    """Iso(C^P) with its whole composition table, as the criterion once
+    built it; built once per (category, shape) for the oracles of
+    `tests/test_nerve_criterion_oracle.py`."""
+    functors = functors_from_presentation(P, C)
+    inv = C.invertible_arrows()
+    inv_out = {x: [f for f in inv if C.src[f] == x] for x in C.objects}
+    obj_index = {x: i for i, x in enumerate(P.objects)}
+    gen_index = {g: i for i, g in enumerate(P.generators)}
+    functor_set = set(functors)
+    arrows = []
+    src = {}
+    tgt = {}
+    inverse = {}
+    for F in functors:
+        for comps in cartesian(*[inv_out[F.objects[i]] for i in range(len(P.objects))]):
+            g_objects = tuple(C.tgt[a] for a in comps)
+            g_generators = tuple(
+                C.compose_table[
+                    (
+                        C.compose_table[(comps[obj_index[P.gen_tgt[g]]], F.generators[gen_index[g]])],
+                        inv[comps[obj_index[P.gen_src[g]]]],
+                    )
+                ]
+                for g in P.generators
+            )
+            G = PresentedFunctor(g_objects, g_generators)
+            if G not in functor_set:
+                raise CategoryError("conjugate functor escaped the enumeration")
+            a = (F, G, tuple(comps))
+            arrows.append(a)
+            src[a] = F
+            tgt[a] = G
+            inverse[a] = (G, F, tuple(inv[c] for c in comps))
+    identity = {F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors}
+    compose = {}
+    by_src: dict = {}
+    for a in arrows:
+        by_src.setdefault(a[0], []).append(a)
+    for a in arrows:
+        for b in by_src.get(a[1], ()):
+            comps = tuple(C.compose_table[(b[2][i], a[2][i])] for i in range(len(P.objects)))
+            compose[(b, a)] = (a[0], b[1], comps)
+    return Groupoid(
+        tuple(functors), tuple(arrows), src, tgt, identity, compose,
+        inverse=inverse, check=False,
+    )
 
 
 def identity_functor(C: FiniteCategory) -> FiniteFunctor:

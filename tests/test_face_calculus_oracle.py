@@ -73,7 +73,7 @@ from quasicat.simplicial import (
 )
 from quasicat.verify import VerifyResult, verify_certificate
 
-from helpers import corpus_nerves, pair_expr
+from helpers import corpus_nerves, corpus_products, pair_expr
 
 # -- oracles: the previous code, unchanged but for being module functions ------
 
@@ -381,8 +381,9 @@ CORPUS = loop_free_corpus_complexes()
 CORPUS_PAIRS = [(a, b) for a in sorted(CORPUS) for b in sorted(CORPUS)]
 
 
-def assert_product_matches_oracle(X, Y, dim_bound=None):
-    got, want = product(X, Y, dim_bound), old_product(X, Y, dim_bound)
+def assert_product_matches_oracle(X, Y, dim_bound=None, got=None):
+    got = product(X, Y, dim_bound) if got is None else got
+    want = old_product(X, Y, dim_bound)
     assert dumps(sset_to_json(got.complex)) == dumps(sset_to_json(want.complex))
     assert got.pairs == want.pairs
     assert got.pair_id == want.pair_id
@@ -391,7 +392,8 @@ def assert_product_matches_oracle(X, Y, dim_bound=None):
 
 def test_corpus_products_match_oracle():
     for a, b in CORPUS_PAIRS:
-        assert_product_matches_oracle(CORPUS[a], CORPUS[b], 2)
+        prod = corpus_products()[a, b]
+        assert_product_matches_oracle(prod.left, prod.right, 2, got=prod)
 
 
 @pytest.mark.parametrize("a, b", [(0, 3), (2, 2), (3, 1), (2, 3)])
@@ -496,6 +498,24 @@ def test_make_subcomplex_closure_matches_oracle():
         else:
             with pytest.raises(SimplicialError, match=f"cell set not face-closed at {bad}$"):
                 make_subcomplex(X, ids)
+
+
+def test_first_unclosed_matches_oracle_on_single_cell_deletions():
+    # a deleted cell is named through the cells it is a face of; a deleted top cell leaves a closed set
+    rng = random.Random(30)
+    sources = [
+        product(standard_simplex(3), standard_simplex(2)).complex,
+        product(standard_simplex(1), standard_simplex(4)).complex,
+        corpus_nerves()["B(pi_interval)"],
+    ]
+    found = set()
+    for _ in range(60):
+        X = rng.choice(sources)
+        ids = set(X.cells()) - {rng.choice(sorted(X.cells()))}
+        bad = old_first_unclosed(X, ids)
+        assert X.first_unclosed(ids) == bad
+        found.add(bad is None)
+    assert found == {True, False}
 
 
 # -- the filler-first replay ---------------------------------------------------------

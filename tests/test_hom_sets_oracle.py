@@ -36,9 +36,9 @@ from quasicat.pathcat import (
     is_loop_free,
     path_category,
 )
-from quasicat.simplicial import UnionFind, make_subcomplex, product
+from quasicat.simplicial import UnionFind, make_subcomplex
 
-from helpers import corpus_nerves, validate_presentation
+from helpers import corpus_nerves, corpus_products, validate_presentation
 
 PRODUCT_CELL_LIMIT = 400
 
@@ -167,7 +167,7 @@ def test_corpus_products_match_oracle():
     checked = 0
     for i, a in enumerate(names):
         for b in names[i:]:
-            prod = product(FIXTURES[a], FIXTURES[b], dim_bound=2)
+            prod = corpus_products()[a, b]
             if prod.complex.n_cells <= PRODUCT_CELL_LIMIT:
                 assert_matches_oracle(prod.complex)
                 checked += 1

@@ -2,74 +2,26 @@
 replaced.
 
 The oracle is the earlier code, unchanged but for being module functions:
-`old_iso_functor_groupoid` builds Iso(C^P) with its whole composition
+`old_iso_functor_groupoid` (in `helpers`, built once per category and
+shape for both oracles here) builds Iso(C^P) with its whole composition
 table, `old_induced_iso_functor` pushes every arrow of it through F, and
 `is_equivalence_of_groupoids` decides the induced functor.  The criterion
 now reads the isomorphism classes and the automorphisms of one functor per
 class off the functor search, and compares their counts.
 """
 
-from itertools import product as iproduct
-
-from quasicat.cat import CategoryError, FiniteFunctor, Groupoid, iso_subgroupoid
+from quasicat.cat import FiniteFunctor, iso_subgroupoid
 from quasicat.corpus import small_corpus_categories
 from quasicat.equivalence import (
     PresentedFunctor,
     criterion_presentations,
     enumerate_functors,
-    functors_from_presentation,
     nerve_equivalence_criterion,
 )
 
-from helpers import functor_category, is_equivalence_of_groupoids
+from helpers import functor_category, is_equivalence_of_groupoids, old_iso_functor_groupoid
 
 # -- oracle: the previous code -----------------------------------------------------
-
-
-def old_iso_functor_groupoid(C, P) -> Groupoid:
-    functors = functors_from_presentation(P, C)
-    inv = C.invertible_arrows()
-    inv_out = {x: [f for f in inv if C.src[f] == x] for x in C.objects}
-    obj_index = {x: i for i, x in enumerate(P.objects)}
-    gen_index = {g: i for i, g in enumerate(P.generators)}
-    functor_set = set(functors)
-    arrows = []
-    src = {}
-    tgt = {}
-    inverse = {}
-    for F in functors:
-        for comps in iproduct(*[inv_out[F.objects[i]] for i in range(len(P.objects))]):
-            g_objects = tuple(C.tgt[a] for a in comps)
-            g_generators = tuple(
-                C.compose_table[
-                    (
-                        C.compose_table[(comps[obj_index[P.gen_tgt[g]]], F.generators[gen_index[g]])],
-                        inv[comps[obj_index[P.gen_src[g]]]],
-                    )
-                ]
-                for g in P.generators
-            )
-            G = PresentedFunctor(g_objects, g_generators)
-            if G not in functor_set:
-                raise CategoryError("conjugate functor escaped the enumeration")
-            a = (F, G, tuple(comps))
-            arrows.append(a)
-            src[a] = F
-            tgt[a] = G
-            inverse[a] = (G, F, tuple(inv[c] for c in comps))
-    identity = {F: (F, F, tuple(C.identity[x] for x in F.objects)) for F in functors}
-    compose = {}
-    by_src: dict = {}
-    for a in arrows:
-        by_src.setdefault(a[0], []).append(a)
-    for a in arrows:
-        for b in by_src.get(a[1], ()):
-            comps = tuple(C.compose_table[(b[2][i], a[2][i])] for i in range(len(P.objects)))
-            compose[(b, a)] = (a[0], b[1], comps)
-    return Groupoid(
-        tuple(functors), tuple(arrows), src, tgt, identity, compose,
-        inverse=inverse, check=False,
-    )
 
 
 def old_induced_iso_functor(F, P, GC, GD) -> FiniteFunctor:
@@ -110,14 +62,9 @@ def criterion_9_sweep():
 
 
 def test_criterion_matches_full_groupoid_oracle_on_criterion_9_sweep():
-    built = {}
-
     def groupoid(C, name, P):
-        # categories hash by identity; the sweep keeps each one alive
-        key = (C, name)
-        if key not in built:
-            built[key] = old_iso_functor_groupoid(C, P)
-        return built[key]
+        # categories and shapes hash by identity; the corpus and the shapes are cached
+        return old_iso_functor_groupoid(C, P)
 
     verdicts = set()
     shape_results = set()
