@@ -161,6 +161,7 @@ def _all_facet_parameters(max_n: int):
 
 def _mutations(cert: AnodyneCertificate, rng: random.Random):
     """Structurally invalid variants; every operator must be rejected."""
+    lowest = min(cert.source_ids)  # the source cell every wrong_attached draw attaches
 
     def at_random_step(change):
         # the variant replaces one step, drawn first, by change(c, step)
@@ -180,7 +181,7 @@ def _mutations(cert: AnodyneCertificate, rng: random.Random):
 
     @at_random_step
     def wrong_attached(c, s):
-        return CertStep(s.n, s.k, s.top, min(c.source_ids))
+        return CertStep(s.n, s.k, s.top, lowest)
 
     @at_random_step
     def corrupt_face(c, s):

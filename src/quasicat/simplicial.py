@@ -292,7 +292,7 @@ class SimplicialSet:
         self._face_index: dict = {}
         self._rows: dict[SimplexExpr, tuple[SimplexExpr, ...]] = {}  # face rows of degenerate exprs
         self._components: dict = {}  # product's component blocks (`_components`)
-        self._replay: tuple = (None, (), ())  # verify_certificate's accepted prefix: source, steps, added ids
+        self._replay: tuple = (None, (), (), {})  # verify_certificate's accepted prefix: source, steps, added ids, their positions
         self._validated = False
         if check:
             self.validate()

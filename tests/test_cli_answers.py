@@ -52,6 +52,27 @@ def test_benchmark_band_prism_through_the_cli_and_json(tmp_path):
     assert json.loads(verdict.read_text())["verdicts"]["verified"] is True
 
 
+def test_cert_verify_refuses_a_prism_certificate_cut_short_or_with_a_step_repeated(tmp_path):
+    # the cert-build output for (Lambda^3_1 x Delta^2) u (Delta^3 x bd
+    # Delta^2): without its last step the replay misses that step's two
+    # cells, and with step 3 given twice its copy attaches a simplex
+    # already present
+    built = tmp_path / "prism.json"
+    assert main(["cert-build", "--prism", "3", "1", "2", "--out", str(built)]) == 0
+    report = json.loads(built.read_text())
+    steps = report["certificate"]["steps"]
+    cases = {
+        "dropped": (steps[:-1], None, "replay does not reach the declared target"),
+        "repeated": (steps[:4] + steps[3:], 4, "attached simplex already present"),
+    }
+    for name, (edited, failed_step, reason) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**report, "certificate": {**report["certificate"], "steps": edited}}))
+        code, verdict = answer(tmp_path, ["cert-verify", str(path)])
+        v = verdict["verification"]
+        assert code == 1 and (v["ok"], v["failed_step"], v["reason"]) == (False, failed_step, reason), name
+
+
 def test_tau0_of_a_singular_complex_through_the_cli_and_json(tmp_path):
     # a functor from Z/2 to a poset sends the generator to an identity, so
     # the classes are the 3 constant functors, one per object

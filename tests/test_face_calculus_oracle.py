@@ -11,8 +11,13 @@ subset-by-subset intersection check, which the builders' id check must
 match, and the previous `verify_certificate` (face closure of the source tested cell by
 cell with a generator over its faces, and horn compatibility tested
 pairwise on every step), which also checks replays that resume on a
-target's slot: criterion 4's own sequence, and interleaved certificates of
-one target with sources and step lists edited in place between calls.
+target's slot: criterion 4's own sequence, interleaved certificates of
+one target with sources and step lists edited in place between calls, and
+certificates with two adjacent commuting steps swapped, whose resumed
+replay attaches ids the slot holds past the point it resumes from.  A
+refused source names the id that a set copy of it meets first, as the
+oracle's does, also when the source's own order differs.  Threads that
+replay certificates of one target at once reach the oracle's verdicts.
 `product` is checked with one factor, and its memoized face rows, reused
 across several products.  The word tables are checked exhaustively
 through dimension 9 (pairs through 7), the word ranks and disjoint-word
@@ -30,6 +35,7 @@ import copy
 import pickle
 import random
 import sys
+import threading
 from functools import lru_cache
 from itertools import combinations
 
@@ -485,6 +491,31 @@ def test_verify_matches_oracle_on_mutants():
     assert None in reasons and "source not face-closed" in reasons and len(reasons) > 4
 
 
+def test_source_refusal_names_the_id_a_set_copy_meets_first():
+    # a frozenset grown one id at a time can iterate in another order than
+    # its set copy, which a fresh replay iterates: the source check must
+    # name the id that copy meets first, for ids outside the target and for
+    # cells with a face outside the source
+    cert = prism_certificate(2, 1, 2)
+    X = cert.target
+    cells, n = sorted(X.dim_of), len(X.dim_of)
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(100):
+        outside = sorted(cert.source_ids) + [n + rng.randrange(300) for _ in range(2)]
+        for ids in (outside, rng.sample(cells, rng.randrange(5, 40))):
+            rng.shuffle(ids)
+            source = frozenset(x for x in ids)
+            want = assert_verify_matches_oracle(AnodyneCertificate(X, source, cert.steps))
+            # the refusal the frozenset's own order would give
+            s = next((s for s in source if s not in X.dim_of), None)
+            own = f"source id {s} not in target" if s is not None else f"source not face-closed at {X.first_unclosed(source)}"
+            if want.reason.startswith("source") and want.reason != own:
+                kinds.add(want.reason.split()[1])
+    # both refusals met sources whose own order names another id
+    assert kinds == {"id", "not"}
+
+
 def test_make_subcomplex_closure_matches_oracle():
     rng = random.Random(7)
     X = product(standard_simplex(2), standard_simplex(2)).complex
@@ -652,7 +683,66 @@ def test_interleaved_replays_on_a_shared_target_match_oracle(data):
                     j = data.draw(st.sampled_from([j for j in range(s.n + 1) if j != s.k]))
                     top[j] = data.draw(st.sampled_from(X.all_exprs(s.n - 1)))
                 steps[i] = data.draw(st.sampled_from([s, CertStep(s.n, s.k, top, s.attached)]))
+        slot = X._replay
+        held = dict(slot[3])
         assert_verify_matches_oracle(cert)
+        # a slot is replaced whole, never changed; its dict places each added id
+        assert slot[3] == held
+        _, done, added, at = X._replay
+        assert at == {x: i for i, x in enumerate(added)} and len(added) == 2 * len(done)
+
+
+def test_swapped_commuting_steps_replay_past_the_slot_prefix():
+    # two adjacent steps that commute, swapped: the replay resumes at step
+    # i on the slot of the certificate, and the step it meets there attaches
+    # the ids that the slot placed at 2i + 2 and 2i + 3, which are not on
+    # the resumed stage
+    swaps = 0
+    for cert in replay_certificates():
+        X = cert.target
+        for i in range(len(cert.steps) - 1):
+            steps = list(cert.steps)
+            steps[i], steps[i + 1] = steps[i + 1], steps[i]
+            assert verify_certificate(cert).ok and X._replay[1] == cert.steps
+            at = X._replay[3]
+            assert at[steps[i].attached] == 2 * i + 3
+            swaps += assert_verify_matches_oracle(AnodyneCertificate(X, cert.source_ids, tuple(steps))).ok
+    assert swaps
+
+
+def test_threads_replaying_on_a_shared_target_match_oracle():
+    # more threads than cores verify the certificates of one target and
+    # their mutants in different orders, switching often: each reads the
+    # slot whole, so each verdict is the oracle's
+    rng = random.Random(MUTATION_SEED)
+    certs = []
+    for c in shared_target_families()[2]:
+        ops = _mutations(c, rng)
+        certs += [c] + [rng.choice(ops)(c) for _ in range(15)]
+    want = [old_verify_certificate(c) for c in certs]
+    mismatches, done = [], []
+
+    def work(seed):
+        order = list(range(len(certs)))
+        random.Random(seed).shuffle(order)
+        for i in order * 5:
+            got = verify_certificate(certs[i])
+            if (got.ok, got.failed_step, got.reason) != (want[i].ok, want[i].failed_step, want[i].reason):
+                mismatches.append(i)
+        done.append(seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(8)) and mismatches == []
 
 
 def test_step_edited_in_place_after_an_accepted_replay():
