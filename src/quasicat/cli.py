@@ -26,14 +26,15 @@ from .jsonio import (
     certificate_to_json,
     cat_to_json,
     dumps,
+    expr_to_json,
     functor_from_json,
     loads,
     presentation_to_json,
     sset_from_json,
     sset_to_json,
 )
-from .pathcat import NotLoopFreeError, bounded_hom_classes, hom_sets, is_loop_free, path_category
-from .quasi import CertificationError, certify_quasi_category, core, ho_category, saturation_step, tau0
+from .pathcat import bounded_hom_classes, hom_sets, is_loop_free, path_category
+from .quasi import certify_quasi_category, core, ho_category, saturation_step, tau0
 from .verify import verify_certificate
 
 
@@ -133,9 +134,7 @@ def cmd_certify(args) -> tuple[dict, dict]:
         payload["counterexample"] = {
             "n": h.n,
             "k": h.k,
-            "faces": [
-                None if e is None else {"word": list(e.word), "base": e.base} for e in h.top
-            ],
+            "faces": [None if e is None else expr_to_json(e) for e in h.top],
         }
     return {"certification": payload}, (verdicts, {"cells": X.n_cells})
 
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
         report = _report(args.command, inputs, verdicts, counts)
         report.update(payload)
         _emit(report, args.out)
-    except (UsageError, OSError, NotLoopFreeError, CertificationError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.command}: {time.monotonic() - started:.3f}s", file=sys.stderr)

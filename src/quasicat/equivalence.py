@@ -14,35 +14,24 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
-from operator import itemgetter
+from typing import NamedTuple
 
 from .cat import CategoryError, FiniteCategory, FiniteFunctor
 from .pathcat import PresentedCategory, Relation, path_category
 from .simplicial import build_standard, standard_simplex
 
 
-class PresentedFunctor(tuple):
+class PresentedFunctor(NamedTuple):
     """A functor from a presented category: object and generator images.
 
     An immutable (objects, generators) pair, where `objects` lists the
     images of P.objects and `generators` those of P.generators, in order.
-    It is a tuple, so it hashes and compares in C, and equals the plain
-    tuple of its two fields.
+    It is a named tuple, so it hashes and compares in C, and equals the
+    plain tuple of its two fields.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, objects: tuple, generators: tuple):
-        return tuple.__new__(cls, (objects, generators))
-
-    objects = property(itemgetter(0))
-    generators = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"PresentedFunctor(objects={self[0]!r}, generators={self[1]!r})"
+    objects: tuple
+    generators: tuple
 
 
 def functors_from_presentation(P: PresentedCategory, C: FiniteCategory) -> list[PresentedFunctor]:

@@ -3,24 +3,24 @@
 The presentation of P(X) is read off the 2-skeleton: vertices are objects,
 non-degenerate edges generate (src = d1, tgt = d0), and each non-degenerate
 2-simplex contributes the relation d1 = d0 . d2, with degenerate edges
-compiled away as identities.  A `Relation` is a tuple, and `path_category`
-trusts the simplicial identities of its complex instead of validating the
-presentation.  Exact
-hom-sets are computed only when the edge graph is acyclic; the word
-problem is undecidable in general, and loop-freeness covers the intended
-use.  They come from one forward walk per source over a topological order,
-on class ids, without listing paths: the cost grows with classes times
-generators, not with the number of paths, which grows exponentially with
-depth, and the relations into an object stop once its candidates are one
-class.  `hom_sets` dresses the walk in `HomEntry`s; the product comparison
-reads it bare.  For complexes with loops, `bounded_hom_classes` gives a
-sound partial answer flagged as such.
+compiled away as identities.  A `Relation` is a named tuple, and
+`path_category` trusts the simplicial identities of its complex instead of
+validating the presentation.  Exact hom-sets are computed only when the
+edge graph is acyclic; the word problem is undecidable in general, and
+loop-freeness covers the intended use.  They come from one forward walk
+per source over a topological order, on class ids, without listing paths:
+the cost grows with classes times generators, not with the number of
+paths, which grows exponentially with depth, and the relations into an
+object stop once its candidates are one class.  `hom_sets` dresses the
+walk in `HomEntry`s; the product comparison reads it bare.  For complexes
+with loops, `bounded_hom_classes` gives a sound partial answer flagged as
+such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from typing import NamedTuple
 
 from .cat import FiniteCategory, nerve
 from .simplicial import SimplicialSet, UnionFind, product, product_cell_count
@@ -30,26 +30,15 @@ class NotLoopFreeError(ValueError):
     pass
 
 
-class Relation(tuple):
+class Relation(NamedTuple):
     """lhs = rhs between two paths src -> tgt, each a tuple of generator ids
     in path order (first arrow first).  An immutable (lhs, rhs, src, tgt)
-    tuple, like `SimplexExpr`."""
+    named tuple, like `SimplexExpr`."""
 
-    __slots__ = ()
-
-    def __new__(cls, lhs: tuple, rhs: tuple, src, tgt):
-        return tuple.__new__(cls, (lhs, rhs, src, tgt))
-
-    lhs = property(itemgetter(0))
-    rhs = property(itemgetter(1))
-    src = property(itemgetter(2))
-    tgt = property(itemgetter(3))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Relation(lhs={self[0]!r}, rhs={self[1]!r}, src={self[2]!r}, tgt={self[3]!r})"
+    lhs: tuple
+    rhs: tuple
+    src: object
+    tgt: object
 
 
 @dataclass(frozen=True, eq=False)

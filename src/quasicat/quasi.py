@@ -7,7 +7,7 @@ dimensions 2..d+1 suffices.  Horns one dimension above the stored
 truncation are decided by a shell criterion.  The verdict is never a false
 certificate: a missing flag, a dim_bound below the declared coskeletal
 bound, or stored cells that contradict it, yield "inconclusive".  Horns
-are (n, k, top) tuples, enumerated as a join over the face index;
+are (n, k, top) named tuples, enumerated as a join over the face index;
 certification counts them against the keys of the n-expressions without
 building them.  tau0 reads the isomorphism classes of maps K -> X off maps
 K x Delta^1 -> X, by the pointwise criterion for natural isomorphisms.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cat import FiniteCategory
 from .simplicial import (
@@ -70,28 +71,17 @@ class CertificationError(ValueError):
     pass
 
 
-class HornMap(tuple):
+class HornMap(NamedTuple):
     """A map Lambda^n_k -> X, stored on the horn's top faces.
 
     `top[i]` is the image of the face d^i of Delta^n for i != k (entry k is
     None); images of lower simplices are determined by restriction.  An
-    immutable (n, k, top) triple, like `SimplexExpr`.
+    immutable (n, k, top) named tuple, like `SimplexExpr`.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, k: int, top: tuple):
-        return tuple.__new__(cls, (n, k, top))
-
-    n = property(itemgetter(0))
-    k = property(itemgetter(1))
-    top = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"HornMap(n={self[0]!r}, k={self[1]!r}, top={self[2]!r})"
+    n: int
+    k: int
+    top: tuple
 
     @property
     def is_inner(self) -> bool:

@@ -11,10 +11,10 @@ expressions back into normal form using the simplicial identities
     d_i s_j = s_j d_{i-1}   (i > j+1)
     s_i s_j = s_{j+1} s_i   (i <= j)
 
-A `SimplexExpr` is an immutable (word, base, dim) tuple: equality and
-hashing are the tuple's own, computed in C, and the constructor checks that
-the word strictly decreases.  `face` of a non-degenerate expression is a
-lookup in the face table.
+A `SimplexExpr` is an immutable (word, base, dim) named tuple: equality
+and hashing are the tuple's own, computed in C, and the constructor
+checks that the word strictly decreases.  `face` of a non-degenerate
+expression is a lookup in the face table.
 
 The rewriting reads three memoized word tables, pure functions of words
 and dimensions that never see a complex: `_degenerate_word` (the normal
@@ -43,6 +43,7 @@ complex; all values are immutable after construction.
 from __future__ import annotations
 
 import gc
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from itertools import chain, combinations, repeat
@@ -76,11 +77,11 @@ def acyclic(builder):
     return paused
 
 
-class SimplexExpr(tuple):
+class SimplexExpr(namedtuple("SimplexExpr", "word base dim")):
     """A possibly-degenerate simplex: degeneracy word applied to a base id.
 
-    An immutable (word, base, dim) triple; equality and hashing are those
-    of the triple.
+    An immutable (word, base, dim) named tuple; equality and hashing are
+    those of the triple.  `_make` and `_replace` skip the word check.
     """
 
     __slots__ = ()
@@ -91,16 +92,6 @@ class SimplexExpr(tuple):
                 if a <= b:
                     raise SimplicialError(f"degeneracy word not strictly decreasing: {word}")
         return tuple.__new__(cls, (word, base, dim))
-
-    word = property(itemgetter(0))
-    base = property(itemgetter(1))
-    dim = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"SimplexExpr(word={self[0]!r}, base={self[1]!r}, dim={self[2]!r})"
 
     @property
     def is_degenerate(self) -> bool:

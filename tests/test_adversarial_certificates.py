@@ -1,19 +1,30 @@
-"""`cert-verify` on adversarial certificate files, in process through
-`quasicat.cli.main`.
+"""The CLI on adversarial input files, in process through
+`quasicat.cli.main`: `cert-verify` on certificates, `certify` on complexes
+and `nerve-equiv` on functors.
 
-Each example takes one `cert-build` output and applies one to three
-mutations of two families:
+Each example takes one file of its kind (a `cert-build` output, a corpus
+`*.sset.json` under 20 KB, or a `*.fun.json` that `functor_to_json` wrote
+for a criterion-9 functor) and applies one to three mutations of two
+families:
 
 - structural: a value anywhere in the file replaced by a scalar from a
   fixed pool, an integer moved by one, an entry deleted or duplicated;
-- schema-preserving: a step's n, k or attached id, a horn face's index,
-  base or word changed, two steps swapped, a step dropped or duplicated, a
-  source id added or removed.
+- schema-preserving, for certificates: a step's n, k or attached id, a
+  horn face's index, base or word changed, two steps swapped, a step
+  dropped or duplicated, a source id added or removed;
+- schema-preserving, for complexes: a face rebased, made degenerate or
+  given another word, two faces of a cell swapped, a top cell dropped or
+  duplicated under a new id, the coskeletal flag reset;
+- schema-preserving, for functors: an object or arrow image changed, or
+  one composition entry of either category.
 
-Whatever the file, `main` raises nothing and exits 0, 1 or 2; an exit 2
+Whatever the file, `main` raises nothing and exits 0, 1, 2 or 3; an exit 2
 prints exactly one line, and it starts with `error:`.  Every verdict on a
-certificate that loads, "verified" included, is the one the previous
-verifier `old_verify_certificate` reaches on the same file.
+file that loads is re-derived by an oracle: a certificate's, "verified"
+included, is the one the previous verifier `old_verify_certificate`
+reaches; a "quasi-category" verdict is confirmed by `brute_force_is_quasi`;
+an "equivalence" verdict, true or false, is `is_equivalence_of_categories`
+of the loaded functor.
 """
 
 import copy
@@ -24,9 +35,14 @@ from contextlib import redirect_stderr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasicat.cat import is_equivalence_of_categories
 from quasicat.cli import main
-from quasicat.jsonio import certificate_from_json, loads
+from quasicat.corpus import small_corpus_categories
+from quasicat.equivalence import enumerate_functors
+from quasicat.jsonio import certificate_from_json, functor_from_json, functor_to_json, loads, sset_from_json
 
+from test_certify_oracle import brute_force_is_quasi
+from test_cli_answers import CORPUS
 from test_face_calculus_oracle import old_verify_certificate
 
 BUILDS = (
@@ -90,7 +106,7 @@ def structural(draw, obj):
         parent.insert(key, copy.deepcopy(parent[key]))
 
 
-def schema_preserving(draw, obj):
+def certificate_schema(draw, obj):
     """A change that keeps the certificate's schema; nothing when an
     earlier mutation broke the parts it changes."""
     c = obj.get("certificate")
@@ -126,21 +142,104 @@ def schema_preserving(draw, obj):
             sources.append(draw(ids))
 
 
-@settings(max_examples=150)
-@given(data=st.data())
-def test_cert_verify_on_mutated_cert_build_outputs(builds, workdir, data):
-    obj = copy.deepcopy(data.draw(st.sampled_from(builds)))
+def sset_schema(draw, obj):
+    """A change that keeps the complex's schema; nothing when an earlier
+    mutation broke the parts it changes."""
+    levels = obj.get("simplices")
+    if not (isinstance(levels, list) and all(isinstance(level, list) for level in levels)):
+        return
+    cells = [(d, c) for d, level in enumerate(levels) for c in level if isinstance(c, dict)]
+    ids = {d: [c["id"] for e, c in cells if e == d and type(c.get("id")) is int] for d in range(len(levels))}
+    every = [i for level in ids.values() for i in level]
+    faces = [(d, f) for d, c in cells if isinstance(c.get("faces"), list) for f in c["faces"] if isinstance(f, dict)]
+    op = draw(st.sampled_from(["rebase", "degenerate", "word", "swap", "drop", "duplicate", "flag"]))
+    if op == "flag":
+        obj["coskeletal_at"] = draw(st.sampled_from([None, *range(len(levels) + 1)]))
+    elif op in ("rebase", "degenerate", "word"):
+        if not faces:
+            return
+        d, face = draw(st.sampled_from(faces))
+        if op == "rebase" and every:
+            face["base"] = draw(st.sampled_from(every))
+        elif op == "degenerate" and d >= 2 and ids[d - 2]:
+            face["base"], face["word"] = draw(st.sampled_from(ids[d - 2])), [draw(st.integers(0, d - 2))]
+        elif op == "word":
+            face["word"] = draw(st.lists(st.integers(0, 3), max_size=2))
+    elif op == "swap":
+        rows = [c["faces"] for _, c in cells if isinstance(c.get("faces"), list) and len(c["faces"]) > 1]
+        if rows:
+            row = draw(st.sampled_from(rows))
+            i, j = draw(st.integers(0, len(row) - 1)), draw(st.integers(0, len(row) - 1))
+            row[i], row[j] = row[j], row[i]
+    else:
+        top = next((level for level in reversed(levels) if level), None)
+        if top is None:
+            return
+        i = draw(st.integers(0, len(top) - 1))
+        if op == "drop":
+            del top[i]
+        else:
+            twin = copy.deepcopy(top[i])
+            if isinstance(twin, dict):
+                twin["id"] = 1 + max(every, default=0)
+            top.append(twin)
+
+
+def functor_schema(draw, obj):
+    """A change that keeps the functor's schema; nothing when an earlier
+    mutation broke the parts it changes."""
+    op = draw(st.sampled_from(["object_map", "arrow_map", "compose"]))
+    if op == "compose":
+        side = obj.get(draw(st.sampled_from(["source", "target"])))
+        table = side.get("compose") if isinstance(side, dict) else None
+        arrows = side.get("arrows") if isinstance(side, dict) else None
+        if not (isinstance(table, list) and table and isinstance(arrows, list) and all(isinstance(a, dict) for a in arrows)):
+            return
+        rec = table[draw(st.integers(0, len(table) - 1))]
+        if isinstance(rec, list) and rec and arrows:
+            rec[-1] = draw(st.sampled_from([a.get("id") for a in arrows]))
+        return
+    images, target = obj.get(op), obj.get("target")
+    names = target.get("objects" if op == "object_map" else "arrows") if isinstance(target, dict) else None
+    if not (isinstance(images, dict) and images and isinstance(names, list) and names):
+        return
+    key = draw(st.sampled_from(sorted(images)))
+    if op == "arrow_map":
+        # an arrow parallel to the old image, when the target has one
+        ends = {a.get("id"): (a.get("src"), a.get("tgt")) for a in names if isinstance(a, dict)}
+        names = [a for a, e in ends.items() if e == ends.get(images[key])] or list(ends)
+    if names:
+        images[key] = draw(st.sampled_from(names))
+
+
+def mutated(data, files, schema):
+    """A deep copy of one of `files` after one to three mutations."""
+    obj = copy.deepcopy(data.draw(st.sampled_from(files)))
     for _ in range(data.draw(st.integers(1, 3))):
-        data.draw(st.sampled_from([structural, schema_preserving]))(data.draw, obj)
-    path, out = workdir / "mutated.json", workdir / "verdict.json"
-    path.write_text(json.dumps(obj))
+        data.draw(st.sampled_from([structural, schema]))(data.draw, obj)
+    return obj
+
+
+def run(argv) -> int:
+    """`main`'s exit code; a refusal (exit 2) prints one `error:` line."""
     err = io.StringIO()
     with redirect_stderr(err):
-        code = main(["cert-verify", str(path), "--out", str(out)])
-    assert code in (0, 1, 2)
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return code
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cert_verify_on_mutated_cert_build_outputs(builds, workdir, data):
+    obj = mutated(data, builds, certificate_schema)
+    path, out = workdir / "mutated.json", workdir / "verdict.json"
+    path.write_text(json.dumps(obj))
+    code = run(["cert-verify", str(path), "--out", str(out)])
+    if code == 2:
         return
     got = json.loads(out.read_text())["verification"]
     # the file as the CLI reads it: a cert-build report or a bare certificate
@@ -148,3 +247,46 @@ def test_cert_verify_on_mutated_cert_build_outputs(builds, workdir, data):
     want = old_verify_certificate(certificate_from_json(cert.get("certificate", cert)))
     assert (code == 0) == got["ok"]
     assert (got["ok"], got["failed_step"], got["reason"]) == (want.ok, want.failed_step, want.reason)
+
+
+COMPLEXES = [json.loads(p.read_text()) for p in sorted(CORPUS.glob("*.sset.json")) if p.stat().st_size < 20_000]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_certify_on_mutated_corpus_complexes(workdir, data):
+    obj = mutated(data, COMPLEXES, sset_schema)
+    path, out = workdir / "mutated.sset.json", workdir / "certify.json"
+    path.write_text(json.dumps(obj))
+    code = run(["certify", str(path), "--out", str(out)])
+    if code == 2:
+        return
+    verdict = json.loads(out.read_text())["certification"]["verdict"]
+    assert code == {"quasi-category": 0, "counterexample": 1, "inconclusive": 3}[verdict], verdict
+    if verdict == "quasi-category":
+        assert brute_force_is_quasi(sset_from_json(loads(path.read_text())))
+
+
+@pytest.fixture(scope="module")
+def functors():
+    """The criterion-9 functors as files: the equivalences, and the rest."""
+    cats = small_corpus_categories()
+    every = [F for a in sorted(cats) for b in sorted(cats) for F in enumerate_functors(cats[a], cats[b])]
+    kinds = ([], [])
+    for F in every:
+        kinds[is_equivalence_of_categories(F)].append(functor_to_json(F))
+    return kinds
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_nerve_equiv_on_mutated_functors(functors, workdir, data):
+    obj = mutated(data, data.draw(st.sampled_from(functors)), functor_schema)
+    path, out = workdir / "mutated.fun.json", workdir / "equivalence.json"
+    path.write_text(json.dumps(obj))
+    code = run(["nerve-equiv", str(path), "--out", str(out)])
+    if code == 2:
+        return
+    verdict = json.loads(out.read_text())["equivalence"]["verdict"]
+    assert code == (0 if verdict else 1)
+    assert verdict == is_equivalence_of_categories(functor_from_json(loads(path.read_text())))

@@ -1,6 +1,7 @@
-"""The face calculus, `product`, `validate`, the prism builder, the
-face-base index and the tuple-backed `SimplexExpr` against the code they
-replaced.
+"""The face calculus, `product`, `validate`, the prism builder and the
+face-base index against the code they replaced, and one value contract for
+the four named-tuple records: `SimplexExpr`, `HornMap`, `Relation` and
+`PresentedFunctor`.
 
 The oracles are the previous per-letter `degenerate`, `SimplicialSet.face`
 and `ProductComplex.pair_expr` (one expression per degeneracy letter),
@@ -58,7 +59,10 @@ from quasicat.anodyne import (
 )
 from quasicat.cat import nerve, preorder_category
 from quasicat.corpus import corpus_complexes, loop_free_corpus_complexes
+from quasicat.equivalence import PresentedFunctor
 from quasicat.jsonio import certificate_to_json, dumps, sset_to_json
+from quasicat.pathcat import Relation
+from quasicat.quasi import HornMap
 from quasicat.simplicial import (
     GLOBAL_DIM_BOUND,
     ProductComplex,
@@ -797,24 +801,71 @@ def test_simplex_expr_rejects_non_decreasing_word(word):
         SimplexExpr(word, 0, len(word))
 
 
-def test_simplex_expr_is_immutable():
-    e = SimplexExpr((1, 0), 4, 3)
-    for name in ("word", "base", "dim", "other"):
-        with pytest.raises(AttributeError):
-            setattr(e, name, 0)
-    assert (e.word, e.base, e.dim, e.is_degenerate) == ((1, 0), 4, 3, True)
-
-
-def test_simplex_expr_value_semantics():
-    e = SimplexExpr((2, 0), 5, 4)
-    same = SimplexExpr((2, 0), 5, 4)
-    assert e == same and hash(e) == hash(same) == hash(((2, 0), 5, 4))
-    assert len({e, same}) == 1
-    for other in (SimplexExpr((2,), 5, 4), SimplexExpr((2, 0), 6, 4), SimplexExpr((2, 0), 5, 3)):
-        assert e != other
-    assert repr(e) == "SimplexExpr(word=(2, 0), base=5, dim=4)"
-    assert copy.deepcopy(e) == e and pickle.loads(pickle.dumps(e)) == e
+def test_simplex_expr_is_degenerate():
+    assert SimplexExpr((1, 0), 4, 3).is_degenerate
     assert not SimplexExpr((), 5, 2).is_degenerate
+
+
+# -- the four record types: immutable named tuples ---------------------------------
+
+EDGE_01, EDGE_12 = SimplexExpr((), 0, 1), SimplexExpr((), 1, 1)
+# type, field names, field values, repr, records differing in one field
+RECORDS = [
+    (
+        SimplexExpr,
+        ("word", "base", "dim"),
+        ((2, 0), 5, 4),
+        "SimplexExpr(word=(2, 0), base=5, dim=4)",
+        [((2,), 5, 4), ((2, 0), 6, 4), ((2, 0), 5, 3)],
+    ),
+    (
+        HornMap,
+        ("n", "k", "top"),
+        (2, 1, (EDGE_12, None, EDGE_01)),
+        "HornMap(n=2, k=1, top=(SimplexExpr(word=(), base=1, dim=1), None, SimplexExpr(word=(), base=0, dim=1)))",
+        [(3, 1, (EDGE_12, None, EDGE_01)), (2, 0, (EDGE_12, None, EDGE_01)), (2, 1, (EDGE_01, None, EDGE_12))],
+    ),
+    (
+        Relation,
+        ("lhs", "rhs", "src", "tgt"),
+        ((3, 4), (5,), 0, 2),
+        "Relation(lhs=(3, 4), rhs=(5,), src=0, tgt=2)",
+        [((4, 3), (5,), 0, 2), ((3, 4), (), 0, 2), ((3, 4), (5,), 1, 2), ((3, 4), (5,), 0, 0)],
+    ),
+    (
+        PresentedFunctor,
+        ("objects", "generators"),
+        (("a", "b"), ("f",)),
+        "PresentedFunctor(objects=('a', 'b'), generators=('f',))",
+        [(("a", "b"), ("g",)), (("b", "a"), ("f",))],
+    ),
+]
+RECORD_IDS = [record[0].__name__ for record in RECORDS]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_record_is_immutable(record):
+    cls, names, fields, _text, _others = record
+    r = cls(*fields)
+    # no per-instance __dict__: a new name cannot be set either
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+    assert tuple(getattr(r, name) for name in names) == fields
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+def test_record_value_semantics(record):
+    cls, _names, fields, text, others = record
+    r, same = cls(*fields), cls(*fields)
+    # a tuple of its fields: it hashes in C and equals the plain tuple
+    assert r == same == fields and hash(r) == hash(same) == hash(fields)
+    assert len({r, same}) == 1
+    for other in others:
+        assert r != cls(*other)
+    assert repr(r) == text
+    for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is cls and twin == r
 
 
 

@@ -55,6 +55,26 @@ def test_every_module_level_import_is_used():
     assert not unused, unused
 
 
+def test_records_are_namedtuples():
+    # a record's field getters and pickling come from collections.namedtuple
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__getnewargs__":
+                    found.append(f"{path.name}:{node.lineno} {cls.name}.__getnewargs__")
+                elif isinstance(node, ast.Assign) and called(node.value, "property") and node.value.args and called(node.value.args[0], "itemgetter"):
+                    found.append(f"{path.name}:{node.lineno} {cls.name} property(itemgetter(...))")
+    assert not found, found
+
+
+def called(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
 def reachability(package: Path, perfbench: Path, kept) -> tuple[list, list, list]:
     """(unreached, stale, undefined) for the functions, classes and methods
     of the package's modules other than `__init__`, whose exports are not
