@@ -28,6 +28,7 @@ from .jsonio import (
     dumps,
     expr_to_json,
     functor_from_json,
+    hom_classes_to_json,
     loads,
     presentation_to_json,
     sset_from_json,
@@ -111,7 +112,7 @@ def cmd_homset(args) -> tuple[dict, dict]:
         "src": args.src,
         "tgt": args.tgt,
         "partial": entry.partial,
-        "classes": [{"rep": [str(g) for g in c.rep], "size": c.size} for c in entry.classes],
+        "classes": hom_classes_to_json(entry.classes),
     }
     # a partial answer is a bounded one, not a false one: no verdict
     return {"homset": payload}, ({}, {"classes": len(entry.classes)})
@@ -239,23 +240,6 @@ def cmd_corpus_run(args) -> tuple[dict, dict]:
     return extra, (verdicts, {"criteria": len(results), "corpus_files": len(written)})
 
 
-HANDLERS = {
-    "pathcat": cmd_pathcat,
-    "homset": cmd_homset,
-    "certify": cmd_certify,
-    "core": cmd_core,
-    "ho": cmd_ho,
-    "tau0": cmd_tau0,
-    "saturate": cmd_saturate,
-    "shuffles": cmd_shuffles,
-    "cert-build": cmd_cert_build,
-    "cert-verify": cmd_cert_verify,
-    "nerve-equiv": cmd_nerve_equiv,
-    "equiv40": cmd_nerve_equiv,
-    "corpus-run": cmd_corpus_run,
-}
-
-
 @lru_cache(maxsize=None)  # built once per process: main may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -265,62 +249,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--out", help="write the JSON report to this path")
+        p.set_defaults(handler=handler)
         return p
 
-    p = common(sub.add_parser("pathcat", help="path category presentation of a complex"))
+    p = common(sub.add_parser("pathcat", help="path category presentation of a complex"), cmd_pathcat)
     p.add_argument("complex", help="*.sset.json input")
     p.add_argument("--homsets", action="store_true", help="materialize exact hom-sets (loop-free only)")
 
-    p = common(sub.add_parser("homset", help="bounded hom classes between two vertices"))
+    p = common(sub.add_parser("homset", help="bounded hom classes between two vertices"), cmd_homset)
     p.add_argument("complex")
     p.add_argument("src")
     p.add_argument("tgt")
     p.add_argument("--max-len", type=int, default=6)
 
-    p = common(sub.add_parser("certify", help="certify a complex as a quasi-category"))
+    p = common(sub.add_parser("certify", help="certify a complex as a quasi-category"), cmd_certify)
     p.add_argument("complex")
 
-    p = common(sub.add_parser("core", help="maximal Kan subcomplex of a certified quasi-category"))
+    p = common(sub.add_parser("core", help="maximal Kan subcomplex of a certified quasi-category"), cmd_core)
     p.add_argument("complex")
 
-    p = common(sub.add_parser("ho", help="homotopy category of a certified quasi-category"))
+    p = common(sub.add_parser("ho", help="homotopy category of a certified quasi-category"), cmd_ho)
     p.add_argument("complex")
 
-    p = common(sub.add_parser("tau0", help="strong homotopy classes tau0(K, X)"))
+    p = common(sub.add_parser("tau0", help="strong homotopy classes tau0(K, X)"), cmd_tau0)
     p.add_argument("k_complex")
     p.add_argument("complex")
     p.add_argument("--limit", type=int, default=24)
 
-    p = common(sub.add_parser("saturate", help="attach a simplex along every inner horn"))
+    p = common(sub.add_parser("saturate", help="attach a simplex along every inner horn"), cmd_saturate)
     p.add_argument("complex")
     p.add_argument("--dim-bound", type=int, default=None)
 
-    p = common(sub.add_parser("shuffles", help="maximal cells of Delta^r x Delta^s"))
+    p = common(sub.add_parser("shuffles", help="maximal cells of Delta^r x Delta^s"), cmd_shuffles)
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
 
-    p = common(sub.add_parser("cert-build", help="build an inner-anodyne certificate"))
+    p = common(sub.add_parser("cert-build", help="build an inner-anodyne certificate"), cmd_cert_build)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--facets", type=int, nargs="+", metavar="N S...",
                        help="dimension followed by the face indices of <S>")
     group.add_argument("--prism", type=int, nargs=3, metavar=("N", "K", "M"))
     p.add_argument("--verify", action="store_true")
 
-    p = common(sub.add_parser("cert-verify", help="replay and check a certificate"))
+    p = common(sub.add_parser("cert-verify", help="replay and check a certificate"), cmd_cert_verify)
     p.add_argument("certificate")
 
     p = common(
-        sub.add_parser(
-            "nerve-equiv",
-            aliases=["equiv40"],
-            help="nerve-equivalence criterion for a functor",
-        )
+        sub.add_parser("nerve-equiv", aliases=["equiv40"], help="nerve-equivalence criterion for a functor"),
+        cmd_nerve_equiv,
     )
     p.add_argument("functor", help="*.fun.json input")
 
-    p = common(sub.add_parser("corpus-run", help="run the acceptance battery over the bundled corpus"))
+    p = common(sub.add_parser("corpus-run", help="run the acceptance battery over the bundled corpus"), cmd_corpus_run)
     p.add_argument("--mutations", type=int, default=100)
     p.add_argument("--out-dir", help="also materialize the corpus as JSON files here")
     return parser
@@ -337,10 +319,10 @@ def main(argv=None) -> int:
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in {"command", "out"} and value is not None
+        if key not in {"command", "out", "handler"} and value is not None
     }
     try:
-        payload, (verdicts, counts) = HANDLERS[args.command](args)
+        payload, (verdicts, counts) = args.handler(args)
         report = _report(args.command, inputs, verdicts, counts)
         report.update(payload)
         _emit(report, args.out)

@@ -215,6 +215,11 @@ def functor_from_json(obj: dict) -> FiniteFunctor:
         raise MalformedInputError(str(exc)) from exc
 
 
+def hom_classes_to_json(classes) -> list:
+    """The classes of a hom entry, each as its representative word and size."""
+    return [{"rep": [str(g) for g in c.rep], "size": c.size} for c in classes]
+
+
 def presentation_to_json(P: PresentedCategory, table: HomSetTable | None = None) -> dict:
     out = {
         "objects": [str(x) for x in P.objects],
@@ -238,10 +243,7 @@ def presentation_to_json(P: PresentedCategory, table: HomSetTable | None = None)
                 "src": str(x),
                 "tgt": str(y),
                 "partial": entry.partial,
-                "classes": [
-                    {"rep": [str(g) for g in c.rep], "size": c.size}
-                    for c in entry.classes
-                ],
+                "classes": hom_classes_to_json(entry.classes),
             }
             for (x, y), entry in sorted(table.entries.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
         ]

@@ -113,7 +113,8 @@ def enumerate_horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
     """
     if n < 2:
         raise SimplicialError("horns need n >= 2")
-    return _horns(X, n, k)
+    partial, candidates = _join(X, n, k)
+    return [_horn(n, k, (*p, e)) for p, es in zip(partial, candidates) for e in es]
 
 
 def _join(X: SimplicialSet, n: int, k: int | None):
@@ -138,12 +139,6 @@ def _join(X: SimplicialSet, n: int, k: int | None):
 def _horn(n: int, k: int, faces: tuple) -> HornMap:
     # faces in slot order; the join built them from the face index
     return tuple.__new__(HornMap, (n, k, (*faces[:k], None, *faces[k:])))
-
-
-def _horns(X: SimplicialSet, n: int, k: int) -> list[HornMap]:
-    # the join expanded, where certification and the flag check count it
-    partial, candidates = _join(X, n, k)
-    return [_horn(n, k, (*p, e)) for p, es in zip(partial, candidates) for e in es]
 
 
 def _degenerate_key(X: SimplicialSet, slots: tuple, key: tuple) -> bool:

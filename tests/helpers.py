@@ -23,8 +23,8 @@ from quasicat.pathcat import (
 from quasicat.quasi import (
     CertificationError,
     _enumerate_maps,
-    _horns,
     certify_quasi_category,
+    enumerate_horns,
     quasi_iso_edges,
 )
 from quasicat.simplicial import (
@@ -539,7 +539,7 @@ def old_false_flag(X: SimplicialSet, d: int, top_count: int | None) -> str | Non
             boundaries = len(X.vertices()) ** 2
         else:
             faces = X.face_index(n - 1, tuple(range(n)))
-            horns = _horns(X, n, 1)
+            horns = enumerate_horns(X, n, 1)
             assert n > d + 1 or len(horns) == top_count
             boundaries = sum(len(faces.get(h.missing_face_boundary(X), ())) for h in horns)
         if boundaries != len(shells):

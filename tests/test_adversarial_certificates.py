@@ -1,6 +1,7 @@
 """The CLI on adversarial input files, in process through
-`quasicat.cli.main`: `cert-verify` on certificates, `certify` on complexes
-and `nerve-equiv` on functors.
+`quasicat.cli.main`: `cert-verify` on certificates, `certify`, `core`,
+`ho`, `saturate`, `pathcat --homsets`, `homset` and `tau0` (on either
+side) on complexes, and `nerve-equiv` on functors.
 
 Each example takes one file of its kind (a `cert-build` output, a corpus
 `*.sset.json` under 20 KB, or a `*.fun.json` that `functor_to_json` wrote
@@ -22,8 +23,10 @@ Whatever the file, `main` raises nothing and exits 0, 1, 2 or 3; an exit 2
 prints exactly one line, and it starts with `error:`.  Every verdict on a
 file that loads is re-derived by an oracle: a certificate's, "verified"
 included, is the one the previous verifier `old_verify_certificate`
-reaches; a "quasi-category" verdict is confirmed by `brute_force_is_quasi`;
-an "equivalence" verdict, true or false, is `is_equivalence_of_categories`
+reaches; a "quasi-category" verdict is confirmed by `brute_force_is_quasi`,
+as is an exit 0 of `core`, `ho` or `tau0` into the file, which certify it
+first; a file that does not load is refused by every command; an
+"equivalence" verdict, true or false, is `is_equivalence_of_categories`
 of the loaded functor.
 """
 
@@ -39,7 +42,14 @@ from quasicat.cat import is_equivalence_of_categories
 from quasicat.cli import main
 from quasicat.corpus import small_corpus_categories
 from quasicat.equivalence import enumerate_functors
-from quasicat.jsonio import certificate_from_json, functor_from_json, functor_to_json, loads, sset_from_json
+from quasicat.jsonio import (
+    MalformedInputError,
+    certificate_from_json,
+    functor_from_json,
+    functor_to_json,
+    loads,
+    sset_from_json,
+)
 
 from test_certify_oracle import brute_force_is_quasi
 from test_cli_answers import CORPUS
@@ -265,6 +275,33 @@ def test_certify_on_mutated_corpus_complexes(workdir, data):
     assert code == {"quasi-category": 0, "counterexample": 1, "inconclusive": 3}[verdict], verdict
     if verdict == "quasi-category":
         assert brute_force_is_quasi(sset_from_json(loads(path.read_text())))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_other_commands_on_mutated_corpus_complexes(workdir, data):
+    obj = mutated(data, COMPLEXES, sset_schema)
+    path, out = workdir / "mutated.sset.json", workdir / "report.json"
+    path.write_text(json.dumps(obj))
+    try:
+        X = sset_from_json(loads(path.read_text()))
+    except MalformedInputError:
+        X = None
+    vertices = X.vertices() if X is not None else ()
+    ends = (str(vertices[0]), str(vertices[-1])) if vertices else ("0", "0")
+    x, delta1, chain2 = str(path), str(CORPUS / "delta1.sset.json"), str(CORPUS / "B_chain2.sset.json")
+    # core, ho and tau0 into X certify X first
+    certifying = (["core", x], ["ho", x], ["tau0", delta1, x])
+    others = (["saturate", x], ["pathcat", x, "--homsets"], ["homset", x, *ends, "--max-len", "3"], ["tau0", x, chain2])
+    passed = []
+    for argv in certifying + others:
+        code = run([*argv, "--out", str(out)])
+        # every command loads X first, and refuses a file that does not load
+        assert X is not None or code == 2, argv
+        if code == 0 and argv in certifying:
+            passed.append(argv[0])
+    if passed:
+        assert brute_force_is_quasi(X), passed
 
 
 @pytest.fixture(scope="module")

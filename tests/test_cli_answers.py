@@ -1,10 +1,13 @@
-"""The answer checks of the CI workflow's `answers` job, run in process
-through `quasicat.cli.main`, each writing its files under `tmp_path`.
+"""The answer checks of the CLI, run in process through
+`quasicat.cli.main`, each writing its files under `tmp_path`.
 
-Each test here is one CLI step of that job, with the same commands and
-assertions; the job runs them through the installed `quasicat` script, and
-each of its steps names this module.  The report half of the corpus-run
-step is `tests/test_cli.py::test_corpus_run_report_matches_expected`.
+This module is their one home, with
+`tests/test_cli.py::test_corpus_run_report_matches_expected` for the
+`corpus-run` report.  The CI workflow's `answers` job checks none of these
+answers again: through the installed `quasicat` script it runs only the
+six `tau0` pairs of `test_tau0_through_the_cli_and_json` and
+`test_tau0_of_a_singular_complex_through_the_cli_and_json` under
+`timeout`, for the entry point and the time bounds.
 
 `product` has two paths.  A face pair that is a cell of the build is one
 table read; a degenerate face pair is normalized from its components' face

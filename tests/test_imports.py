@@ -81,9 +81,9 @@ def reachability(package: Path, perfbench: Path, kept) -> tuple[list, list, list
     roots.
 
     The roots are the module-level statements of those modules other than
-    definitions and imports (`HANDLERS`, `RUNNERS`, the `__main__` guard),
-    every name in the benchmark's code, its strings included (the span
-    targets are strings), and `kept`.  A definition reaches the names it
+    definitions and imports (`RUNNERS`, the `__main__` guard), every name
+    in the benchmark's code, its strings included (the span targets are
+    strings), and `kept`.  A definition reaches the names it
     reads: a bare name resolves through its module's definitions and
     imports, and a method reference `x.m` resolves to the enclosing class
     for `self.m`, to `Cls` for `Cls.m` and `Cls(...).m`, and otherwise to

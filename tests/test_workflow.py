@@ -50,3 +50,18 @@ def test_every_step_uses_or_runs_exactly_once():
     for job, spec in load_workflow()["jobs"].items():
         for i, step in enumerate(spec["steps"]):
             assert ("uses" in step) != ("run" in step), (job, i, step.get("name"))
+
+
+def test_answers_job_runs_the_script_in_one_step_and_only_under_timeout():
+    # tests/test_cli_answers.py holds the CLI's answer checks; the job runs
+    # the installed script only for what no test can check, its entry point
+    # and the time bounds
+    calls = {}
+    for step in load_workflow()["jobs"]["answers"]["steps"]:
+        for line in step.get("run", "").splitlines():
+            tokens = line.split()
+            if "quasicat" in tokens:
+                calls.setdefault(step["name"], []).append(tokens[: tokens.index("quasicat")])
+    assert len(calls) == 1, sorted(calls)
+    (before,) = calls.values()
+    assert all(len(t) >= 2 and t[-2] == "timeout" for t in before), before
